@@ -117,181 +117,32 @@ func safeRun(ap **hub.Arena, s hub.Scenario) (r *hub.RunResult, err error) {
 	return execScenario(*ap, s)
 }
 
-// Run executes the sweep: Expand the spec, run every not-yet-journaled
-// scenario on the worker pool, and fold results into the aggregator in
-// strict scenario-index order (a reorder buffer holds early finishers), so
-// the final aggregates are byte-identical for any worker count.
+// Run executes the sweep: Expand the spec, open its Fold (replaying the
+// journal when resuming), and run every scenario in [Next, Limit) on the
+// worker pool, folding each record as it finishes. The fold applies records
+// in strict scenario-index order, so the final aggregates are byte-identical
+// for any worker count.
 func Run(spec Spec, opt Options) (*Result, error) {
 	scens, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers == 0 {
-		workers = spec.Workers
+	if opt.Workers == 0 {
+		opt.Workers = spec.Workers
 	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opt.Workers == 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		return nil, fmt.Errorf("fleet: %d workers, want >= 1", workers)
+	if opt.Workers < 1 {
+		return nil, fmt.Errorf("fleet: %d workers, want >= 1", opt.Workers)
 	}
-
-	gauges := opt.Gauges
-	if gauges == nil {
-		gauges = obs.NewGauges()
+	f, err := OpenFold(spec, scens, opt)
+	if err != nil {
+		return nil, err
 	}
-	gauges.StartSweep(len(scens), workers)
-
-	header := Header(spec, scens)
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = Tag(s)
-	}
-
-	res := &Result{Agg: NewAggregator(), Scenarios: len(scens)}
-
-	// Resume: replay the journal prefix into the aggregator. A partial final
-	// record (crash mid-write) is dropped from the file so appending stays
-	// line-atomic, and the scenario simply re-runs.
-	var resumed []DoneRecord
-	if opt.Resume {
-		if opt.Journal == "" {
-			return nil, fmt.Errorf("fleet: resume requested without a journal path")
-		}
-		replay, err := ReadJournal(opt.Journal, header, tags)
-		if err != nil {
-			return nil, err
-		}
-		if err := replay.DropPartialTail(opt.Journal); err != nil {
-			return nil, err
-		}
-		res.Warnings = append(res.Warnings, replay.Warnings...)
-		resumed = replay.Done
-		for _, d := range resumed {
-			if d.Err != "" {
-				res.Agg.ApplyError()
-				res.Failed = append(res.Failed, ScenarioError{Index: d.Index, Label: d.Label, Err: d.Err})
-			} else {
-				res.Agg.Apply(tags[d.Index], d.Metrics)
-			}
-			gauges.ScenarioDone(d.Err != "")
-		}
-		res.Resumed = len(resumed)
-		res.Completed = len(resumed)
-	}
-	next := len(resumed) // first scenario index still to run
-
-	var jw *JournalWriter
-	if opt.Journal != "" {
-		jw, err = NewJournalWriter(opt.Journal, header, !opt.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer jw.Close()
-	}
-
-	limit := len(scens)
-	if opt.MaxScenarios > 0 && opt.MaxScenarios < limit {
-		limit = opt.MaxScenarios
-	}
-	if next >= limit {
-		gauges.SetFingerprint(res.Agg.Fingerprint())
-		progress(opt.Progress, res, len(scens), gauges)
-		return res, nil
-	}
-
-	type outcome struct {
-		index   int
-		metrics map[string]float64
-		err     string
-	}
-	indices := make(chan int)
-	outcomes := make(chan outcome, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One arena per worker: scenarios on this goroutine reuse the
-			// same scheduler/meter/device stack run after run. Metrics is
-			// extracted before the next run recycles the result's storage.
-			arena := hub.NewArena()
-			for i := range indices {
-				s := scens[i]
-				gauges.WorkerBusy(+1)
-				r, err := safeRun(&arena, s)
-				gauges.WorkerBusy(-1)
-				if err != nil {
-					outcomes <- outcome{index: i, err: err.Error()}
-					continue
-				}
-				gauges.MeterObserved(int64(r.MeterSamples), int64(r.MeterDroppedSamples),
-					r.MeterCycles, int64(r.MeterFlushes), int64(r.MeterBytes))
-				gauges.PowerObserved(int64(r.Brownouts), int64(r.BrownoutTime),
-					int64(r.BatteryHarvestJ*1e6))
-				outcomes <- outcome{index: i, metrics: Metrics(r, s.Windows)}
-			}
-		}()
-	}
-	go func() {
-		for i := next; i < limit; i++ {
-			indices <- i
-		}
-		close(indices)
-		wg.Wait()
-		close(outcomes)
-	}()
-
-	// Collector: apply outcomes in index order via a reorder buffer. The
-	// journal therefore also stays in index order, which keeps resume a
-	// straight prefix replay.
-	pending := map[int]outcome{}
-	var firstJournalErr error
-	for o := range outcomes {
-		pending[o.index] = o
-		for {
-			ready, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			d := DoneRecord{Index: ready.index, Label: scens[ready.index].Label(),
-				Metrics: ready.metrics, Err: ready.err}
-			if ready.err != "" {
-				res.Agg.ApplyError()
-				res.Failed = append(res.Failed, ScenarioError{Index: ready.index, Label: d.Label, Err: ready.err})
-			} else {
-				res.Agg.Apply(tags[ready.index], ready.metrics)
-			}
-			res.Completed++
-			next++
-			gauges.ScenarioDone(ready.err != "")
-			if jw != nil && firstJournalErr == nil {
-				if err := jw.WriteDone(d); err != nil {
-					firstJournalErr = err
-				}
-			}
-			if res.Completed%SnapEvery == 0 || res.Completed == len(scens) {
-				fp := res.Agg.Fingerprint()
-				gauges.SetFingerprint(fp)
-				if jw != nil && firstJournalErr == nil {
-					if err := jw.WriteSnap(res.Completed, fp); err != nil {
-						firstJournalErr = err
-					}
-				}
-			}
-			progress(opt.Progress, res, len(scens), gauges)
-		}
-	}
-	if len(pending) != 0 {
-		return nil, fmt.Errorf("fleet: internal: %d outcomes stuck in the reorder buffer", len(pending))
-	}
-	if firstJournalErr != nil {
-		return nil, firstJournalErr
-	}
-	return res, nil
+	// The pool fails only with the fold's own error, which Close returns.
+	_ = pool(scens, f.Next(), f.Limit(), opt.Workers, f.gauges, func(d DoneRecord) error { return f.Add(d) })
+	return f.Close()
 }
 
 // RunRange executes scenarios [start, end) of an expanded sequence with up
@@ -303,51 +154,72 @@ func RunRange(scens []hub.Scenario, start, end, parallelism int) ([]DoneRecord, 
 	if start < 0 || end > len(scens) || start > end {
 		return nil, fmt.Errorf("fleet: range [%d, %d) outside 0..%d", start, end, len(scens))
 	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	records := make([]DoneRecord, end-start)
+	err := pool(scens, start, end, max(parallelism, 1), nil, func(d DoneRecord) error {
+		records[d.Index-start] = d
+		return nil
+	})
+	return records, err
+}
+
+// pool runs scenarios [start, end) on workers goroutines, each reusing one
+// arena across its scenarios, and hands every record to emit on the calling
+// goroutine in completion order. The first error emit returns stops
+// dispatch; scenarios already running finish and are dropped, and pool
+// returns that error. g receives worker occupancy and each run's meter and
+// battery totals; it may be nil.
+func pool(scens []hub.Scenario, start, end, workers int, g *obs.Gauges, emit func(DoneRecord) error) error {
 	indices := make(chan int)
+	// One slot per worker: a finished worker starts its next scenario
+	// without waiting for emit.
+	records := make(chan DoneRecord, workers)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Metrics are extracted before the arena's next run recycles
+			// the result's storage.
 			arena := hub.NewArena()
 			for i := range indices {
 				d := DoneRecord{Index: i, Label: scens[i].Label()}
-				if r, err := safeRun(&arena, scens[i]); err != nil {
+				g.WorkerBusy(+1)
+				r, err := safeRun(&arena, scens[i])
+				g.WorkerBusy(-1)
+				if err != nil {
 					d.Err = err.Error()
 				} else {
+					g.MeterObserved(int64(r.MeterSamples), int64(r.MeterDroppedSamples),
+						r.MeterCycles, int64(r.MeterFlushes), int64(r.MeterBytes))
+					g.PowerObserved(int64(r.Brownouts), int64(r.BrownoutTime),
+						int64(r.BatteryHarvestJ*1e6))
 					d.Metrics = Metrics(r, scens[i].Windows)
 				}
-				records[i-start] = d
+				records <- d
 			}
 		}()
 	}
-	for i := start; i < end; i++ {
-		indices <- i
+	go func() {
+	dispatch:
+		for i := start; i < end; i++ {
+			select {
+			case indices <- i:
+			case <-stop:
+				break dispatch
+			}
+		}
+		close(indices)
+		wg.Wait()
+		close(records)
+	}()
+	var err error
+	for d := range records {
+		if err == nil {
+			if err = emit(d); err != nil {
+				close(stop)
+			}
+		}
 	}
-	close(indices)
-	wg.Wait()
-	return records, nil
-}
-
-// progress prints a structured one-line JSON status at ~1/16 completion
-// steps (and at the end) so long sweeps stay observable without flooding the
-// terminal and CI logs stay machine-parseable.
-func progress(w io.Writer, res *Result, total int, g *obs.Gauges) {
-	if w == nil {
-		return
-	}
-	step := total / 16
-	if step < 1 {
-		step = 1
-	}
-	if res.Completed%step != 0 && res.Completed != total {
-		return
-	}
-	s := g.Read()
-	fmt.Fprintf(w, `{"done":%d,"total":%d,"errors":%d,"rate_per_sec":%.2f,"eta_sec":%.1f}`+"\n",
-		res.Completed, total, res.Agg.Errors, s.RatePerSec, s.ETASeconds)
+	return err
 }

@@ -185,12 +185,12 @@ func TestStandaloneReplayMatchesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := Header(spec, scens)
+	header := newJournalHeader(spec, scens)
 	tags := make([]string, len(scens))
 	for i, s := range scens {
 		tags[i] = Tag(s)
 	}
-	replay, err := ReadJournal(journal, header, tags)
+	replay, err := readJournal(journal, header, tags)
 	if err != nil {
 		t.Fatal(err)
 	}

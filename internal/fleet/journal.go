@@ -13,33 +13,32 @@ import (
 )
 
 // The journal is a JSON-lines file: one header line naming the fleet, then
-// one "done" line per completed scenario in strict index order (the reorder
-// buffer guarantees the order), with periodic "snap" lines carrying the
-// aggregator fingerprint for corruption detection. Because metrics are
+// one "done" line per completed scenario in strict index order (Fold's
+// reorder buffer guarantees the order), with periodic "snap" lines carrying
+// the aggregator fingerprint for corruption detection. Because metrics are
 // float64s serialized by encoding/json (shortest round-trip representation),
 // replaying a journal rebuilds bit-identical aggregates.
 //
-// The journal API is exported because two engines write the same format: the
-// in-process fleet.Run collector and the fleetd coordinator (which folds
-// shard submissions instead of worker outcomes, but checkpoints and resumes
-// identically).
+// Fold is the journal's only reader and writer. fleet.Run and the fleetd
+// coordinator both fold through it, so either engine resumes a journal the
+// other wrote.
 type journalLine struct {
-	Fleet *JournalHeader `json:"fleet,omitempty"`
+	Fleet *journalHeader `json:"fleet,omitempty"`
 	Done  *DoneRecord    `json:"done,omitempty"`
 	Snap  *journalSnap   `json:"snap,omitempty"`
 }
 
-// JournalHeader names the sweep a journal belongs to; resume refuses a
+// journalHeader names the sweep a journal belongs to; resume refuses a
 // journal whose header disagrees with the spec being run.
-type JournalHeader struct {
+type journalHeader struct {
 	Seed      int64  `json:"seed"`
 	Scenarios int    `json:"scenarios"`
-	Spec      string `json:"spec"` // fingerprint of the expanded scenario sequence
+	Spec      string `json:"spec"` // SpecFingerprint of the sweep
 }
 
-// Header builds the journal identity of a spec's expansion.
-func Header(spec Spec, scens []hub.Scenario) JournalHeader {
-	return JournalHeader{Seed: spec.Seed, Scenarios: len(scens), Spec: SpecFingerprint(scens)}
+// newJournalHeader builds the journal identity of a spec's expansion.
+func newJournalHeader(spec Spec, scens []hub.Scenario) journalHeader {
+	return journalHeader{Seed: spec.Seed, Scenarios: len(scens), Spec: SpecFingerprint(spec, scens)}
 }
 
 // DoneRecord is one completed scenario: its index, human label, extracted
@@ -57,23 +56,24 @@ type journalSnap struct {
 	FP      string `json:"fp"`
 }
 
-// SnapEvery is how often (in applied scenarios) aggregate-fingerprint
+// snapEvery is how often (in applied scenarios) aggregate-fingerprint
 // snapshots are written.
-const SnapEvery = 16
+const snapEvery = 16
 
 // maxJournalLine bounds one record's size when reading.
 const maxJournalLine = 1 << 22
 
-// JournalWriter appends lines to an open journal, flushing after every line
-// so an interrupt loses at most the line being written.
-type JournalWriter struct {
+// journalWriter appends lines to an open journal, flushing after every line
+// so an interrupt loses at most the line being written. A nil journalWriter
+// is a sweep without a journal: every method is a no-op.
+type journalWriter struct {
 	f *os.File
 	w *bufio.Writer
 }
 
-// NewJournalWriter opens (fresh=true: truncates and writes the header;
+// newJournalWriter opens (fresh=true: truncates and writes the header;
 // fresh=false: appends to) the journal at path.
-func NewJournalWriter(path string, header JournalHeader, fresh bool) (*JournalWriter, error) {
+func newJournalWriter(path string, header journalHeader, fresh bool) (*journalWriter, error) {
 	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if fresh {
 		flags |= os.O_TRUNC
@@ -82,7 +82,7 @@ func NewJournalWriter(path string, header JournalHeader, fresh bool) (*JournalWr
 	if err != nil {
 		return nil, fmt.Errorf("fleet: journal: %w", err)
 	}
-	jw := &JournalWriter{f: f, w: bufio.NewWriter(f)}
+	jw := &journalWriter{f: f, w: bufio.NewWriter(f)}
 	if fresh {
 		if err := jw.write(journalLine{Fleet: &header}); err != nil {
 			f.Close()
@@ -92,17 +92,10 @@ func NewJournalWriter(path string, header JournalHeader, fresh bool) (*JournalWr
 	return jw, nil
 }
 
-// WriteDone appends one completed-scenario record.
-func (jw *JournalWriter) WriteDone(d DoneRecord) error {
-	return jw.write(journalLine{Done: &d})
-}
-
-// WriteSnap appends an aggregate-fingerprint checkpoint.
-func (jw *JournalWriter) WriteSnap(applied int, fp string) error {
-	return jw.write(journalLine{Snap: &journalSnap{Applied: applied, FP: fp}})
-}
-
-func (jw *JournalWriter) write(line journalLine) error {
+func (jw *journalWriter) write(line journalLine) error {
+	if jw == nil {
+		return nil
+	}
 	blob, err := json.Marshal(line)
 	if err != nil {
 		return fmt.Errorf("fleet: journal: %w", err)
@@ -116,8 +109,11 @@ func (jw *JournalWriter) write(line journalLine) error {
 	return nil
 }
 
-// Close flushes and closes the journal file.
-func (jw *JournalWriter) Close() error {
+// close flushes and closes the journal file.
+func (jw *journalWriter) close() error {
+	if jw == nil {
+		return nil
+	}
 	if err := jw.w.Flush(); err != nil {
 		jw.f.Close()
 		return err
@@ -125,8 +121,8 @@ func (jw *JournalWriter) Close() error {
 	return jw.f.Close()
 }
 
-// JournalReplay is the validated content of an existing journal.
-type JournalReplay struct {
+// journalReplay is the validated content of an existing journal.
+type journalReplay struct {
 	// Done holds the completed records in index order.
 	Done []DoneRecord
 	// Warnings lists non-fatal conditions tolerated during the read — today
@@ -140,11 +136,11 @@ type JournalReplay struct {
 }
 
 // Truncated reports whether the journal carries a partial final record.
-func (r *JournalReplay) Truncated() bool { return r.ValidBytes < r.TotalBytes }
+func (r *journalReplay) Truncated() bool { return r.ValidBytes < r.TotalBytes }
 
-// DropPartialTail truncates the journal file back to the last complete
+// dropPartialTail truncates the journal file back to the last complete
 // record, making it safe to append to. A no-op when nothing was truncated.
-func (r *JournalReplay) DropPartialTail(path string) error {
+func (r *journalReplay) dropPartialTail(path string) error {
 	if !r.Truncated() {
 		return nil
 	}
@@ -155,7 +151,7 @@ func (r *JournalReplay) DropPartialTail(path string) error {
 	return nil
 }
 
-// ReadJournal parses an existing journal and validates it against the
+// readJournal parses an existing journal and validates it against the
 // current fleet identity: the header must match the expanded spec, done
 // lines must be sequential from zero, and every snapshot fingerprint must
 // agree with replaying the done lines up to it (tags[i] is scenario i's
@@ -166,14 +162,14 @@ func (r *JournalReplay) DropPartialTail(path string) error {
 // so an unterminated tail can only be the record that was being written when
 // the process died, and the sweep simply re-runs that scenario. Anything
 // malformed before the final record is real corruption and still fails.
-func ReadJournal(path string, want JournalHeader, tags []string) (*JournalReplay, error) {
+func readJournal(path string, want journalHeader, tags []string) (*journalReplay, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: journal: %w", err)
 	}
 	defer f.Close()
 
-	replay := &JournalReplay{}
+	replay := &journalReplay{}
 	var (
 		sawHead  bool
 		replayed = NewAggregator()
@@ -250,10 +246,13 @@ func ReadJournal(path string, want JournalHeader, tags []string) (*JournalReplay
 	return replay, nil
 }
 
-// SpecFingerprint hashes the expanded scenario sequence (labels, seeds, and
-// tags) so a journal refuses to resume — and a fleetd worker refuses to
-// execute — under a different spec.
-func SpecFingerprint(scens []hub.Scenario) string {
+// SpecFingerprint hashes a sweep's identity — the spec's JSON with Workers
+// zeroed, then the expanded scenario sequence (labels, seeds, and tags) — so
+// a journal refuses to resume, and a fleetd worker refuses to execute, under
+// a different spec. The spec JSON carries what labels abbreviate or omit:
+// fault rules, meter and supply parameters, Assign, SkipAppCompute. Workers
+// is left out because the pool size never changes what a sweep computes.
+func SpecFingerprint(spec Spec, scens []hub.Scenario) string {
 	h := uint64(1469598103934665603) // FNV-1a 64 offset basis
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {
@@ -263,6 +262,11 @@ func SpecFingerprint(scens []hub.Scenario) string {
 		h ^= '|'
 		h *= 1099511628211
 	}
+	spec.Workers = 0
+	// Only a NaN or infinite float fails to marshal, and no parsed spec can
+	// hold one; the scenario sequence below is hashed either way.
+	blob, _ := json.Marshal(spec)
+	mix(string(blob))
 	for _, s := range scens {
 		mix(s.Label())
 		mix(strconv.FormatInt(s.Seed, 10))

@@ -7,11 +7,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"iothub/internal/apps"
+	"iothub/internal/hub"
+	"iothub/internal/obs"
+	"iothub/internal/power"
 )
 
 // journalFor runs a partial sweep and returns the journal path plus the
 // spec's header/tags, ready for corruption experiments.
-func journalFor(t *testing.T, maxScenarios int) (string, JournalHeader, []string) {
+func journalFor(t *testing.T, maxScenarios int) (string, journalHeader, []string) {
 	t.Helper()
 	spec := testSpec()
 	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
@@ -26,7 +31,7 @@ func journalFor(t *testing.T, maxScenarios int) (string, JournalHeader, []string
 	for i, s := range scens {
 		tags[i] = Tag(s)
 	}
-	return journal, Header(spec, scens), tags
+	return journal, newJournalHeader(spec, scens), tags
 }
 
 // A crash mid-write leaves a partial final line. Resume skips it with a
@@ -48,7 +53,7 @@ func TestResumeToleratesTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replay, err := ReadJournal(journal, header, tags)
+	replay, err := readJournal(journal, header, tags)
 	if err != nil {
 		t.Fatalf("truncated final line rejected: %v", err)
 	}
@@ -74,7 +79,7 @@ func TestResumeToleratesTruncatedFinalLine(t *testing.T) {
 	}
 	// The partial tail was dropped before appending, so the healed journal
 	// replays cleanly end to end.
-	again, err := ReadJournal(journal, header, tags)
+	again, err := readJournal(journal, header, tags)
 	if err != nil {
 		t.Fatalf("healed journal rejected: %v", err)
 	}
@@ -100,7 +105,7 @@ func TestResumeRejectsCorruptMidFileLine(t *testing.T) {
 	if err := os.WriteFile(journal, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "line 3") {
+	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("corrupt mid-file line: err = %v, want a line-3 parse failure", err)
 	}
 }
@@ -117,6 +122,91 @@ func TestResumeRejectsDifferentGridShape(t *testing.T) {
 	}
 }
 
+// identitySpec arms every scenario field a label abbreviates or leaves out:
+// fault rules (label "/chaos"), the meter model ("/m<rate>"), the supply
+// ("/b<mAh>"), Assign and SkipAppCompute (absent).
+func identitySpec(t *testing.T) Spec {
+	t.Helper()
+	solar, err := power.Preset("solar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Spec{
+		Seed: 5,
+		Grid: &Grid{
+			Apps:           [][]apps.ID{{apps.StepCounter}},
+			Schemes:        []string{"baseline"},
+			Windows:        []int{1},
+			Faults:         []string{"seed=7; link-corrupt:prob=0.05"},
+			Meters:         []obs.MeterModel{obs.Insitu(100)},
+			Power:          []power.Supply{{Battery: power.Battery{CapacityMAh: 0.5, Volts: 3, DerateFraction: 1}, Harvest: solar}},
+			SkipAppCompute: true,
+		},
+		Scenarios: []hub.Scenario{{
+			Apps: []apps.ID{apps.StepCounter, apps.M2X}, Scheme: hub.Hybrid, Windows: 1, SkipAppCompute: true,
+			Assign: map[apps.ID]hub.Mode{apps.StepCounter: hub.Batched, apps.M2X: hub.PerSample},
+		}},
+	}
+}
+
+// A change the scenario labels cannot see still changes the journal header:
+// resuming under it fails as a different sweep. Workers alone is not part of
+// a sweep's identity, so changing it still resumes.
+func TestResumeRejectsLabelInvisibleSpecChange(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
+	if _, err := Run(identitySpec(t), Options{Workers: 1, Journal: journal, MaxScenarios: 1}); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := func(s Spec) string {
+		scens, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, sc := range scens {
+			out = append(out, sc.Label()+"|"+Tag(sc))
+		}
+		return strings.Join(out, ",")
+	}
+	resume := func(s Spec) error {
+		path := filepath.Join(t.TempDir(), "fleet.jsonl")
+		if err := os.WriteFile(path, written, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Run(s, Options{Workers: 1, Journal: path, Resume: true})
+		return err
+	}
+	rf, err := power.Preset("rf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, change := range map[string]func(*Spec){
+		"fault text":    func(s *Spec) { s.Grid.Faults = []string{"seed=7; mcu-crash:at=700ms,for=80ms"} },
+		"assign":        func(s *Spec) { s.Scenarios[0].Assign[apps.M2X] = hub.Batched },
+		"meter preset":  func(s *Spec) { s.Grid.Meters = []obs.MeterModel{obs.Eco(100)} },
+		"harvest trace": func(s *Spec) { s.Grid.Power[0].Harvest = rf },
+		"skipCompute":   func(s *Spec) { s.Grid.SkipAppCompute = false },
+	} {
+		other := identitySpec(t)
+		change(&other)
+		if labels(other) != labels(identitySpec(t)) {
+			t.Fatalf("%s: the change shows in the labels, so it does not probe the spec hash", name)
+		}
+		if err := resume(other); err == nil || !strings.Contains(err.Error(), "different sweep") {
+			t.Errorf("%s: resume err = %v, want different-sweep rejection", name, err)
+		}
+	}
+	wider := identitySpec(t)
+	wider.Workers = 3
+	if err := resume(wider); err != nil {
+		t.Errorf("resume with only Workers changed: %v", err)
+	}
+}
+
 // A journal claiming more scenarios than the spec expands to is rejected:
 // the done index runs past the tag table.
 func TestResumeRejectsJournalBeyondSpec(t *testing.T) {
@@ -130,7 +220,7 @@ func TestResumeRejectsJournalBeyondSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := ReadJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "beyond the spec's") {
+	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "beyond the spec's") {
 		t.Errorf("oversized journal: err = %v, want beyond-the-spec rejection", err)
 	}
 }
@@ -158,7 +248,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	if err := os.WriteFile(journal, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("bit-corrupted journal: err = %v, want snapshot fingerprint mismatch", err)
 	}
 }
@@ -179,7 +269,7 @@ func TestRunRangeMatchesSweep(t *testing.T) {
 	for i, s := range scens {
 		tags[i] = Tag(s)
 	}
-	replay, err := ReadJournal(journal, Header(spec, scens), tags)
+	replay, err := readJournal(journal, newJournalHeader(spec, scens), tags)
 	if err != nil {
 		t.Fatal(err)
 	}

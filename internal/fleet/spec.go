@@ -7,15 +7,17 @@
 //
 //  1. Determinism: every scenario's seed derives from the fleet seed and the
 //     scenario's index (splitmix64), so any single scenario re-runs
-//     standalone bit-for-bit; and aggregates are applied strictly in
-//     scenario-index order through a reorder buffer, so the final numbers
-//     are byte-identical whether the sweep ran on 1 worker or N.
+//     standalone bit-for-bit; and every finished scenario lands through one
+//     Fold, which applies records strictly in scenario-index order through
+//     a reorder buffer, so the final numbers are byte-identical whether the
+//     sweep ran on 1 worker or N, in process or as fleetd shards.
 //  2. Constant memory: per-metric state is an online Welford accumulator
 //     plus fixed-size P² quantile sketches — O(metrics), not O(scenarios).
-//  3. Resumability: a JSON-lines journal records each completed scenario's
-//     metrics in index order; an interrupted sweep replays the journal and
-//     continues, landing on the same final aggregates as an uninterrupted
-//     run.
+//  3. Resumability: the Fold writes a JSON-lines journal recording each
+//     completed scenario's metrics in index order; an interrupted sweep
+//     replays the journal and continues, landing on the same final
+//     aggregates as an uninterrupted run. Run and the fleetd coordinator
+//     both fold through Fold, so either resumes a journal the other wrote.
 package fleet
 
 import (

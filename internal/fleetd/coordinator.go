@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"iothub/internal/fleet"
-	"iothub/internal/hub"
 	"iothub/internal/obs"
 )
 
@@ -83,9 +82,9 @@ func (c *Config) fillDefaults() {
 }
 
 // shard is one contiguous range of the scenario index space. Every index in
-// [0, total) is owned by exactly one of: the folded prefix, a completed
-// range awaiting fold, a live lease, or the pending queue — the invariant
-// that makes double-counting impossible.
+// [0, total) is owned by exactly one of: the folded prefix, the fold's
+// reorder buffer, a live lease, or the pending queue — the invariant that
+// makes double-counting impossible.
 type shard struct {
 	id      int64
 	start   int
@@ -99,33 +98,22 @@ type lease struct {
 	expires time.Time
 }
 
-type completedRange struct {
-	end     int
-	records []fleet.DoneRecord
-}
-
 // Coordinator owns a sweep: it shards the scenario space, leases shards to
-// workers under deadlines, folds accepted submissions in strict index order
-// (so the merged aggregates are byte-identical to a single-process run),
-// journals every fold, and survives worker loss by reassigning expired
-// leases — shrinking shards and concurrency as failures accumulate.
+// workers under deadlines, folds accepted submissions through the same
+// fleet.Fold as the in-process engine (so the merged aggregates and the
+// journal are byte-identical to a single-process run), and survives worker
+// loss by reassigning expired leases — shrinking shards and concurrency as
+// failures accumulate.
 type Coordinator struct {
 	cfg    Config
-	scens  []hub.Scenario
-	tags   []string
-	header fleet.JournalHeader
 	spec   SpecResponse
 	gauges *obs.Gauges
-	limit  int // fold ceiling: MaxScenarios-truncated total
 
 	mu          sync.Mutex
+	fold        *fleet.Fold
 	pending     []shard // sorted by start; lowest range leases first
 	leases      map[int64]*lease
 	nextShardID int64
-	completed   map[int]completedRange // start → accepted records awaiting fold
-	next        int                    // first scenario index not yet folded
-	res         *fleet.Result
-	jw          *fleet.JournalWriter
 	workers     map[string]time.Time // worker → last heard from
 	reassigns   int
 	level       int // degradation-ladder level
@@ -140,76 +128,41 @@ type Coordinator struct {
 	janitorWG   sync.WaitGroup
 }
 
-// New builds a coordinator: expands the spec, replays the journal when
-// resuming (tolerating a truncated final record), shards the remaining index
-// space, and starts the lease janitor.
+// New builds a coordinator: expands the spec, opens its fold (replaying the
+// journal when resuming, tolerating a truncated final record), shards the
+// remaining index space, and starts the lease janitor.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.fillDefaults()
 	scens, err := cfg.Spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = fleet.Tag(s)
+	if cfg.Gauges == nil {
+		cfg.Gauges = obs.NewGauges()
+	}
+	fold, err := fleet.OpenFold(cfg.Spec, scens, fleet.Options{
+		Journal: cfg.Journal, Resume: cfg.Resume, MaxScenarios: cfg.MaxScenarios, Gauges: cfg.Gauges,
+	})
+	if err != nil {
+		return nil, err
 	}
 	c := &Coordinator{
 		cfg:         cfg,
-		scens:       scens,
-		tags:        tags,
-		header:      fleet.Header(cfg.Spec, scens),
+		spec:        SpecResponse{Spec: cfg.Spec, Scenarios: len(scens), Fingerprint: fold.SpecFingerprint()},
 		gauges:      cfg.Gauges,
+		fold:        fold,
 		leases:      map[int64]*lease{},
-		completed:   map[int]completedRange{},
 		workers:     map[string]time.Time{},
 		shardSize:   cfg.ShardSize,
-		res:         &fleet.Result{Agg: fleet.NewAggregator(), Scenarios: len(scens)},
 		done:        make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
-	if c.gauges == nil {
-		c.gauges = obs.NewGauges()
-	}
-	c.spec = SpecResponse{Spec: cfg.Spec, Scenarios: len(scens), Fingerprint: c.header.Spec}
-	c.limit = len(scens)
-	if cfg.MaxScenarios > 0 && cfg.MaxScenarios < c.limit {
-		c.limit = cfg.MaxScenarios
+	for _, w := range fold.Result().Warnings {
+		c.warnf("%s", w)
 	}
 
-	if cfg.Resume {
-		if cfg.Journal == "" {
-			return nil, fmt.Errorf("fleetd: resume requested without a journal path")
-		}
-		replay, err := fleet.ReadJournal(cfg.Journal, c.header, tags)
-		if err != nil {
-			return nil, err
-		}
-		if err := replay.DropPartialTail(cfg.Journal); err != nil {
-			return nil, err
-		}
-		c.res.Warnings = append(c.res.Warnings, replay.Warnings...)
-		for _, w := range replay.Warnings {
-			c.warnf("%s", w)
-		}
-		for _, d := range replay.Done {
-			c.applyLocked(d)
-		}
-		c.res.Resumed = len(replay.Done)
-		c.next = len(replay.Done)
-	}
-	if cfg.Journal != "" {
-		c.jw, err = fleet.NewJournalWriter(cfg.Journal, c.header, !cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	c.gauges.StartSweep(len(scens), 0)
-	for i := c.next; i < c.limit; i += c.shardSize {
-		end := i + c.shardSize
-		if end > c.limit {
-			end = c.limit
-		}
+	for i := fold.Next(); i < fold.Limit(); i += c.shardSize {
+		end := min(i+c.shardSize, fold.Limit())
 		c.enqueueLocked(shard{id: c.nextShardID, start: i, end: end, attempt: 1})
 		c.nextShardID++
 	}
@@ -217,7 +170,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.gauges.ShardsCreated(len(c.pending))
 
 	c.mu.Lock()
-	if c.next >= c.limit {
+	if fold.Next() >= fold.Limit() {
 		c.finishLocked()
 	}
 	c.mu.Unlock()
@@ -237,7 +190,7 @@ func (c *Coordinator) Wait() (*fleet.Result, error) {
 	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.res, c.failure
+	return c.fold.Result(), c.failure
 }
 
 // Close aborts the sweep (if still running) and releases the janitor and
@@ -381,8 +334,13 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 	c.gauges.LeaseActive(-1)
 	c.shardsDone++
 	c.gauges.ShardDone()
-	c.completed[s.start] = completedRange{end: s.end, records: req.Records}
-	c.foldLocked()
+	err := c.fold.Add(req.Records...)
+	c.progressLocked()
+	if err != nil {
+		c.failLocked(err)
+	} else if c.fold.Next() >= c.fold.Limit() {
+		c.finishLocked()
+	}
 	return SubmitResponse{OK: true, Done: c.stopped}
 }
 
@@ -390,12 +348,13 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 func (c *Coordinator) Status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	res := c.fold.Result()
 	st := StatusResponse{
-		Total:         len(c.scens),
-		Folded:        c.res.Completed,
-		Errors:        c.res.Agg.Errors,
+		Total:         res.Scenarios,
+		Folded:        res.Completed,
+		Errors:        res.Agg.Errors,
 		Done:          c.stopped,
-		Fingerprint:   c.res.Agg.Fingerprint(),
+		Fingerprint:   res.Agg.Fingerprint(),
 		ShardsTotal:   c.shardsTotal,
 		ShardsDone:    c.shardsDone,
 		LeasesActive:  len(c.leases),
@@ -408,61 +367,6 @@ func (c *Coordinator) Status() StatusResponse {
 		st.Failed = c.failure.Error()
 	}
 	return st
-}
-
-// applyLocked folds one record into the aggregates (no journaling — the
-// resume replay path).
-func (c *Coordinator) applyLocked(d fleet.DoneRecord) {
-	if d.Err != "" {
-		c.res.Agg.ApplyError()
-		c.res.Failed = append(c.res.Failed, fleet.ScenarioError{Index: d.Index, Label: d.Label, Err: d.Err})
-	} else {
-		c.res.Agg.Apply(c.tags[d.Index], d.Metrics)
-	}
-	c.res.Completed++
-	c.gauges.ScenarioDone(d.Err != "")
-}
-
-// foldLocked advances the fold pointer over every contiguous completed
-// range, journaling each record in index order — the identical discipline to
-// fleet.Run's reorder buffer, which is why the journal and the aggregates
-// cannot tell the two engines apart.
-func (c *Coordinator) foldLocked() {
-	for {
-		cr, ok := c.completed[c.next]
-		if !ok {
-			break
-		}
-		delete(c.completed, c.next)
-		for _, d := range cr.records {
-			if c.res.Completed >= c.limit {
-				break // MaxScenarios stop: the rest of this range re-runs on resume
-			}
-			c.applyLocked(d)
-			if c.jw != nil {
-				if err := c.jw.WriteDone(d); err != nil {
-					c.failLocked(err)
-					return
-				}
-			}
-			if c.res.Completed%fleet.SnapEvery == 0 || c.res.Completed == len(c.scens) {
-				fp := c.res.Agg.Fingerprint()
-				c.gauges.SetFingerprint(fp)
-				if c.jw != nil {
-					if err := c.jw.WriteSnap(c.res.Completed, fp); err != nil {
-						c.failLocked(err)
-						return
-					}
-				}
-			}
-		}
-		c.next = cr.end
-		c.progressLocked()
-		if c.res.Completed >= c.limit {
-			c.finishLocked()
-			return
-		}
-	}
 }
 
 // expireLocked reaps lease deadline misses: each one is a reassignment,
@@ -574,19 +478,15 @@ func (c *Coordinator) failLocked(err error) {
 	c.finishLocked()
 }
 
-// finishLocked seals the coordinator: fingerprint published, journal
-// closed, waiters released, janitor told to stop. Idempotent.
+// finishLocked seals the coordinator: fold closed (fingerprint published,
+// journal closed), waiters released, janitor told to stop. Idempotent.
 func (c *Coordinator) finishLocked() {
 	if c.stopped {
 		return
 	}
 	c.stopped = true
-	c.gauges.SetFingerprint(c.res.Agg.Fingerprint())
-	if c.jw != nil {
-		if err := c.jw.Close(); err != nil && c.failure == nil {
-			c.failure = err
-		}
-		c.jw = nil
+	if _, err := c.fold.Close(); err != nil && c.failure == nil {
+		c.failure = err
 	}
 	close(c.done)
 	close(c.janitorStop)
@@ -619,9 +519,10 @@ func (c *Coordinator) progressLocked() {
 	if c.cfg.Progress == nil {
 		return
 	}
+	res := c.fold.Result()
 	fmt.Fprintf(c.cfg.Progress,
 		`{"done":%d,"total":%d,"errors":%d,"shards_done":%d,"shards_total":%d,"leases":%d,"reassigns":%d,"level":%d}`+"\n",
-		c.res.Completed, len(c.scens), c.res.Agg.Errors, c.shardsDone, c.shardsTotal,
+		res.Completed, res.Scenarios, res.Agg.Errors, c.shardsDone, c.shardsTotal,
 		len(c.leases), c.reassigns, c.level)
 }
 

@@ -3,6 +3,7 @@ package fleetd
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -338,6 +339,62 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	}
 	if res3.Resumed != 16 {
 		t.Errorf("in-process engine resumed %d from the service journal, want 16", res3.Resumed)
+	}
+}
+
+// The two engines write the same journal bytes, and the coordinator resumes
+// a journal fleet.Run cut short: the reverse of TestCoordinatorCrashResume's
+// last step.
+func TestEnginesShareJournal(t *testing.T) {
+	dir := t.TempDir()
+	serve := func(journal string, resume bool) *fleet.Result {
+		t.Helper()
+		c, err := New(Config{Spec: testSpec(), ShardSize: 3, Journal: journal, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		runWorkers(t, c, 2, func(i int) WorkerConfig {
+			return WorkerConfig{ID: string(rune('a' + i)), Transport: Loopback{H: c.Handle}, Seed: int64(i)}
+		})
+		res, err := c.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+
+	inProcess := filepath.Join(dir, "fleet.jsonl")
+	if _, err := fleet.Run(testSpec(), fleet.Options{Workers: 2, Journal: inProcess}); err != nil {
+		t.Fatal(err)
+	}
+	service := filepath.Join(dir, "fleetd.jsonl")
+	serve(service, false)
+	if !bytes.Equal(read(inProcess), read(service)) {
+		t.Errorf("journals differ between engines:\n%s\nvs\n%s", read(inProcess), read(service))
+	}
+
+	cut := filepath.Join(dir, "cut.jsonl")
+	if _, err := fleet.Run(testSpec(), fleet.Options{Workers: 2, Journal: cut, MaxScenarios: 5}); err != nil {
+		t.Fatal(err)
+	}
+	res := serve(cut, true)
+	if res.Resumed != 5 || res.Completed != 16 {
+		t.Fatalf("coordinator resumed %d / completed %d, want 5 / 16", res.Resumed, res.Completed)
+	}
+	if got, want := res.Agg.JSON(), oracle(t, testSpec()); !bytes.Equal(got, want) {
+		t.Errorf("resumed aggregates diverge:\n%s\nvs\n%s", got, want)
+	}
+	if !bytes.Equal(read(cut), read(inProcess)) {
+		t.Errorf("healed journal differs from the uninterrupted one:\n%s\nvs\n%s", read(cut), read(inProcess))
 	}
 }
 

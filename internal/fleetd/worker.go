@@ -95,7 +95,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if len(scens) != spec.Scenarios {
 		return nil, fmt.Errorf("fleetd: spec expands to %d scenarios here, coordinator says %d", len(scens), spec.Scenarios)
 	}
-	if fp := fleet.SpecFingerprint(scens); fp != spec.Fingerprint {
+	if fp := fleet.SpecFingerprint(spec.Spec, scens); fp != spec.Fingerprint {
 		return nil, fmt.Errorf("fleetd: spec fingerprint %s != coordinator's %s", fp, spec.Fingerprint)
 	}
 	w.scens = scens

@@ -10,7 +10,6 @@ import (
 	"iothub/internal/faults"
 	"iothub/internal/obs"
 	"iothub/internal/power"
-	"iothub/internal/scheme"
 )
 
 // Scenario is a self-contained, serializable description of one hub run: the
@@ -129,16 +128,5 @@ func (s Scenario) Config() (Config, error) {
 // without it they need the internal/core planner, which sits above this
 // package — use fleet.RunScenario for those.
 func RunScenario(s Scenario) (*RunResult, error) {
-	cfg, err := s.Config()
-	if err != nil {
-		return nil, err
-	}
-	def, err := scheme.Lookup(s.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	if def.RequiresAssign() && s.Assign == nil {
-		return nil, fmt.Errorf("%w: %v scenario %s needs an assignment (use fleet.RunScenario, or set Assign)", ErrConfig, s.Scheme, s.Label())
-	}
-	return Run(cfg)
+	return NewArena().RunScenario(s)
 }
