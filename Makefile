@@ -36,14 +36,16 @@ lint-scheme:
 
 # check is the pre-merge gate: static analysis, the scheme-placement lint,
 # the race detector, the optimizer determinism smoke, the observer-effect
-# smoke, the battery/harvest smoke, and short fuzz passes over the two
-# text decoders that consume user-shaped bytes (CoAP wire format, harvest
-# trace grammar).
+# smoke, the battery/harvest smoke, short fuzz passes over the two text
+# decoders that consume user-shaped bytes (CoAP wire format, harvest trace
+# grammar), and a fuzz pass checking that chained reserved-seq series
+# dispatch exactly like series queued up front.
 check: vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/coapmsg
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/power
+	$(GO) test -run '^$$' -fuzz FuzzReservedOrder -fuzztime 10s ./internal/sim
 
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the

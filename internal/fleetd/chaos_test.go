@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -32,12 +33,74 @@ func chaosSpec() fleet.Spec {
 	}
 }
 
+// submitKill severs worker 0's wire at its first /submit, so the worker
+// always dies holding a finished shard it never handed in, however fast the
+// rest of the fleet sweeps. The other workers' wires hold their first call
+// until the victim has been granted a shard (or has exited), so they cannot
+// finish the sweep before it leases anything.
+type submitKill struct {
+	inner   Transport
+	granted chan struct{}
+	once    sync.Once
+
+	mu     sync.Mutex
+	killed bool
+}
+
+func newSubmitKill(inner Transport) *submitKill {
+	return &submitKill{inner: inner, granted: make(chan struct{})}
+}
+
+// Call implements Transport.
+func (k *submitKill) Call(path string, body []byte) ([]byte, error) {
+	k.mu.Lock()
+	if path == "/submit" {
+		k.killed = true
+	}
+	dead := k.killed
+	k.mu.Unlock()
+	if dead {
+		return nil, ErrWorkerKilled
+	}
+	resp, err := k.inner.Call(path, body)
+	if err == nil && path == "/lease" {
+		var grant LeaseResponse
+		if json.Unmarshal(resp, &grant) == nil && grant.Shard != nil {
+			k.release()
+		}
+	}
+	return resp, err
+}
+
+// release lets the other workers' wires through.
+func (k *submitKill) release() { k.once.Do(func() { close(k.granted) }) }
+
+// Killed reports whether the victim reached its first /submit.
+func (k *submitKill) Killed() bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.killed
+}
+
+// heldWire delays every call until open is closed.
+type heldWire struct {
+	inner Transport
+	open  <-chan struct{}
+}
+
+// Call implements Transport.
+func (h heldWire) Call(path string, body []byte) ([]byte, error) {
+	<-h.open
+	return h.inner.Call(path, body)
+}
+
 // chaosFleet runs n workers against c, each behind its own seeded Chaos
-// wire. Worker 0 carries a kill switch when killAfter > 0. Returns the
-// chaos wrappers for schedule assertions.
-func chaosFleet(t *testing.T, c *Coordinator, n, killAfter int, seed int64) []*Chaos {
+// wire. Worker 0 is killed at its first /submit (see submitKill). Returns the
+// chaos wrappers for schedule assertions and worker 0's kill switch.
+func chaosFleet(t *testing.T, c *Coordinator, n int, seed int64) ([]*Chaos, *submitKill) {
 	t.Helper()
 	wires := make([]*Chaos, n)
+	var victim *submitKill
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		cfg := ChaosConfig{
@@ -48,24 +111,28 @@ func chaosFleet(t *testing.T, c *Coordinator, n, killAfter int, seed int64) []*C
 			DelayProb:     0.20,
 			MaxDelay:      3 * time.Millisecond,
 		}
-		if i == 0 {
-			cfg.KillAfterCalls = killAfter
-		}
 		wires[i] = NewChaos(Loopback{H: c.Handle}, cfg)
+		var wire Transport
+		if i == 0 {
+			victim = newSubmitKill(wires[i])
+			wire = victim
+		} else {
+			wire = heldWire{inner: wires[i], open: victim.granted}
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			if i == 0 {
+				defer victim.release() // never strand the others
+			}
 			w, err := NewWorker(WorkerConfig{
 				ID:        string(rune('a' + i)),
-				Transport: wires[i],
+				Transport: wire,
 				Seed:      seed + int64(i),
 				RetryBase: 2 * time.Millisecond,
 				RetryMax:  20 * time.Millisecond,
 			})
 			if err != nil {
-				if i == 0 && errors.Is(err, ErrWorkerKilled) {
-					return // died during startup — that's a legal schedule
-				}
 				t.Errorf("worker %d: %v", i, err)
 				return
 			}
@@ -75,13 +142,13 @@ func chaosFleet(t *testing.T, c *Coordinator, n, killAfter int, seed int64) []*C
 		}(i)
 	}
 	wg.Wait()
-	return wires
+	return wires, victim
 }
 
 // The headline robustness claim: a 1000-scenario sweep sharded across four
 // workers — RPCs dropped both directions, duplicated, delayed, one worker
-// killed mid-sweep — produces merged aggregates byte-identical to the
-// single-process workers=1 run.
+// killed holding a finished shard — produces merged aggregates
+// byte-identical to the single-process workers=1 run.
 func TestChaosSweepByteIdentical(t *testing.T) {
 	spec := chaosSpec()
 	want := oracle(t, spec)
@@ -96,7 +163,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	wires := chaosFleet(t, c, 4, 25, 1)
+	wires, victim := chaosFleet(t, c, 4, 1)
 	res, err := c.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +188,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 		stats.Dups += s.Dups
 		stats.Delays += s.Delays
 	}
-	if !wires[0].Stats().Killed {
+	if !victim.Killed() {
 		t.Error("kill switch never fired — schedule too gentle")
 	}
 	if stats.Drops == 0 || stats.ReplyDrops == 0 || stats.Dups == 0 || stats.Delays == 0 {
@@ -149,7 +216,7 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosFleet(t, first, 3, 20, 7)
+	chaosFleet(t, first, 3, 7)
 	res1, err := first.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +236,7 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	chaosFleet(t, second, 3, 30, 13)
+	chaosFleet(t, second, 3, 13)
 	res2, err := second.Wait()
 	if err != nil {
 		t.Fatal(err)

@@ -50,6 +50,33 @@ func NewArena() *Arena { return &Arena{} }
 // Run executes one configured scenario in the arena. See the package-level
 // Run for semantics; the only difference is the retention contract above.
 func (a *Arena) Run(cfg Config) (*RunResult, error) {
+	r, err := a.prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.scheduleAll(); err != nil {
+		return nil, err
+	}
+	if err := r.sched.Run(); err != nil {
+		if r.runErr != nil {
+			return nil, r.runErr
+		}
+		return nil, err
+	}
+	if r.runErr != nil {
+		return nil, r.runErr
+	}
+	r.collect()
+	if err := r.res.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("hub: run invariant violated: %w", err)
+	}
+	return r.res, nil
+}
+
+// prepare readies the arena's runner for cfg up to its first sensor read:
+// device stack renewed, stream topology built, fault/meter/power subsystems
+// armed, and the CPU's idle policy primed.
+func (a *Arena) prepare(cfg Config) (*runner, error) {
 	params, err := cfg.validate()
 	if err != nil {
 		return nil, err
@@ -78,23 +105,7 @@ func (a *Arena) Run(cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 	r.prime()
-	if err := r.scheduleAll(); err != nil {
-		return nil, err
-	}
-	if err := r.sched.Run(); err != nil {
-		if r.runErr != nil {
-			return nil, r.runErr
-		}
-		return nil, err
-	}
-	if r.runErr != nil {
-		return nil, r.runErr
-	}
-	r.collect()
-	if err := r.res.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("hub: run invariant violated: %w", err)
-	}
-	return r.res, nil
+	return r, nil
 }
 
 // RunScenario materializes and executes the scenario in the arena — the

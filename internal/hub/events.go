@@ -21,7 +21,7 @@ import (
 // Runner event ops. The read chain carries (stream, k) plus retries/failed
 // packed into I1; the transfer chain carries an index into the xfer pool.
 const (
-	opStartRead     = iota + 1 // P0 *stream, I0 sample index
+	opStartRead     = iota + 1 // P0 *stream, I0 sample index, I1 reserved seq base
 	opReadBusDone              // sensor bus transaction done; MCU formats next
 	opReadFormatted            // MCU formatting done; dispatch, retry, or drop
 	opXferRaised               // I0 xfer slot: interrupt raised at the MCU
@@ -40,7 +40,17 @@ const (
 func (r *runner) OnEvent(a sim.Arg) {
 	switch a.Op {
 	case opStartRead:
-		r.startRead(a.P0.(*stream), int(a.I0))
+		// Chain the stream's next read before this one runs (scheduleAll
+		// explains the order argument). Brownout drops and downshift skips
+		// happen inside startRead, so they never break the chain; redo reads
+		// after a reboot or recharge call startRead directly and never chain.
+		s, k := a.P0.(*stream), int(a.I0)
+		if k+1 < s.perWindow*r.cfg.Windows {
+			if err := r.queueRead(s, k+1, uint64(a.I1)); err != nil {
+				r.fail(err)
+			}
+		}
+		r.startRead(s, k)
 	case opReadBusDone:
 		s := a.P0.(*stream)
 		s.track.Set(0, energy.Idle)

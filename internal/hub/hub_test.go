@@ -462,3 +462,35 @@ func TestParseScheme(t *testing.T) {
 		t.Errorf("unknown scheme err = %v", err)
 	}
 }
+
+// TestScheduleAllQueuesOneReadPerStream pins the chained read series:
+// scheduleAll reserves every read's sequence number but queues only each
+// stream's first read, so the event heap stays O(streams) deep however many
+// reads the run holds, and the chain still delivers every one of them.
+func TestScheduleAllQueuesOneReadPerStream(t *testing.T) {
+	r, err := NewArena().prepare(Config{
+		Apps:   newApps(t, apps.StepCounter, apps.M2X, apps.Earthquake),
+		Scheme: Baseline, Windows: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.sched.Pending()
+	if err := r.scheduleAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.streams) < 2 || r.res.ScheduledSamples <= 10*len(r.streams) {
+		t.Fatalf("%d streams, %d reads: scenario too small to tell one read per stream from every read",
+			len(r.streams), r.res.ScheduledSamples)
+	}
+	if got, want := r.sched.Pending()-before, len(r.streams); got != want {
+		t.Errorf("scheduleAll queued %d events, want %d (one per stream, not all %d reads)",
+			got, want, r.res.ScheduledSamples)
+	}
+	if err := r.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.res.DeliveredSamples != r.res.ScheduledSamples {
+		t.Errorf("delivered %d of %d scheduled reads", r.res.DeliveredSamples, r.res.ScheduledSamples)
+	}
+}

@@ -304,19 +304,32 @@ func (r *runner) prime() {
 	}
 }
 
-// scheduleAll enqueues every sensor read of the run.
+// scheduleAll reserves the sequence numbers of every sensor read of the run,
+// stream by stream in read order, but queues only each stream's first read:
+// the opStartRead handler queues read k+1 as read k fires (events.go). Read
+// k+1 sorts after read k (same or later instant, larger seq), so it is always
+// queued before any event that sorts after it can dispatch, and the run
+// dispatches exactly as if every read had been queued up front — while the
+// event heap holds O(streams + in-flight) events instead of every read.
 func (r *runner) scheduleAll() error {
 	for _, s := range r.streams {
 		total := s.perWindow * r.cfg.Windows
 		r.res.ScheduledSamples += total
-		for k := 0; k < total; k++ {
-			at := sim.Time(int64(k) * int64(s.period))
-			if _, err := r.sched.AtCall(at, r, sim.Arg{Op: opStartRead, P0: s, I0: int64(k)}); err != nil {
-				return err
-			}
+		if err := r.queueRead(s, 0, r.sched.Reserve(total)); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// queueRead queues stream s's read k at k·period under its reserved sequence
+// number base+k. The event carries base in I1 so the handler can chain the
+// next read.
+func (r *runner) queueRead(s *stream, k int, base uint64) error {
+	at := sim.Time(int64(k) * int64(s.period))
+	_, err := r.sched.AtCallSeq(at, base+uint64(k), r,
+		sim.Arg{Op: opStartRead, P0: s, I0: int64(k), I1: int64(base)})
+	return err
 }
 
 // startRead powers the sensor for its bus transaction, then has the MCU

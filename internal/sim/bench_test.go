@@ -29,8 +29,8 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerFanOut measures heap behavior with a wide pre-scheduled
-// event set (the hub's per-sample schedule shape).
+// BenchmarkSchedulerFanOut measures a wide heap: 5000 events queued up front,
+// then drained, so every pop sifts through a deep tree.
 func BenchmarkSchedulerFanOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewScheduler()
@@ -43,4 +43,63 @@ func BenchmarkSchedulerFanOut(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// chainedStreams models the hub's sensor reads: a few periodic streams, each
+// read queuing its successor under a reserved seq and starting a short chain
+// of follow-up events (bus done, formatting, transfer), so the heap stays a
+// handful of events deep.
+type chainedStreams struct {
+	s       *Scheduler
+	streams []chainedStream
+}
+
+type chainedStream struct {
+	period Time
+	n      int
+	base   uint64
+}
+
+// OnEvent handles a read (Op 0: P0 stream, I0 index) or a follow-up (Op: the
+// steps left in its chain).
+func (c *chainedStreams) OnEvent(a Arg) {
+	if a.Op > 0 {
+		if a.Op > 1 {
+			mustSchedule(c.s.AfterCall(100, c, Arg{Op: a.Op - 1}))
+		}
+		return
+	}
+	st, k := a.P0.(*chainedStream), a.I0
+	if k+1 < int64(st.n) {
+		mustSchedule(c.s.AtCallSeq(Time(k+1)*st.period, st.base+uint64(k+1), c, Arg{P0: st, I0: k + 1}))
+	}
+	mustSchedule(c.s.AfterCall(300, c, Arg{Op: 3}))
+}
+
+// BenchmarkSchedulerChainedStreams runs four chained periodic streams over a
+// 2 ms horizon (5400 reads, four events each) on a reused scheduler, and
+// reports events/op and ns/event.
+func BenchmarkSchedulerChainedStreams(b *testing.B) {
+	const horizon = 2_000_000
+	c := &chainedStreams{s: NewScheduler()}
+	for _, p := range []Time{1000, 1000, 2000, 5000} {
+		c.streams = append(c.streams, chainedStream{period: p, n: int(horizon / p)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		c.s.Reset()
+		for j := range c.streams {
+			st := &c.streams[j]
+			st.base = c.s.Reserve(st.n)
+			mustSchedule(c.s.AtCallSeq(0, st.base, c, Arg{P0: st}))
+		}
+		if err := c.s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		events, _ = c.s.Stats()
+	}
+	b.ReportMetric(float64(events), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events)/float64(b.N), "ns/event")
 }

@@ -24,7 +24,7 @@ func TestAtCallDeliversArg(t *testing.T) {
 	s := NewScheduler()
 	rec := &recorderCB{s: s}
 	p := &struct{ x int }{x: 42}
-	want := Arg{Op: 7, I0: -3, I1: 1 << 40, P0: p, P1: "tag"}
+	want := Arg{Op: 7, I0: -3, I1: 1 << 40, P0: p}
 	if _, err := s.AtCall(25, rec, want); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestDoneInvoke(t *testing.T) {
 
 // TestSteadyStateAtCallZeroAlloc pins the typed form's reason to exist:
 // schedule→dispatch with context in the Arg performs zero allocations once
-// the arena is warm — including pointer payloads in P0/P1.
+// the arena is warm — including a pointer payload in P0.
 func TestSteadyStateAtCallZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	sink := &recorderCB{s: s}

@@ -3,7 +3,8 @@
 // The kernel advances a virtual clock (nanosecond resolution) by executing
 // events in timestamp order. Events scheduled for the same instant run in
 // the order they were scheduled (a strictly monotone sequence number breaks
-// ties), which makes every run byte-for-byte reproducible.
+// ties; Reserve lets a model claim numbers before it schedules under them),
+// which makes every run byte-for-byte reproducible.
 //
 // The kernel is single-threaded by design: event callbacks run on the
 // goroutine that calls Run, so model code needs no locking. This mirrors the
@@ -37,7 +38,7 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 // String formats the instant as a duration offset, e.g. "12.5ms".
 func (t Time) String() string { return time.Duration(t).String() }
 
-// At returns the instant d after t.
+// Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
@@ -45,16 +46,16 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 var ErrStopped = errors.New("simulation stopped")
 
 // Arg is the context an event carries to a Callback: a small operation
-// discriminator plus two integer and two pointer payloads. It rides inside
-// the event's arena slot, so scheduling with AtCall/AfterCall captures no
-// closure — the allocation-free alternative to At/After for hot paths that
+// discriminator plus two integer payloads and one pointer payload. It rides
+// inside the event's arena slot, so scheduling with AtCall/AfterCall captures
+// no closure — the allocation-free alternative to At/After for hot paths that
 // fire the same handler with different context millions of times per run.
 type Arg struct {
 	// Op discriminates event kinds when one Callback handles several
 	// (typically a switch in OnEvent).
 	Op     int
 	I0, I1 int64
-	P0, P1 any
+	P0     any
 }
 
 // Callback is the closure-free event handler: OnEvent receives the Arg the
@@ -97,14 +98,13 @@ func Call(fn func()) Done {
 	return Done{CB: funcCB(fn)}
 }
 
-// event is one arena slot. A slot is live while it sits in the heap
-// (pos >= 0) and free otherwise; gen increments every time the slot is
-// released, which invalidates any EventID minted for an earlier occupancy.
-// Exactly one of fn and cb is set on a live slot.
+// event is one arena slot (80 bytes on 64-bit). A slot is live while it sits
+// in the heap (pos >= 0) and free otherwise; gen increments every time the
+// slot is released, which invalidates any EventID minted for an earlier
+// occupancy. Every live slot has a cb: At/After store their func as a funcCB.
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker: schedule order
-	fn  func()
+	seq uint64 // tie-breaker: schedule order, or a seq claimed by Reserve
 	cb  Callback
 	arg Arg
 	gen uint32
@@ -155,39 +155,14 @@ func (s *Scheduler) Now() Time { return s.now }
 // Pending reports how many events are currently scheduled.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
-// alloc claims an arena slot for an event at instant t and returns its
-// index, ready for the caller to attach the callback form.
-func (s *Scheduler) alloc(t Time) (int32, *event) {
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.arena = append(s.arena, event{})
-		idx = int32(len(s.arena) - 1)
-	}
-	ev := &s.arena[idx]
-	ev.at = t
-	ev.seq = s.seq
-	s.seq++
-	s.scheduled++
-	return idx, ev
-}
-
 // At schedules fn to run at instant t. Scheduling in the past (t < Now) is a
 // programming error in the model and returns an error; the event is not
 // scheduled.
 func (s *Scheduler) At(t Time, fn func()) (EventID, error) {
-	if t < s.now {
-		return EventID{}, fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
-	}
 	if fn == nil {
 		return EventID{}, errors.New("sim: schedule nil callback")
 	}
-	idx, ev := s.alloc(t)
-	ev.fn = fn
-	s.heapPush(idx)
-	return EventID{slot: idx + 1, gen: ev.gen}, nil
+	return s.AtCall(t, funcCB(fn), Arg{})
 }
 
 // After schedules fn to run d after the current virtual time. Negative d is
@@ -204,15 +179,16 @@ func (s *Scheduler) After(d time.Duration, fn func()) (EventID, error) {
 // scheduling performs zero allocations. Dispatch order is identical to At:
 // the two forms share one (at, seq) sequence.
 func (s *Scheduler) AtCall(t Time, cb Callback, arg Arg) (EventID, error) {
-	if t < s.now {
-		return EventID{}, fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
+	if t < s.now || cb == nil {
+		return EventID{}, s.reject(t)
 	}
-	if cb == nil {
-		return EventID{}, errors.New("sim: schedule nil callback")
-	}
-	idx, ev := s.alloc(t)
+	idx, ev := s.alloc(t, s.seq)
+	s.seq++
 	ev.cb = cb
-	ev.arg = arg
+	// Field by field: arg is spilled in 8-byte words around alloc's rare slab
+	// growth, and a whole-struct copy reloads it with 16-byte moves that
+	// straddle those spills, defeating store-to-load forwarding.
+	ev.arg.Op, ev.arg.I0, ev.arg.I1, ev.arg.P0 = arg.Op, arg.I0, arg.I1, arg.P0
 	s.heapPush(idx)
 	return EventID{slot: idx + 1, gen: ev.gen}, nil
 }
@@ -224,6 +200,65 @@ func (s *Scheduler) AfterCall(d time.Duration, cb Callback, arg Arg) (EventID, e
 		d = 0
 	}
 	return s.AtCall(s.now.Add(d), cb, arg)
+}
+
+// Reserve claims the next n sequence numbers and returns the first. An event
+// later scheduled with AtCallSeq under one of them sorts as if it had been
+// scheduled at the Reserve call: ties at an instant break in claim order.
+// This lets a model queue a long periodic series lazily — each event
+// scheduling its successor — without changing the dispatch order of a run
+// that queued the whole series up front, provided every event of the series
+// is scheduled before any event that sorts after it dispatches. n must not
+// be negative.
+func (s *Scheduler) Reserve(n int) uint64 {
+	first := s.seq
+	s.seq += uint64(n)
+	return first
+}
+
+// AtCallSeq is AtCall under a sequence number claimed earlier by Reserve.
+// Each reserved number must be scheduled at most once; a number that was
+// never reserved is an error.
+func (s *Scheduler) AtCallSeq(t Time, seq uint64, cb Callback, arg Arg) (EventID, error) {
+	if seq >= s.seq {
+		return EventID{}, fmt.Errorf("sim: seq %d was never reserved", seq)
+	}
+	if t < s.now || cb == nil {
+		return EventID{}, s.reject(t)
+	}
+	idx, ev := s.alloc(t, seq)
+	ev.cb = cb
+	ev.arg.Op, ev.arg.I0, ev.arg.I1, ev.arg.P0 = arg.Op, arg.I0, arg.I1, arg.P0 // as in AtCall
+	s.heapPush(idx)
+	return EventID{slot: idx + 1, gen: ev.gen}, nil
+}
+
+// reject explains why an event at t with a nil callback or before now was
+// not scheduled. Kept out of line so the schedule fast paths stay small.
+func (s *Scheduler) reject(t Time) error {
+	if t < s.now {
+		return fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
+	}
+	return errors.New("sim: schedule nil callback")
+}
+
+// alloc claims an arena slot for an event at instant t under sequence number
+// seq and returns its index, ready for the caller to attach the callback and
+// queue it. Small enough to inline into the schedule paths.
+func (s *Scheduler) alloc(t Time, seq uint64) (int32, *event) {
+	var idx int32
+	if n := len(s.free); n > 0 {
+		idx = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		s.arena = append(s.arena, event{})
+		idx = int32(len(s.arena) - 1)
+	}
+	ev := &s.arena[idx]
+	ev.at = t
+	ev.seq = seq
+	s.scheduled++
+	return idx, ev
 }
 
 // Cancel removes a scheduled event. Cancelling an event that already ran or
@@ -246,11 +281,10 @@ func (s *Scheduler) Cancel(id EventID) bool {
 }
 
 // release returns an arena slot to the free list. Bumping gen here is what
-// invalidates outstanding EventIDs; clearing fn/cb/arg releases the
-// callback's closure and context pointers to the collector.
+// invalidates outstanding EventIDs; clearing cb/arg releases the callback's
+// closure and context pointers to the collector.
 func (s *Scheduler) release(idx int32) {
 	ev := &s.arena[idx]
-	ev.fn = nil
 	ev.cb = nil
 	ev.arg = Arg{}
 	ev.pos = -1
@@ -314,16 +348,11 @@ func (s *Scheduler) run(keep func(Time) bool) error {
 			return nil
 		}
 		s.popTop()
-		fn := s.arena[top].fn
 		cb := s.arena[top].cb
 		arg := s.arena[top].arg
 		s.release(top)
 		s.now = at
-		if fn != nil {
-			fn()
-		} else {
-			cb.OnEvent(arg)
-		}
+		cb.OnEvent(arg)
 	}
 	return nil
 }
