@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-json bench-diff bench-smoke experiments ablations examples clean
+.PHONY: all build test race vet fmt fmt-check check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-json bench-diff bench-smoke experiments ablations examples clean
 
 all: build vet test check
 
@@ -34,18 +34,20 @@ lint-scheme:
 	  echo "$$out"; exit 1; \
 	fi; echo "lint-scheme: ok"
 
-# check is the pre-merge gate: static analysis, the scheme-placement lint,
-# the race detector, the optimizer determinism smoke, the observer-effect
-# smoke, the battery/harvest smoke, short fuzz passes over the two text
-# decoders that consume user-shaped bytes (CoAP wire format, harvest trace
-# grammar), and a fuzz pass checking that chained reserved-seq series
-# dispatch exactly like series queued up front.
-check: vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
+# check is the pre-merge gate: the gofmt gate, static analysis, the
+# scheme-placement lint, the race detector, the optimizer determinism smoke,
+# the observer-effect smoke, the battery/harvest smoke, short fuzz passes over
+# the two text decoders that consume user-shaped bytes (CoAP wire format,
+# harvest trace grammar), a fuzz pass checking that chained reserved-seq
+# series dispatch exactly like series queued up front, and one checking the
+# scheduler's run queue against a brute-force reference.
+check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/coapmsg
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/power
 	$(GO) test -run '^$$' -fuzz FuzzReservedOrder -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s ./internal/sim
 
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the
@@ -111,6 +113,17 @@ harvest-smoke:
 
 fmt:
 	gofmt -l -w .
+
+# fmt-check fails when gofmt would rewrite any tracked Go file. It lists the
+# files with git, so the untracked benchmark build tree (.bench_build/) is
+# never scanned.
+fmt-check:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	out=$$(gofmt -l $$files); \
+	if [ -n "$$out" ]; then \
+	  echo "fmt-check: not gofmt-clean (run make fmt):"; \
+	  echo "$$out"; exit 1; \
+	fi; echo "fmt-check: ok"
 
 # Full benchmark harness: one testing.B per paper table/figure + ablations
 # + per-package micro-benchmarks.

@@ -109,7 +109,7 @@ type workItem struct {
 // Ops for the CPU's own scheduled events (see OnEvent).
 const (
 	opWake = iota + 1 // wake transition completed
-	opEnd             // work item finished; I0 is the in-flight slot
+	opEnd             // work item finished; I0 is its slot in items
 )
 
 // CPU is one main-board processor instance with two execution lanes that
@@ -132,23 +132,19 @@ type CPU struct {
 	params Params
 	state  State
 
-	// Work queues are ring buffers: the head index advances on pop instead
-	// of reslicing, so a drained queue's backing array is reused forever.
-	queueIO      []workItem
-	ioHead       int
-	queueCompute []workItem
-	computeHead  int
+	// Work items live in a slot pool from Exec until they finish, so they
+	// start and finish in place and the completion event carries only a slot
+	// index. The lanes queue slot indices; the compute lane runs items
+	// concurrently, so they can finish out of order.
+	items        []workItem
+	itemsFree    []int32
+	queueIO      sim.Ring[int32]
+	queueCompute sim.Ring[int32]
 	ioBusy       bool
 	ioRoutine    energy.Routine
 	computeBusy  int
 
-	// In-flight items live in a slot pool so the completion event carries
-	// only a slot index (no per-event closure); the compute lane runs items
-	// concurrently, so more than one slot can be occupied.
-	inflight     []workItem
-	inflightFree []int32
-
-	busy  map[energy.Routine]time.Duration
+	busy  energy.RoutineTimes
 	wakes int
 
 	obs *obs.Recorder
@@ -185,7 +181,6 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 		track:  meter.Track(name),
 		params: params,
 		state:  WFI,
-		busy:   make(map[energy.Routine]time.Duration),
 	}
 	c.track.Set(params.WFIW, energy.Idle)
 	return c, nil
@@ -194,7 +189,7 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 // Reset reinitializes the processor in place for a new run, exactly as New
 // would construct it: the scheduler and meter must have been reset first,
 // and the track is re-requested so it registers at this call's position in
-// the meter's component order. Queue, slot, and busy-map capacity is kept.
+// the meter's component order. Queue and slot capacity is kept.
 func (c *CPU) Reset(params Params) error {
 	if err := validateParams(params); err != nil {
 		return err
@@ -202,19 +197,15 @@ func (c *CPU) Reset(params Params) error {
 	c.track = c.meter.Track(c.name)
 	c.params = params
 	c.state = WFI
-	c.queueIO = c.queueIO[:0]
-	c.ioHead = 0
-	c.queueCompute = c.queueCompute[:0]
-	c.computeHead = 0
+	clear(c.items)
+	c.items = c.items[:0]
+	c.itemsFree = c.itemsFree[:0]
+	c.queueIO.Reset()
+	c.queueCompute.Reset()
 	c.ioBusy = false
 	c.ioRoutine = 0
 	c.computeBusy = 0
-	for i := range c.inflight {
-		c.inflight[i] = workItem{}
-	}
-	c.inflight = c.inflight[:0]
-	c.inflightFree = c.inflightFree[:0]
-	clear(c.busy)
+	c.busy = energy.RoutineTimes{}
 	c.wakes = 0
 	c.obs = nil
 	c.resid = [Waking + 1]time.Duration{}
@@ -260,11 +251,8 @@ func (c *CPU) State() State { return c.state }
 
 // Busy reports whether work is executing or queued.
 func (c *CPU) Busy() bool {
-	return c.ioBusy || c.computeBusy > 0 || c.ioQueued() > 0 || c.computeQueued() > 0
+	return len(c.items) > len(c.itemsFree)
 }
-
-func (c *CPU) ioQueued() int      { return len(c.queueIO) - c.ioHead }
-func (c *CPU) computeQueued() int { return len(c.queueCompute) - c.computeHead }
 
 // computeCapacity is the number of concurrent compute-lane items.
 func (c *CPU) computeCapacity() int {
@@ -284,13 +272,7 @@ func (c *CPU) ComputeTime(millionInstr float64) time.Duration {
 }
 
 // BusyByRoutine returns cumulative execution (not stall) time per routine.
-func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration {
-	out := make(map[energy.Routine]time.Duration, len(c.busy))
-	for r, d := range c.busy {
-		out[r] = d
-	}
-	return out
-}
+func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration { return c.busy.Map() }
 
 // Exec queues d of work attributed to routine r; done (may be nil) runs when
 // the work completes. Interrupt and DataTransfer work serializes on the IO
@@ -306,17 +288,26 @@ func (c *CPU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("cpu: negative work duration %v", d)
 	}
-	item := workItem{d: d, r: r, done: done}
-	if isIO(r) {
-		c.queueIO = append(c.queueIO, item)
+	var slot int32
+	if n := len(c.itemsFree); n > 0 {
+		slot = c.itemsFree[n-1]
+		c.itemsFree = c.itemsFree[:n-1]
 	} else {
-		c.queueCompute = append(c.queueCompute, item)
+		slot = int32(len(c.items))
+		c.items = append(c.items, workItem{})
+	}
+	it := &c.items[slot]
+	it.d, it.r, it.done = d, r, done
+	if isIO(r) {
+		*c.queueIO.Push() = slot
+	} else {
+		*c.queueCompute.Push() = slot
 	}
 	return c.maybeStart()
 }
 
 func (c *CPU) maybeStart() error {
-	if c.ioQueued() == 0 && c.computeQueued() == 0 {
+	if c.queueIO.Len() == 0 && c.queueCompute.Len() == 0 {
 		return nil
 	}
 	switch c.state {
@@ -329,8 +320,8 @@ func (c *CPU) maybeStart() error {
 			wake = c.params.WakeFromDeep
 		}
 		wakeFor := energy.AppCompute
-		if c.ioQueued() > 0 {
-			wakeFor = c.queueIO[c.ioHead].r
+		if c.queueIO.Len() > 0 {
+			wakeFor = c.items[*c.queueIO.Front()].r
 		}
 		c.setState(Waking)
 		c.wakes++
@@ -340,45 +331,25 @@ func (c *CPU) maybeStart() error {
 		}
 		return nil
 	default:
-		if !c.ioBusy && c.ioQueued() > 0 {
-			item := c.popIO()
+		if !c.ioBusy && c.queueIO.Len() > 0 {
+			slot := *c.queueIO.Front()
+			c.queueIO.Pop()
 			c.ioBusy = true
-			c.ioRoutine = item.r
-			if err := c.beginWork(item); err != nil {
+			c.ioRoutine = c.items[slot].r
+			if err := c.beginWork(slot); err != nil {
 				return err
 			}
 		}
-		for c.computeBusy < c.computeCapacity() && c.computeQueued() > 0 {
-			item := c.popCompute()
+		for c.computeBusy < c.computeCapacity() && c.queueCompute.Len() > 0 {
+			slot := *c.queueCompute.Front()
+			c.queueCompute.Pop()
 			c.computeBusy++
-			if err := c.beginWork(item); err != nil {
+			if err := c.beginWork(slot); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-}
-
-func (c *CPU) popIO() workItem {
-	item := c.queueIO[c.ioHead]
-	c.queueIO[c.ioHead] = workItem{}
-	c.ioHead++
-	if c.ioHead == len(c.queueIO) {
-		c.queueIO = c.queueIO[:0]
-		c.ioHead = 0
-	}
-	return item
-}
-
-func (c *CPU) popCompute() workItem {
-	item := c.queueCompute[c.computeHead]
-	c.queueCompute[c.computeHead] = workItem{}
-	c.computeHead++
-	if c.computeHead == len(c.queueCompute) {
-		c.queueCompute = c.queueCompute[:0]
-		c.computeHead = 0
-	}
-	return item
 }
 
 // OnEvent dispatches the processor's own scheduled events — wake completion
@@ -392,28 +363,16 @@ func (c *CPU) OnEvent(a sim.Arg) {
 			c.sched.Stop()
 		}
 	case opEnd:
-		slot := int(a.I0)
-		item := c.inflight[slot]
-		c.inflight[slot] = workItem{}
-		c.inflightFree = append(c.inflightFree, int32(slot))
-		c.endWork(item)
+		c.endWork(int32(a.I0))
 	}
 }
 
-func (c *CPU) beginWork(item workItem) error {
+func (c *CPU) beginWork(slot int32) error {
 	c.setState(Active)
 	c.setActivePower()
-	item.startAt = c.sched.Now()
-	var slot int
-	if n := len(c.inflightFree); n > 0 {
-		slot = int(c.inflightFree[n-1])
-		c.inflightFree = c.inflightFree[:n-1]
-		c.inflight[slot] = item
-	} else {
-		slot = len(c.inflight)
-		c.inflight = append(c.inflight, item)
-	}
-	_, err := c.sched.AfterCall(item.d, c, sim.Arg{Op: opEnd, I0: int64(slot)})
+	it := &c.items[slot]
+	it.startAt = c.sched.Now()
+	_, err := c.sched.AfterCall(it.d, c, sim.Arg{Op: opEnd, I0: int64(slot)})
 	if err != nil {
 		return fmt.Errorf("cpu: schedule work end: %w", err)
 	}
@@ -431,23 +390,31 @@ func (c *CPU) setActivePower() {
 	}
 }
 
-func (c *CPU) endWork(item workItem) {
-	c.busy[item.r] += item.d
-	c.obs.Span("cpu", item.r.String(), item.startAt, c.sched.Now())
-	if isIO(item.r) {
+// endWork retires the item in slot, freeing the slot before its completion
+// runs so the completion can queue more work.
+func (c *CPU) endWork(slot int32) {
+	it := &c.items[slot]
+	c.busy.Add(it.r, it.d)
+	if c.obs.Tracing() {
+		c.obs.Span("cpu", it.r.String(), it.startAt, c.sched.Now())
+	}
+	if isIO(it.r) {
 		c.ioBusy = false
 	} else {
 		c.computeBusy--
 	}
+	done := it.done
+	*it = workItem{}
+	c.itemsFree = append(c.itemsFree, slot)
 	if c.ioBusy || c.computeBusy > 0 {
 		c.setActivePower()
-	} else if c.ioQueued() == 0 && c.computeQueued() == 0 {
+	} else if c.queueIO.Len() == 0 && c.queueCompute.Len() == 0 {
 		// Default to stalling; the scheme's done callback typically refines
 		// this with an Idle call carrying the expected gap.
 		c.setState(WFI)
 		c.track.Set(c.params.WFIW, energy.Idle)
 	}
-	item.done.Invoke()
+	done.Invoke()
 	if err := c.maybeStart(); err != nil {
 		c.sched.Stop()
 	}

@@ -205,11 +205,81 @@ func TestBusyByRoutine(t *testing.T) {
 	if err := c.Exec(7*time.Millisecond, energy.DataTransfer, nil); err != nil {
 		t.Fatal(err)
 	}
+	// A routine whose items all took zero time still has an entry: the
+	// golden CPUBusy JSON depends on it.
+	if err := c.Exec(0, energy.AppCompute, nil); err != nil {
+		t.Fatal(err)
+	}
 	run(t, s)
 	b := c.BusyByRoutine()
 	if b[energy.Interrupt] != 5*time.Millisecond || b[energy.DataTransfer] != 7*time.Millisecond {
 		t.Errorf("BusyByRoutine = %v", b)
 	}
+	if d, ok := b[energy.AppCompute]; !ok || d != 0 || len(b) != 3 {
+		t.Errorf("BusyByRoutine = %v, want a zero AppCompute entry and nothing else", b)
+	}
+}
+
+// TestQueuesSizedToPeakBacklog pushes 1000 items down each lane while each
+// keeps 20 outstanding (every completion queues the next), so the lanes
+// never drain. Each lane's queue capacity must be the smallest power of two
+// >= its backlog, and the item pool must hold the peak of items outstanding,
+// not one slot per item.
+func TestQueuesSizedToPeakBacklog(t *testing.T) {
+	c, s, _ := newCPU(t)
+	const backlog, total = 20, 1000
+	type lane struct {
+		r                  energy.Routine
+		pushed, live, peak int
+	}
+	lanes := []*lane{{r: energy.Interrupt}, {r: energy.AppCompute}}
+	outstanding, peakOutstanding := 0, 0
+	var push func(l *lane)
+	push = func(l *lane) {
+		l.pushed++
+		l.live++
+		outstanding++
+		l.peak = max(l.peak, l.live)
+		peakOutstanding = max(peakOutstanding, outstanding)
+		if err := c.Exec(time.Millisecond, l.r, func() {
+			l.live--
+			outstanding--
+			if l.pushed < total {
+				push(l)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < backlog; i++ {
+		for _, l := range lanes {
+			push(l)
+		}
+	}
+	run(t, s)
+	for _, l := range lanes {
+		if l.pushed != total || l.peak != backlog {
+			t.Fatalf("%v lane: pushed %d with peak backlog %d, want %d and %d", l.r, l.pushed, l.peak, total, backlog)
+		}
+	}
+	if got, want := c.queueIO.Cap(), nextPow2(backlog); got != want {
+		t.Errorf("IO queue capacity %d, want %d", got, want)
+	}
+	if got, want := c.queueCompute.Cap(), nextPow2(backlog); got != want {
+		t.Errorf("compute queue capacity %d, want %d", got, want)
+	}
+	if len(c.items) != peakOutstanding {
+		t.Errorf("item pool holds %d slots, want %d (peak outstanding)", len(c.items), peakOutstanding)
+	}
+}
+
+// nextPow2 is the smallest power of two >= n.
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
 }
 
 func TestDoneCallbackCanChainExec(t *testing.T) {

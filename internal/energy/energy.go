@@ -267,6 +267,31 @@ func (tr *Track) TraceSamples() []Sample {
 	return out
 }
 
+// RoutineTimes is time per routine in a fixed array, with a presence mask so
+// a routine that only ever ran for zero time still has an entry. Device
+// models accrue their busy time into one; the zero value is empty.
+type RoutineTimes struct {
+	d    [routineSlots]time.Duration
+	seen uint8
+}
+
+// Add accrues d to routine r and marks r present.
+func (t *RoutineTimes) Add(r Routine, d time.Duration) {
+	t.d[r] += d
+	t.seen |= 1 << uint(r)
+}
+
+// Map returns the accrued time of every present routine.
+func (t *RoutineTimes) Map() map[Routine]time.Duration {
+	out := make(map[Routine]time.Duration, len(Routines))
+	for _, r := range Routines {
+		if t.seen&(1<<uint(r)) != 0 {
+			out[r] = t.d[r]
+		}
+	}
+	return out
+}
+
 // Breakdown is energy per routine, in joules, backed by a dense array:
 // index r holds routine r's joules. Index 0 is reserved — it stores a small
 // presence bitmask distinguishing "accrued exactly zero joules" (e.g. a 0 W

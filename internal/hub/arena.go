@@ -268,31 +268,20 @@ func (r *runner) getState() *appState {
 		r.statePool = r.statePool[:n-1]
 		return st
 	}
-	return &appState{
-		readsDone:       make(map[int]int),
-		delivered:       make(map[int]int),
-		expected:        make(map[int]int),
-		fired:           make(map[int]bool),
-		pendingFlushes:  make(map[int]int),
-		offloadInFlight: make(map[int]bool),
-	}
+	return &appState{}
 }
 
 // putState scrubs one app state back to its just-constructed shape and pools
 // it. uploadBytes is stashed separately: a nil map is behavior-bearing (the
 // transfer chain only stages upload bytes for OnEdge apps), so pooled states
 // always carry nil and build() re-attaches a map only to OnEdge placements.
+// The per-window slices keep their contents; build() resizes and refills
+// them (sizeWindows) before the state is used again.
 func (r *runner) putState(st *appState) {
 	st.app = nil
 	st.spec = apps.Spec{}
 	st.modeChanges = st.modeChanges[:0]
 	st.batchRefs = st.batchRefs[:0]
-	clear(st.offloadInFlight)
-	clear(st.readsDone)
-	clear(st.delivered)
-	clear(st.expected)
-	clear(st.fired)
-	clear(st.pendingFlushes)
 	st.batchFill = 0
 	st.batchAllocd = 0
 	if st.uploadBytes != nil {

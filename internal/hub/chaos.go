@@ -132,8 +132,10 @@ func (r *runner) onMCUCrash(d time.Duration) {
 
 		// Offloaded windows whose computation was in flight restart from
 		// scratch after the reboot — re-enter the MCU time-budget check.
-		for w := range st.offloadInFlight {
-			r.checkOffloadBudget(st, w, now.Add(d))
+		for w, on := range st.offloadInFlight {
+			if on {
+				r.checkOffloadBudget(st, w, now.Add(d))
+			}
 		}
 	}
 	// The in-situ meter's sample buffer lives in the same RAM: the crash

@@ -85,7 +85,7 @@ func (r *runner) OnEvent(a sim.Arg) {
 	case opOffloadDone:
 		st := a.P0.(*appState)
 		w := int(a.I0)
-		delete(st.offloadInFlight, w)
+		st.offloadInFlight[w] = false
 		r.startXfer(r.allocXfer(xfer{kind: xfResult, n: r.params.ResultBytes, st: st, w: w}))
 	case opGovern:
 		r.governCPU()
@@ -214,7 +214,7 @@ func (r *runner) xferDone(slot int) {
 			if x.delivered {
 				l.st.delivered[x.w]++
 			} else {
-				l.st.expected[x.w] = l.st.expectedFor(x.w) - 1
+				l.st.expected[x.w]--
 			}
 			r.maybeComplete(l.st, x.w)
 		}

@@ -259,8 +259,10 @@ func (r *runner) afterRecharge() {
 		}
 	}
 	for _, st := range r.states {
-		for w := range st.offloadInFlight {
-			r.checkOffloadBudget(st, w, now)
+		for w, on := range st.offloadInFlight {
+			if on {
+				r.checkOffloadBudget(st, w, now)
+			}
 		}
 	}
 	for i, ref := range r.battRedo {

@@ -172,6 +172,7 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 			return err
 		}
 		st.samplesPerWindow = n
+		st.sizeWindows(r.cfg.Windows)
 		if st.policy().PlaceCompute() != scheme.OnMCU {
 			allOffloaded = false
 		}
@@ -310,7 +311,7 @@ func (r *runner) prime() {
 // k+1 sorts after read k (same or later instant, larger seq), so it is always
 // queued before any event that sorts after it can dispatch, and the run
 // dispatches exactly as if every read had been queued up front — while the
-// event heap holds O(streams + in-flight) events instead of every read.
+// run queue holds O(streams + in-flight) events instead of every read.
 func (r *runner) scheduleAll() error {
 	for _, s := range r.streams {
 		total := s.perWindow * r.cfg.Windows
@@ -353,7 +354,7 @@ func (r *runner) startRead(s *stream, k int) {
 			if !l.wants(k) {
 				continue
 			}
-			l.st.expected[w] = l.st.expectedFor(w) - 1
+			l.st.expected[w]--
 			r.maybeComplete(l.st, w)
 		}
 		return
@@ -417,7 +418,7 @@ func (r *runner) dropSample(s *stream, k int) {
 		if !l.wants(k) {
 			continue
 		}
-		l.st.expected[w] = l.st.expectedFor(w) - 1
+		l.st.expected[w]--
 		r.maybeComplete(l.st, w)
 	}
 }
@@ -434,7 +435,7 @@ func (r *runner) maybeComplete(st *appState, w int) {
 	if pol.OnWindowClose() == scheme.AwaitCollection {
 		progress = st.readsDone[w]
 	}
-	if progress < st.expectedFor(w) {
+	if progress < st.expected[w] {
 		return
 	}
 	st.fired[w] = true

@@ -41,7 +41,7 @@ type appState struct {
 	batchRefs []batchRef
 	// offloadInFlight marks windows whose MCU computation has been
 	// dispatched but not finished — a crash re-enters their budget check.
-	offloadInFlight map[int]bool
+	offloadInFlight []bool
 
 	// cpuComputeTime / mcuComputeTime are the per-window app-specific
 	// computation costs on each processor.
@@ -50,19 +50,21 @@ type appState struct {
 
 	// samplesPerWindow across all of the app's streams.
 	samplesPerWindow int
-	// readsDone / delivered count per-window progress; expected starts at
+	// The per-window slices (offloadInFlight above too) are indexed by
+	// window and sized to the run's window count at build. readsDone /
+	// delivered count per-window progress; expected starts at
 	// samplesPerWindow and shrinks when fault injection drops samples.
-	readsDone map[int]int // window -> samples formatted at the MCU
-	delivered map[int]int // window -> samples landed at the CPU
-	expected  map[int]int // window -> samples still anticipated
+	readsDone []int // samples formatted at the MCU
+	delivered []int // samples landed at the CPU
+	expected  []int // samples still anticipated
 	// fired guards against double-triggering a window's computation when
 	// drops rearrange completion order.
-	fired map[int]bool
+	fired []bool
 
 	// Batched-mode buffer state.
 	batchFill      int
 	batchAllocd    int
-	pendingFlushes map[int]int // window -> in-flight bulk transfers
+	pendingFlushes []int // in-flight bulk transfers
 
 	// Uploaded-mode state: bytes landed at the CPU awaiting upload, and the
 	// app's per-window instruction demand for the edge container. Both are
@@ -103,12 +105,30 @@ type stream struct {
 	downshifted     map[int]bool
 }
 
-// expectedFor reports how many samples window w still anticipates.
-func (st *appState) expectedFor(w int) int {
-	if _, ok := st.expected[w]; !ok {
+// sizeWindows readies the per-window state for a run of n windows, reusing
+// the slices' capacity: every counter and flag zero, and every window
+// expecting samplesPerWindow samples.
+func (st *appState) sizeWindows(n int) {
+	st.offloadInFlight = windowSlice(st.offloadInFlight, n)
+	st.readsDone = windowSlice(st.readsDone, n)
+	st.delivered = windowSlice(st.delivered, n)
+	st.expected = windowSlice(st.expected, n)
+	st.fired = windowSlice(st.fired, n)
+	st.pendingFlushes = windowSlice(st.pendingFlushes, n)
+	for w := range st.expected {
 		st.expected[w] = st.samplesPerWindow
 	}
-	return st.expected[w]
+}
+
+// windowSlice returns s resized to n zero values, reallocating only when its
+// capacity is short.
+func windowSlice[T int | bool](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // modeFor resolves the app's mode for window w: the base mode unless a

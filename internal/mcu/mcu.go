@@ -71,9 +71,9 @@ type workItem struct {
 }
 
 // The MCU's typed events: the running item finished (the L106 is a single
-// core, so the item is always m.current — no slot needed), and a reboot
-// completed. Keeping the reboot end as a typed, cancellable event is what
-// lets the supply layer absorb it into a power gate.
+// core, so the item is always the queue's front — no slot needed), and a
+// reboot completed. Keeping the reboot end as a typed, cancellable event is
+// what lets the supply layer absorb it into a power gate.
 const (
 	opEnd = iota + 1
 	opReboot
@@ -87,13 +87,13 @@ type MCU struct {
 	track *energy.Track
 
 	params Params
-	// The work queue is a ring buffer: head advances on pop instead of
-	// reslicing, so the backing array is reused forever.
-	queue   []workItem
-	head    int
+	// queue holds the work items in FIFO order. The running item stays at
+	// the front until it finishes, so a crash that interrupts it leaves it
+	// first in line without moving anything.
+	queue   sim.Ring[workItem]
 	running bool
 	ramUsed int
-	busy    map[energy.Routine]time.Duration
+	busy    energy.RoutineTimes
 
 	// Crash/reboot state: while rebooting no work starts, RAM contents are
 	// gone, and new Exec items queue until the board comes back. A power
@@ -102,7 +102,6 @@ type MCU struct {
 	rebooting bool
 	gated     bool
 	crashes   int
-	current   workItem // the running item, so a crash can requeue it
 	endEv     sim.EventID
 	rebootEv  sim.EventID
 	downAt    sim.Time // reboot/gate start, for the recovery spans
@@ -136,7 +135,6 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 		name:   name,
 		track:  meter.Track(name),
 		params: params,
-		busy:   make(map[energy.Routine]time.Duration),
 	}
 	m.track.Set(params.IdleW, energy.Idle)
 	return m, nil
@@ -145,25 +143,20 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 // Reset reinitializes the board in place for a new run, exactly as New would
 // construct it: the scheduler and meter must have been reset first, and the
 // track is re-requested so it registers at this call's position in the
-// meter's component order. Queue and busy-map capacity is kept.
+// meter's component order. Queue capacity is kept.
 func (m *MCU) Reset(params Params) error {
 	if err := validateParams(params); err != nil {
 		return err
 	}
 	m.track = m.meter.Track(m.name)
 	m.params = params
-	for i := range m.queue {
-		m.queue[i] = workItem{}
-	}
-	m.queue = m.queue[:0]
-	m.head = 0
+	m.queue.Reset()
 	m.running = false
 	m.ramUsed = 0
-	clear(m.busy)
+	m.busy = energy.RoutineTimes{}
 	m.rebooting = false
 	m.gated = false
 	m.crashes = 0
-	m.current = workItem{}
 	m.endEv = sim.EventID{}
 	m.rebootEv = sim.EventID{}
 	m.downAt = 0
@@ -187,9 +180,7 @@ func (m *MCU) RAMHighWater() int { return m.highWater }
 func (m *MCU) Params() Params { return m.params }
 
 // Busy reports whether work is executing or queued.
-func (m *MCU) Busy() bool { return m.running || m.queued() > 0 }
-
-func (m *MCU) queued() int { return len(m.queue) - m.head }
+func (m *MCU) Busy() bool { return m.queue.Len() > 0 }
 
 // RAMUsed reports currently allocated bytes.
 func (m *MCU) RAMUsed() int { return m.ramUsed }
@@ -232,13 +223,7 @@ func (m *MCU) OffloadTime(cpuTime time.Duration, fpPenalty float64) time.Duratio
 }
 
 // BusyByRoutine returns cumulative execution time per routine.
-func (m *MCU) BusyByRoutine() map[energy.Routine]time.Duration {
-	out := make(map[energy.Routine]time.Duration, len(m.busy))
-	for r, d := range m.busy {
-		out[r] = d
-	}
-	return out
-}
+func (m *MCU) BusyByRoutine() map[energy.Routine]time.Duration { return m.busy.Map() }
 
 // Exec queues d of work attributed to routine r; done (may be nil) runs on
 // completion. Work is serialized FIFO — the L106 is a single core.
@@ -252,26 +237,20 @@ func (m *MCU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("mcu: negative work duration %v", d)
 	}
-	m.queue = append(m.queue, workItem{d: d, r: r, done: done})
+	it := m.queue.Push()
+	it.d, it.r, it.done = d, r, done
 	return m.maybeStart()
 }
 
 func (m *MCU) maybeStart() error {
-	if m.running || m.rebooting || m.queued() == 0 {
+	if m.running || m.rebooting || m.queue.Len() == 0 {
 		return nil
 	}
 	m.running = true
-	item := m.queue[m.head]
-	m.queue[m.head] = workItem{}
-	m.head++
-	if m.head == len(m.queue) {
-		m.queue = m.queue[:0]
-		m.head = 0
-	}
-	item.startAt = m.sched.Now()
-	m.current = item
-	m.track.Set(m.params.ActiveW, item.r)
-	ev, err := m.sched.AfterCall(item.d, m, sim.Arg{Op: opEnd})
+	it := m.queue.Front()
+	it.startAt = m.sched.Now()
+	m.track.Set(m.params.ActiveW, it.r)
+	ev, err := m.sched.AfterCall(it.d, m, sim.Arg{Op: opEnd})
 	if err != nil {
 		return fmt.Errorf("mcu: schedule work end: %w", err)
 	}
@@ -280,26 +259,33 @@ func (m *MCU) maybeStart() error {
 }
 
 // OnEvent dispatches the board's typed events — work completion and reboot
-// end — without per-event closures. The running item is m.current: a crash
-// cancels the completion event before touching it, so the pairing cannot
-// skew.
+// end — without per-event closures. The running item is the queue's front: a
+// crash cancels the completion event before the item can restart, so the
+// pairing cannot skew.
 func (m *MCU) OnEvent(a sim.Arg) {
 	switch a.Op {
 	case opEnd:
-		m.endWork(m.current)
+		m.endWork()
 	case opReboot:
 		m.endReboot()
 	}
 }
 
-func (m *MCU) endWork(item workItem) {
-	m.busy[item.r] += item.d
-	m.obs.Span("mcu", item.r.String(), item.startAt, m.sched.Now())
+// endWork retires the running item, popping it before its completion runs so
+// the completion can queue more work.
+func (m *MCU) endWork() {
+	it := m.queue.Front()
+	m.busy.Add(it.r, it.d)
+	if m.obs.Tracing() {
+		m.obs.Span("mcu", it.r.String(), it.startAt, m.sched.Now())
+	}
+	done := it.done
+	m.queue.Pop()
 	m.running = false
-	if m.queued() == 0 {
+	if m.queue.Len() == 0 {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
-	item.done.Invoke()
+	done.Invoke()
 	if err := m.maybeStart(); err != nil {
 		m.sched.Stop()
 	}
@@ -334,23 +320,13 @@ func (m *MCU) Crash(d time.Duration, onAlive func()) error {
 	return nil
 }
 
-// takeDown interrupts the running item (requeued at the head: it restarts
-// from scratch, partial progress genuinely spent) and wipes the RAM — the
-// shared first half of Crash and PowerGate.
+// takeDown interrupts the running item (it stays first in the queue and
+// restarts from scratch, partial progress genuinely spent) and wipes the RAM
+// — the shared first half of Crash and PowerGate.
 func (m *MCU) takeDown() {
 	if m.running {
 		m.sched.Cancel(m.endEv)
 		m.running = false
-		// Requeue at the head of the ring: reuse the popped slot when one
-		// exists, otherwise shift (rare — only when the queue was full).
-		if m.head > 0 {
-			m.head--
-			m.queue[m.head] = m.current
-		} else {
-			m.queue = append(m.queue, workItem{})
-			copy(m.queue[1:], m.queue)
-			m.queue[0] = m.current
-		}
 	}
 	m.ramUsed = 0
 }
@@ -360,7 +336,7 @@ func (m *MCU) takeDown() {
 func (m *MCU) endReboot() {
 	m.rebooting = false
 	m.obs.Span("mcu", "reboot", m.downAt, m.sched.Now())
-	if m.queued() == 0 {
+	if m.queue.Len() == 0 {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
 	cb := m.pendAlive

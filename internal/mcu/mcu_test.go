@@ -3,6 +3,7 @@ package mcu
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -311,4 +312,146 @@ func newMCUQuiet() (*MCU, *sim.Scheduler, *energy.Meter) {
 		panic(err)
 	}
 	return mc, s, m
+}
+
+// nextPow2 is the smallest power of two >= n.
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
+}
+
+// TestQueueSizedToPeakBacklog pushes 1000 items through a board that always
+// has 20 outstanding (each completion queues the next), so the queue never
+// drains. Its capacity must follow the peak backlog, not the item count.
+func TestQueueSizedToPeakBacklog(t *testing.T) {
+	mc, s, _ := newMCU(t)
+	const backlog, total = 20, 1000
+	pushed, live, peak := 0, 0, 0
+	var push func()
+	push = func() {
+		pushed++
+		live++
+		peak = max(peak, live)
+		if err := mc.Exec(time.Millisecond, energy.DataCollection, func() {
+			live--
+			if pushed < total {
+				push()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < backlog; i++ {
+		push()
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pushed != total || peak != backlog {
+		t.Fatalf("pushed %d items with peak backlog %d, want %d and %d", pushed, peak, total, backlog)
+	}
+	if got, want := mc.queue.Cap(), nextPow2(peak); got != want {
+		t.Errorf("queue capacity %d after %d items, want %d (peak backlog %d)", got, total, want, peak)
+	}
+}
+
+// TestTakeDownAfterWrapKeepsFIFO interrupts the running item once the
+// queue's ring has wrapped — the interrupted item sits at the end of the
+// buffer and later items at its start — by a crash and by a power gate. The
+// interrupted item must restart first and every item finish in FIFO order,
+// without the queue growing.
+func TestTakeDownAfterWrapKeepsFIFO(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		down func(mc *MCU, s *sim.Scheduler) error
+	}{
+		{"crash", func(mc *MCU, _ *sim.Scheduler) error { return mc.Crash(10*time.Millisecond, nil) }},
+		{"power-gate", func(mc *MCU, s *sim.Scheduler) error {
+			if err := mc.PowerGate(); err != nil {
+				return err
+			}
+			_, err := s.After(5*time.Millisecond, func() {
+				if err := mc.PowerRestore(nil); err != nil {
+					t.Errorf("PowerRestore: %v", err)
+				}
+			})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mc, s, _ := newMCU(t)
+			var order []int
+			var restartedAt, downAt sim.Time
+			exec := func(i int) {
+				err := mc.Exec(time.Millisecond, energy.AppCompute, func() {
+					order = append(order, i)
+					if i == 2 {
+						restartedAt = s.Now() - sim.Time(time.Millisecond)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				exec(i)
+			}
+			// Items 0 and 1 are done and item 2 runs from the ring's third
+			// slot, so items 4 and 5 wrap into the first two.
+			mustAfter(t, s, 2500*time.Microsecond, func() {
+				exec(4)
+				exec(5)
+				if got := mc.queue.Cap(); got != 4 {
+					t.Errorf("queue capacity %d before the take-down, want 4 (wrapped, not grown)", got)
+				}
+			})
+			mustAfter(t, s, 2700*time.Microsecond, func() {
+				downAt = s.Now()
+				if err := tc.down(mc, s); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+				t.Errorf("completion order %v, want %v", order, want)
+			}
+			if restartedAt <= downAt {
+				t.Errorf("item 2 restarted at %v, not after the take-down at %v", restartedAt, downAt)
+			}
+			if got := mc.queue.Cap(); got != 4 {
+				t.Errorf("queue capacity %d after the take-down, want 4", got)
+			}
+		})
+	}
+}
+
+// TestBusyByRoutineKeepsZeroTimeRoutines pins that a routine whose items all
+// took zero time still has an entry: the golden MCUBusy JSON depends on it.
+func TestBusyByRoutineKeepsZeroTimeRoutines(t *testing.T) {
+	mc, s, _ := newMCU(t)
+	if err := mc.Exec(0, energy.Interrupt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.Exec(2*time.Millisecond, energy.DataTransfer, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	b := mc.BusyByRoutine()
+	if d, ok := b[energy.Interrupt]; !ok || d != 0 || b[energy.DataTransfer] != 2*time.Millisecond || len(b) != 2 {
+		t.Errorf("BusyByRoutine = %v, want Interrupt:0s and DataTransfer:2ms only", b)
+	}
+}
+
+func mustAfter(t *testing.T, s *sim.Scheduler, d time.Duration, fn func()) {
+	t.Helper()
+	if _, err := s.After(d, fn); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -104,7 +104,7 @@ func TestCancelAfterSlotReuseReportsFalse(t *testing.T) {
 }
 
 // TestCancelHeavyInterleaveOrdering stresses the cancellation path of the
-// 4-ary heap: half the events are cancelled in an interleaved pattern and
+// run queue: half the events are cancelled in an interleaved pattern and
 // the survivors must still fire in exact (at, seq) order.
 func TestCancelHeavyInterleaveOrdering(t *testing.T) {
 	s := NewScheduler()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -29,8 +30,8 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerFanOut measures a wide heap: 5000 events queued up front,
-// then drained, so every pop sifts through a deep tree.
+// BenchmarkSchedulerFanOut measures a deep queue: 5000 events queued up
+// front in time order, then drained.
 func BenchmarkSchedulerFanOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewScheduler()
@@ -47,8 +48,8 @@ func BenchmarkSchedulerFanOut(b *testing.B) {
 
 // chainedStreams models the hub's sensor reads: a few periodic streams, each
 // read queuing its successor under a reserved seq and starting a short chain
-// of follow-up events (bus done, formatting, transfer), so the heap stays a
-// handful of events deep.
+// of follow-up events (bus done, formatting, transfer), so the run queue
+// stays a handful of events deep.
 type chainedStreams struct {
 	s       *Scheduler
 	streams []chainedStream
@@ -102,4 +103,52 @@ func BenchmarkSchedulerChainedStreams(b *testing.B) {
 	}
 	b.ReportMetric(float64(events), "events/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events)/float64(b.N), "ns/event")
+}
+
+// holdRandom is the classic hold model: every dispatch schedules one event
+// at a random offset ahead, so the queue stays at its initial depth and each
+// insert lands at a random rank — the run queue's worst case, since it
+// shifts a random share of the queue instead of a few entries near the
+// front.
+type holdRandom struct {
+	s    *Scheduler
+	x    uint64 // xorshift state
+	left int    // dispatches still to reschedule before stopping
+}
+
+func (h *holdRandom) offset() time.Duration {
+	h.x ^= h.x << 13
+	h.x ^= h.x >> 7
+	h.x ^= h.x << 17
+	return time.Duration(1 + h.x%(1<<20))
+}
+
+func (h *holdRandom) OnEvent(Arg) {
+	if h.left == 0 {
+		h.s.Stop()
+		return
+	}
+	h.left--
+	mustSchedule(h.s.AfterCall(h.offset(), h, Arg{}))
+}
+
+// BenchmarkSchedulerHoldRandom measures one dispatch plus one random-rank
+// insert per event at a steady queue depth of 16, 1k and 10k, and reports
+// ns/event.
+func BenchmarkSchedulerHoldRandom(b *testing.B) {
+	for _, depth := range []int{16, 1000, 10_000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			h := &holdRandom{s: NewScheduler(), x: 88172645463325252}
+			for k := 0; k < depth; k++ {
+				mustSchedule(h.s.AfterCall(h.offset(), h, Arg{}))
+			}
+			h.left = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := h.s.Run(); err != ErrStopped {
+				b.Fatalf("Run = %v, want ErrStopped", err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
+	}
 }
