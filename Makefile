@@ -39,8 +39,10 @@ lint-scheme:
 # the observer-effect smoke, the battery/harvest smoke, short fuzz passes over
 # the two text decoders that consume user-shaped bytes (CoAP wire format,
 # harvest trace grammar), a fuzz pass checking that chained reserved-seq
-# series dispatch exactly like series queued up front, and one checking the
-# scheduler's run queue against a brute-force reference.
+# series dispatch exactly like series queued up front, one checking the
+# scheduler's run queue against a brute-force reference, and one feeding
+# parsed fault schedules and probe scripts to the fault engine and a
+# brute-force reference.
 check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s ./internal/power
 	$(GO) test -run '^$$' -fuzz FuzzReservedOrder -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzFaultEngine -fuzztime 10s ./internal/faults
 
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the

@@ -13,6 +13,7 @@ package speech2text
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"iothub/internal/apps"
@@ -65,21 +66,24 @@ var vocabulary = []sensor.AudioWord{
 	sensor.WordYes, sensor.WordNo, sensor.WordStop, sensor.WordGo,
 }
 
-// New returns the workload speaking the given utterance, one word per
-// window (defaults to a fixed four-word sequence when empty).
-func New(seed int64, utterance ...sensor.AudioWord) (*App, error) {
-	if len(utterance) == 0 {
-		utterance = []sensor.AudioWord{
-			sensor.WordYes, sensor.WordStop, sensor.WordGo, sensor.WordNo,
-		}
-	}
+// model is A11's trained state: the MFCC front-end and one template per
+// vocabulary word.
+type model struct {
+	frontend  *speech.Frontend
+	templates []speech.Template
+}
+
+// referenceModel renders the templates from a fixed reference speaker
+// (seed 0), so the model never depends on an app's seed. It is built once
+// per process and shared read-only by every App: the Frontend holds only
+// parameters, and no template's feature matrix is written after this.
+var referenceModel = sync.OnceValues(func() (model, error) {
 	frontend, err := speech.NewFrontend(audioRate)
 	if err != nil {
-		return nil, fmt.Errorf("speech2text: %w", err)
+		return model{}, fmt.Errorf("speech2text: %w", err)
 	}
 	templates := make([]speech.Template, 0, len(vocabulary))
 	for _, w := range vocabulary {
-		// Template audio is rendered from a reference speaker (seed 0).
 		ref := sensor.NewAudioSpeech(0, audioRate, samplesPerWord, 0, w)
 		pcm := make([]float64, samplesPerWord)
 		for i := range pcm {
@@ -87,14 +91,31 @@ func New(seed int64, utterance ...sensor.AudioWord) (*App, error) {
 		}
 		feats, err := frontend.Features(pcm)
 		if err != nil {
-			return nil, fmt.Errorf("speech2text: template %s: %w", w, err)
+			return model{}, fmt.Errorf("speech2text: template %s: %w", w, err)
 		}
 		if len(feats) == 0 {
-			return nil, fmt.Errorf("speech2text: template %s produced no frames", w)
+			return model{}, fmt.Errorf("speech2text: template %s produced no frames", w)
 		}
 		templates = append(templates, speech.Template{Word: w.String(), Features: feats})
 	}
-	recognizer, err := speech.NewRecognizer(frontend, templates)
+	return model{frontend: frontend, templates: templates}, nil
+})
+
+// New returns the workload speaking the given utterance, one word per
+// window (defaults to a fixed four-word sequence when empty). Only the
+// audio generator and the recognizer are per instance; the recognizer
+// matches against the shared reference model.
+func New(seed int64, utterance ...sensor.AudioWord) (*App, error) {
+	if len(utterance) == 0 {
+		utterance = []sensor.AudioWord{
+			sensor.WordYes, sensor.WordStop, sensor.WordGo, sensor.WordNo,
+		}
+	}
+	ref, err := referenceModel()
+	if err != nil {
+		return nil, err
+	}
+	recognizer, err := speech.NewRecognizer(ref.frontend, ref.templates)
 	if err != nil {
 		return nil, fmt.Errorf("speech2text: %w", err)
 	}

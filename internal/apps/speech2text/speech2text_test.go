@@ -1,6 +1,7 @@
 package speech2text
 
 import (
+	"sync"
 	"testing"
 
 	"iothub/internal/apps"
@@ -109,4 +110,39 @@ func TestComputeRejectsBadAudio(t *testing.T) {
 	if _, err := a.Compute(bad); err == nil {
 		t.Error("malformed sample accepted")
 	}
+}
+
+// TestSharedModelConcurrentUse builds and runs apps from several goroutines
+// at once. Every App matches against the one shared reference model; under
+// -race this checks that the sharing stays read-only.
+func TestSharedModelConcurrentUse(t *testing.T) {
+	const goroutines, windows = 6, 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			a, err := New(seed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for w := 0; w < windows; w++ {
+				in, err := apps.CollectWindow(a, w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := a.Compute(in)
+				if err != nil {
+					t.Errorf("seed %d window %d: %v", seed, w, err)
+					return
+				}
+				if got, want := string(res.Upstream), a.TrueWord(w).String(); got != want {
+					t.Errorf("seed %d window %d: transcript %q, want %q", seed, w, got, want)
+				}
+			}
+		}(int64(g + 1))
+	}
+	wg.Wait()
 }

@@ -140,9 +140,9 @@ func (r Rule) Validate() error {
 	return nil
 }
 
-// matches reports whether the rule applies to a probe of (kind, target).
-func (r Rule) matches(kind Kind, target string) bool {
-	return r.Kind == kind && (r.Target == "" || r.Target == target)
+// appliesTo reports whether the rule applies to a probe of target.
+func (r *Rule) appliesTo(target string) bool {
+	return r.Target == "" || r.Target == target
 }
 
 // Schedule is a complete fault plan: a seed plus an ordered rule list.
@@ -209,8 +209,12 @@ type ruleState struct {
 // simulation run; it is not safe for concurrent use (the simulator is
 // single-threaded by design).
 type Engine struct {
-	schedule Schedule
-	states   []map[string]*ruleState // per rule, per probed target
+	seed  int64
+	rules []Rule // the engine's own copy of the schedule's rules
+	// byKind lists each kind's rule indices in rule order, so a probe walks
+	// only the rules that can match it.
+	byKind [RadioOutage + 1][]int
+	states []map[string]*ruleState // per rule, per probed target
 	// activations counts probe hits — rules Fires reported as firing. Timed
 	// (self-firing) events are counted by the hub as it runs them.
 	activations uint64
@@ -233,11 +237,25 @@ func NewEngine(s *Schedule) (*Engine, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{schedule: *s, states: make([]map[string]*ruleState, len(s.Rules))}
-	for i := range e.states {
+	e := &Engine{
+		seed:   s.Seed,
+		rules:  append([]Rule(nil), s.Rules...),
+		states: make([]map[string]*ruleState, len(s.Rules)),
+	}
+	for i, r := range e.rules {
+		e.byKind[r.Kind] = append(e.byKind[r.Kind], i)
 		e.states[i] = make(map[string]*ruleState)
 	}
 	return e, nil
+}
+
+// ofKind returns kind's rule indices in rule order; nil for a kind with no
+// rules or one outside the enumeration.
+func (e *Engine) ofKind(kind Kind) []int {
+	if kind < 0 || int(kind) >= len(e.byKind) {
+		return nil
+	}
+	return e.byKind[kind]
 }
 
 // HasKind reports whether any rule injects one of the given kinds. The hub
@@ -246,11 +264,9 @@ func (e *Engine) HasKind(kinds ...Kind) bool {
 	if e == nil {
 		return false
 	}
-	for _, r := range e.schedule.Rules {
-		for _, k := range kinds {
-			if r.Kind == k {
-				return true
-			}
+	for _, k := range kinds {
+		if len(e.ofKind(k)) > 0 {
+			return true
 		}
 	}
 	return false
@@ -262,8 +278,8 @@ func (e *Engine) state(rule int, target string) *ruleState {
 	st, ok := e.states[rule][target]
 	if !ok {
 		st = &ruleState{
-			nextDue: sim.Time(e.schedule.Rules[rule].Trigger.Period),
-			rng:     splitmix64{state: uint64(e.schedule.Seed) ^ (uint64(rule)+1)*0x9e3779b97f4a7c15 ^ fnv1a(target)},
+			nextDue: sim.Time(e.rules[rule].Trigger.Period),
+			rng:     splitmix64{state: uint64(e.seed) ^ (uint64(rule)+1)*0x9e3779b97f4a7c15 ^ fnv1a(target)},
 		}
 		e.states[rule][target] = st
 	}
@@ -271,16 +287,18 @@ func (e *Engine) state(rule int, target string) *ruleState {
 }
 
 // Fires probes every rule matching (kind, target) at virtual instant now and
-// returns the first rule that fires. Each matching rule's counters advance
-// exactly once per probe, so the outcome is a deterministic function of the
-// probe sequence.
-func (e *Engine) Fires(kind Kind, target string, now sim.Time) (Rule, bool) {
+// returns the first rule that fires, or nil. Each matching rule's counters
+// advance exactly once per probe, so the outcome is a deterministic function
+// of the probe sequence. The returned rule is the engine's own; callers read
+// it and must not modify it.
+func (e *Engine) Fires(kind Kind, target string, now sim.Time) *Rule {
 	if e == nil {
-		return Rule{}, false
+		return nil
 	}
-	hit := -1
-	for i, r := range e.schedule.Rules {
-		if !r.matches(kind, target) {
+	var hit *Rule
+	for _, i := range e.ofKind(kind) {
+		r := &e.rules[i]
+		if !r.appliesTo(target) {
 			continue
 		}
 		st := e.state(i, target)
@@ -289,12 +307,11 @@ func (e *Engine) Fires(kind Kind, target string, now sim.Time) (Rule, bool) {
 		if n := r.Trigger.EveryNth; n > 0 && st.probes%n == 0 {
 			fired = true
 		}
-		if p := r.Trigger.Period; p > 0 && now >= st.nextDue {
+		if p := sim.Time(r.Trigger.Period); p > 0 && now >= st.nextDue {
 			fired = true
-			// Skip boundaries the probe sequence never visited.
-			for st.nextDue <= now {
-				st.nextDue = st.nextDue.Add(p)
-			}
+			// The next due boundary is the first multiple of Period after
+			// now: boundaries the probe sequence never visited are skipped.
+			st.nextDue = (now/p + 1) * p
 		}
 		if st.atIdx < len(r.Trigger.At) && now >= sim.Time(r.Trigger.At[st.atIdx]) {
 			fired = true
@@ -303,15 +320,14 @@ func (e *Engine) Fires(kind Kind, target string, now sim.Time) (Rule, bool) {
 		if pr := r.Trigger.Prob; pr > 0 && st.rng.float() < pr {
 			fired = true
 		}
-		if fired && hit < 0 {
-			hit = i
+		if fired && hit == nil {
+			hit = r
 		}
 	}
-	if hit < 0 {
-		return Rule{}, false
+	if hit != nil {
+		e.activations++
 	}
-	e.activations++
-	return e.schedule.Rules[hit], true
+	return hit
 }
 
 // TimedEvent is one concrete firing of a self-firing rule.
@@ -328,8 +344,9 @@ func (e *Engine) TimedEvents(kind Kind, target string, horizon time.Duration) []
 		return nil
 	}
 	var out []TimedEvent
-	for _, r := range e.schedule.Rules {
-		if !r.matches(kind, target) {
+	for _, i := range e.ofKind(kind) {
+		r := e.rules[i]
+		if !r.appliesTo(target) {
 			continue
 		}
 		for _, at := range r.Trigger.At {

@@ -23,7 +23,7 @@ func TestInactiveSchedules(t *testing.T) {
 	if e != nil {
 		t.Error("nil schedule compiled to a live engine")
 	}
-	if _, ok := e.Fires(LinkCorrupt, "link", 0); ok {
+	if e.Fires(LinkCorrupt, "link", 0) != nil {
 		t.Error("nil engine fired")
 	}
 	if e.HasKind(LinkCorrupt) {
@@ -43,7 +43,7 @@ func TestEveryNthTrigger(t *testing.T) {
 	}
 	var fired []int
 	for i := 1; i <= 9; i++ {
-		if _, ok := e.Fires(LinkCorrupt, "link", 0); ok {
+		if e.Fires(LinkCorrupt, "link", 0) != nil {
 			fired = append(fired, i)
 		}
 	}
@@ -67,15 +67,15 @@ func TestTargetsAreIndependent(t *testing.T) {
 	}
 	// Each target keeps its own counter: the second probe of each fires.
 	for _, target := range []string{"S4", "S7"} {
-		if _, ok := e.Fires(SensorStuck, target, 0); ok {
+		if e.Fires(SensorStuck, target, 0) != nil {
 			t.Errorf("%s fired on first probe", target)
 		}
-		if _, ok := e.Fires(SensorStuck, target, 0); !ok {
+		if e.Fires(SensorStuck, target, 0) == nil {
 			t.Errorf("%s did not fire on second probe", target)
 		}
 	}
 	// A non-matching kind never fires.
-	if _, ok := e.Fires(LinkLoss, "link", 0); ok {
+	if e.Fires(LinkLoss, "link", 0) != nil {
 		t.Error("unrelated kind fired")
 	}
 }
@@ -92,7 +92,7 @@ func TestAtTriggerFiresOncePerInstant(t *testing.T) {
 	var fired []time.Duration
 	for _, ms := range times {
 		now := sim.Time(ms * time.Millisecond)
-		if r, ok := e.Fires(SensorSlow, "S4", now); ok {
+		if r := e.Fires(SensorSlow, "S4", now); r != nil {
 			fired = append(fired, ms)
 			if r.Factor != 3 {
 				t.Errorf("fired rule factor = %v, want 3", r.Factor)
@@ -112,8 +112,7 @@ func TestPeriodTriggerProbeBased(t *testing.T) {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	fires := func(ms int) bool {
-		_, ok := e.Fires(LinkLoss, "link", sim.Time(time.Duration(ms)*time.Millisecond))
-		return ok
+		return e.Fires(LinkLoss, "link", sim.Time(time.Duration(ms)*time.Millisecond)) != nil
 	}
 	if fires(50) {
 		t.Error("fired before first boundary")
@@ -146,7 +145,7 @@ func TestProbTriggerDeterministicPerSeed(t *testing.T) {
 		}
 		out := make([]bool, 200)
 		for i := range out {
-			_, out[i] = e.Fires(LinkCorrupt, "link", 0)
+			out[i] = e.Fires(LinkCorrupt, "link", 0) != nil
 		}
 		return out
 	}

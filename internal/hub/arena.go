@@ -149,6 +149,7 @@ func (r *runner) renew(cfg Config, params Params, reuse bool) error {
 	r.horizon = 0
 	r.offloadNeed = 0
 	r.lastDegradedCrash = 0
+	r.crashRedo = r.crashRedo[:0]
 	r.gapHint = 0
 	r.allowDeep = false
 	r.edge = nil

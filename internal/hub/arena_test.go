@@ -94,14 +94,19 @@ func TestArenaCloneSurvivesRecycling(t *testing.T) {
 }
 
 // arenaAllocBudget is the pinned steady-state allocation ceiling for one
-// Arena.RunScenario of the benchmark-shaped scenario below (1 window,
+// Arena.RunScenario of each benchmark-shaped scenario below (1 window,
 // SkipAppCompute). The residual allocations are per-run by design — scenario
-// materialization (catalog app construction, rate scaling), policy/mode maps,
-// the stream plan, and collect()'s result maps — NOT per-event or per-sample
-// state: the event kernel, device stack, meter tracks, and bookkeeping maps
-// are all revived in place. Measured ~32 on go1.24; the budget leaves 3x
-// headroom for toolchain drift. Raising it further means a hot path
-// regressed; see `make bench-smoke` for the CI gate on the full sweep.
+// materialization (catalog app construction, rate scaling; for A11 only its
+// audio generator and recognizer, the trained model is shared), policy/mode
+// maps, the stream plan, collect()'s result maps, and on a chaos run the
+// fault arming (schedule parsing, the compiled engine and its per-target
+// trigger state, the timed fault events, the per-window fault records) — NOT
+// per-event or per-sample state: the event kernel, device stack, meter
+// tracks, bookkeeping maps, and the batch and redo lists a crash wipes and
+// re-reads are all revived in place. Measured on go1.24: 32 plain, 33
+// metered, 35 heavy, 75 chaos; the budget leaves headroom for toolchain
+// drift. Raising it means a hot path regressed; see `make bench-smoke` for
+// the CI gate on the full sweep.
 const arenaAllocBudget = 100
 
 // TestArenaSteadyStateAllocs pins the per-scenario allocation count of a
@@ -109,20 +114,29 @@ const arenaAllocBudget = 100
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	meter := obs.Insitu(500)
 	for _, tc := range []struct {
-		name  string
-		meter *obs.MeterModel
+		name   string
+		app    apps.ID
+		meter  *obs.MeterModel
+		faults string
 	}{
-		{"plain", nil},
+		{"plain", apps.StepCounter, nil, ""},
 		// The armed meter's sampling ticks, flush completions, and track all
 		// come from pooled storage: observing a run must not buy allocations.
-		{"metered", &meter},
+		{"metered", apps.StepCounter, &meter, ""},
+		// The crash at 700 ms wipes 700 batched samples: their re-reads are
+		// typed events and the batch and redo lists keep their storage.
+		{"chaos", apps.StepCounter, nil, goldenChaos},
+		// A11 shares one reference model: building the app must not render
+		// and encode its keyword templates again.
+		{"heavy", apps.SpeechToTxt, nil, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := hub.Scenario{
-				Apps:           []apps.ID{apps.StepCounter},
+				Apps:           []apps.ID{tc.app},
 				Scheme:         hub.Batching,
 				Windows:        1,
 				Seed:           7,
+				Faults:         tc.faults,
 				SkipAppCompute: true,
 				Meter:          tc.meter,
 			}

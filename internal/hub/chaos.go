@@ -112,19 +112,18 @@ func (r *runner) onMCUCrash(d time.Duration) {
 	}
 
 	// Everything resident in batch RAM is gone: rewind the owning windows'
-	// read progress and queue re-reads for after the reboot.
-	var redo []batchRef
+	// read progress and queue re-reads for after the reboot. The MCU is
+	// down until then, so no other crash can touch crashRedo meanwhile.
 	for _, st := range r.states {
 		for _, ref := range st.batchRefs {
-			w := ref.k / ref.s.perWindow
-			st.readsDone[w]--
-			redo = append(redo, ref)
+			st.readsDone[ref.k/ref.s.perWindow]--
 		}
+		r.crashRedo = append(r.crashRedo, st.batchRefs...)
 		r.res.RecollectedSamples += len(st.batchRefs)
 		if len(st.batchRefs) > 0 {
 			r.windowFault(r.windowAt(now)).Recollected += len(st.batchRefs)
 		}
-		st.batchRefs = nil
+		st.batchRefs = st.batchRefs[:0]
 		// The buffer bytes evaporate with the RAM; zeroing the counters
 		// keeps flushBatch from freeing bytes that no longer exist.
 		st.batchFill = 0
@@ -141,7 +140,7 @@ func (r *runner) onMCUCrash(d time.Duration) {
 	// The in-situ meter's sample buffer lives in the same RAM: the crash
 	// drops it in one burst and resets the instrument's duty-cycle phase.
 	r.meterOnCrash()
-	if err := r.mcu.Crash(d, func() { r.afterReboot(redo) }); err != nil {
+	if err := r.mcu.Crash(d, r.afterReboot); err != nil {
 		r.fail(err)
 		return
 	}
@@ -153,22 +152,23 @@ func (r *runner) onMCUCrash(d time.Duration) {
 
 // afterReboot re-reserves the offload footprint (the binary reloads from
 // flash) and re-issues the reads the crash destroyed, serialized so each
-// stream's bus transactions do not overlap.
-func (r *runner) afterReboot(redo []batchRef) {
+// stream's bus transactions do not overlap. Each re-read is a typed event
+// whose sequence number is taken here, so dispatch order is schedule order.
+func (r *runner) afterReboot() {
 	if r.offloadNeed > 0 && r.anyOffloadedAhead() {
 		if err := r.mcu.Alloc(r.offloadNeed); err != nil {
 			r.fail(err)
 			return
 		}
 	}
-	for i, ref := range redo {
-		ref := ref
+	for i, ref := range r.crashRedo {
 		delay := time.Duration(i) * ref.s.spec.ReadTime
-		if _, err := r.sched.After(delay, func() { r.startRead(ref.s, ref.k) }); err != nil {
+		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, P0: ref.s, I0: int64(ref.k)}); err != nil {
 			r.fail(err)
 			return
 		}
 	}
+	r.crashRedo = r.crashRedo[:0]
 }
 
 // anyOffloadedAhead reports whether any app still computes on the MCU in the
@@ -290,8 +290,8 @@ func (r *runner) linkSend(n int) (time.Duration, bool, error) {
 	rep, err := r.link.TransmitReliable(n, energy.DataTransfer, r.pol.LinkRetry,
 		func(int) link.Outcome {
 			now := r.sched.Now()
-			_, corrupt := r.engine.Fires(faults.LinkCorrupt, "link", now)
-			_, lost := r.engine.Fires(faults.LinkLoss, "link", now)
+			corrupt := r.engine.Fires(faults.LinkCorrupt, "link", now) != nil
+			lost := r.engine.Fires(faults.LinkLoss, "link", now) != nil
 			switch {
 			case lost:
 				return link.TxLost

@@ -6,10 +6,11 @@ package hub
 // fresh closure per event. The runner now implements sim.Callback once: the
 // op discriminates the step and the context rides in the sim.Arg (stream or
 // appState pointer in P0, indices packed into I0/I1), so a steady-state run
-// schedules thousands of events without a single allocation. Cold paths
-// (fault arming, crash recovery, edge submission) keep their closures — they
-// fire at most a handful of times per run and untouched code is untouched
-// behavior.
+// schedules thousands of events without a single allocation. The re-reads a
+// crash or a recharge issues are typed too (opRedoRead): there is one per
+// wiped batch sample, hundreds per crash. Cold paths that fire a handful of
+// times per run (fault arming, the reboot's alive callback, edge submission)
+// keep their closures.
 
 import (
 	"iothub/internal/energy"
@@ -34,6 +35,7 @@ const (
 	opMeterFlushed             // I0 sample count, I1 crash generation: flush done
 	opPowerTick                // supply ledger settlement instant (power.go)
 	opPowerStep                // I0 step index: harvest trace level change
+	opRedoRead                 // P0 *stream, I0 sample index: re-read after a reboot or recharge
 )
 
 // OnEvent dispatches the runner's typed events (see the ops above).
@@ -43,7 +45,7 @@ func (r *runner) OnEvent(a sim.Arg) {
 		// Chain the stream's next read before this one runs (scheduleAll
 		// explains the order argument). Brownout drops and downshift skips
 		// happen inside startRead, so they never break the chain; redo reads
-		// after a reboot or recharge call startRead directly and never chain.
+		// after a reboot or recharge are opRedoRead events and never chain.
 		s, k := a.P0.(*stream), int(a.I0)
 		if k+1 < s.perWindow*r.cfg.Windows {
 			if err := r.queueRead(s, k+1, uint64(a.I1)); err != nil {
@@ -97,6 +99,8 @@ func (r *runner) OnEvent(a sim.Arg) {
 		r.powerTick()
 	case opPowerStep:
 		r.powerStep(int(a.I0))
+	case opRedoRead:
+		r.startRead(a.P0.(*stream), int(a.I0))
 	}
 }
 

@@ -266,9 +266,8 @@ func (r *runner) afterRecharge() {
 		}
 	}
 	for i, ref := range r.battRedo {
-		ref := ref
 		delay := time.Duration(i) * ref.s.spec.ReadTime
-		if _, err := r.sched.After(delay, func() { r.startRead(ref.s, ref.k) }); err != nil {
+		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, P0: ref.s, I0: int64(ref.k)}); err != nil {
 			r.fail(err)
 			return
 		}

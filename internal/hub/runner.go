@@ -75,6 +75,9 @@ type runner struct {
 	// lastDegradedCrash ensures the watchdog takes one ladder step per
 	// crash, however many probes see the same dead MCU.
 	lastDegradedCrash int
+	// crashRedo holds the batch refs a crash wiped until the reboot
+	// re-issues their reads.
+	crashRedo []batchRef
 
 	// xfers is the slot pool of in-flight Interrupt + Data Transfer chains
 	// (events.go); events carry slot indices instead of closures.
@@ -372,7 +375,7 @@ func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
 	readTime := s.spec.ReadTime
 	if r.engine != nil {
 		now := r.sched.Now()
-		if rule, ok := r.engine.Fires(faults.SensorSlow, string(s.id), now); ok {
+		if rule := r.engine.Fires(faults.SensorSlow, string(s.id), now); rule != nil {
 			factor := rule.Factor
 			if factor < 1 {
 				factor = 1
@@ -380,7 +383,7 @@ func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
 			readTime = time.Duration(float64(readTime) * factor)
 			r.res.SlowReads++
 		}
-		if _, ok := r.engine.Fires(faults.SensorStuck, string(s.id), now); ok {
+		if r.engine.Fires(faults.SensorStuck, string(s.id), now) != nil {
 			// A stuck sensor re-delivers its previous value: timing and
 			// energy are unchanged, the staleness is accounted. (The apps'
 			// inputs come from synthetic sources; see the package note.)

@@ -213,7 +213,10 @@ type Recognizer struct {
 	enhance bool
 }
 
-// NewRecognizer builds a recognizer over the given templates.
+// NewRecognizer builds a recognizer over the given templates. It keeps its
+// own copy of the template list, so WithEnhancedFeatures on one recognizer
+// never rewrites another's templates; the feature matrices themselves are
+// shared and never written.
 func NewRecognizer(frontend *Frontend, templates []Template) (*Recognizer, error) {
 	if frontend == nil {
 		return nil, errors.New("speech: nil frontend")
@@ -228,7 +231,7 @@ func NewRecognizer(frontend *Frontend, templates []Template) (*Recognizer, error
 	}
 	return &Recognizer{
 		frontend:   frontend,
-		templates:  templates,
+		templates:  append([]Template(nil), templates...),
 		energyFrac: 0.25,
 		minSegment: frontend.FrameLen,
 	}, nil

@@ -2,6 +2,7 @@ package speech
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"iothub/internal/sensor"
@@ -263,5 +264,57 @@ func TestEnhancedRecognizerStillDecodes(t *testing.T) {
 	}
 	if len(words) != 2 || words[0] != "yes" || words[1] != "no" {
 		t.Errorf("enhanced decode = %v", words)
+	}
+}
+
+// TestRecognizersDoNotShareTemplates builds two recognizers from one
+// template list and enhances the first: neither the second recognizer's
+// templates, nor the caller's list, nor the second's transcript of a fixed
+// utterance may change.
+func TestRecognizersDoNotShareTemplates(t *testing.T) {
+	f, err := NewFrontend(rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := templates(t, f)
+	first, err := NewRecognizer(f, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := NewRecognizer(f, list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := sensor.NewAudioSpeech(3, rate, rate/4, rate/4, sensor.WordStop, sensor.WordGo)
+	pcm := make([]float64, rate)
+	for i := range pcm {
+		pcm[i] = gen.PCMAt(i)
+	}
+	before, err := second.Decode(pcm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][][]float64, len(list))
+	for i, tp := range list {
+		want[i] = tp.Features
+	}
+
+	if err := first.WithEnhancedFeatures(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(second.templates[i].Features, want[i]) {
+			t.Errorf("second recognizer's template %q rewritten", second.templates[i].Word)
+		}
+		if !reflect.DeepEqual(list[i].Features, want[i]) {
+			t.Errorf("caller's template %q rewritten", list[i].Word)
+		}
+	}
+	after, err := second.Decode(pcm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("second recognizer decodes %v after the first was enhanced, %v before", after, before)
 	}
 }
