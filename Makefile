@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-json bench-diff bench-smoke experiments ablations examples clean
+.PHONY: all build test race vet fmt fmt-check check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-smoke experiments ablations examples clean
 
 all: build vet test check
 
@@ -37,12 +37,12 @@ lint-scheme:
 # check is the pre-merge gate: the gofmt gate, static analysis, the
 # scheme-placement lint, the race detector, the optimizer determinism smoke,
 # the observer-effect smoke, the battery/harvest smoke, short fuzz passes over
-# the two text decoders that consume user-shaped bytes (CoAP wire format,
-# harvest trace grammar), a fuzz pass checking that chained reserved-seq
-# series dispatch exactly like series queued up front, one checking the
-# scheduler's run queue against a brute-force reference, and one feeding
-# parsed fault schedules and probe scripts to the fault engine and a
-# brute-force reference.
+# the text decoders that consume user-shaped bytes (CoAP wire format, harvest
+# trace grammar, fleetd's HTTP requests and responses, JSON, JPEG, scheme
+# names), a fuzz pass checking that chained reserved-seq series dispatch
+# exactly like series queued up front, one checking the scheduler's run queue
+# against a brute-force reference, and one feeding parsed fault schedules and
+# probe scripts to the fault engine and a brute-force reference.
 check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:
@@ -51,6 +51,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReservedOrder -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzFaultEngine -fuzztime 10s ./internal/faults
+	$(GO) test -run '^$$' -fuzz FuzzParseRequest -fuzztime 5s ./internal/httplite
+	$(GO) test -run '^$$' -fuzz FuzzParseResponse -fuzztime 5s ./internal/httplite
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/jsonlite
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/jpegcodec
+	$(GO) test -run '^$$' -fuzz FuzzParseScheme -fuzztime 5s ./internal/scheme
+	$(GO) test -run '^$$' -fuzz FuzzModeUnmarshalText -fuzztime 5s ./internal/scheme
 
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the
@@ -133,35 +139,12 @@ fmt-check:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Record a benchmark run as a trajectory point: parse the -bench output into
-# BENCH_<UTC stamp>.json (see cmd/benchjson). Commit the file to track
-# performance over time. BENCHTIME=2s for steadier numbers; default is the
-# go test default.
-BENCHTIME ?= 1s
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
-		| $(GO) run ./cmd/benchjson -o BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
-
-# Compare the two newest committed trajectory points (the UTC stamp in the
-# file name sorts lexically = chronologically) as a % delta table. A
-# trajectory with fewer than two points has nothing to compare yet — that is
-# a fresh checkout, not an error.
-bench-diff:
-	@set -- $$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
-	if [ $$# -lt 2 ]; then echo "bench-diff: need >=2 trajectory files, have $$#"; exit 0; fi; \
-	echo "bench-diff: $$1 -> $$2"; \
-	$(GO) run ./cmd/benchjson -diff $$1 $$2
-
 # One iteration of every benchmark: catches bit-rotted benchmark code in CI
-# without paying for real measurement. The second step is the allocation
-# regression gate: the arena keeps a steady-state fleet scenario at ~118
-# allocs; ALLOC_BUDGET pins the ceiling with headroom, and benchjson -gate
-# fails the build when a hot path regresses past it.
-ALLOC_BUDGET ?= 500
+# without paying for real measurement. The sweep's allocation gate is a test
+# (TestFleetSweepAllocBudget), so `make test` and `make race` run it; the
+# repository benchmark is perfbench/ (BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'FleetSweep/workers=1$$' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -gate FleetSweep/workers=1 -max-allocs-per-scenario $(ALLOC_BUDGET)
 
 # Regenerate every paper artifact (tables + figures) as ASCII.
 experiments:

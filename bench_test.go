@@ -119,14 +119,9 @@ func BenchmarkAblDMA(b *testing.B) {
 	benchExperiment(b, experiments.AblDMA, "A2 baseline")
 }
 
-// BenchmarkFleetSweep runs a 64-scenario grid through the fleet engine at
-// worker counts 1, 2, 4, and NumCPU. The aggregates are byte-identical at
-// every count (asserted by internal/fleet's tests); only wall clock changes,
-// so the workers=N/workers=1 ns/op ratios are the engine's scaling curve.
-// On a single-core host the curve is flat — the fixed counts keep the
-// trajectory comparable across differently-sized runners.
-func BenchmarkFleetSweep(b *testing.B) {
-	spec := fleet.Spec{
+// sweepSpec is the 64-scenario grid the fleet and service sweeps run.
+func sweepSpec() fleet.Spec {
+	return fleet.Spec{
 		Seed: 7,
 		Grid: &fleet.Grid{
 			Apps:           [][]apps.ID{{apps.StepCounter}, {apps.M2X}, {apps.StepCounter, apps.M2X}, {apps.Blynk}},
@@ -136,6 +131,46 @@ func BenchmarkFleetSweep(b *testing.B) {
 			SkipAppCompute: true,
 		},
 	}
+}
+
+// sweepAllocBudget is the allocation ceiling per scenario of a workers=1
+// fleet sweep: the arena revives every per-run object, so what remains is
+// scenario materialization and result maps. Measured on go1.24: 126.5, and
+// 151.8 under -race. Raising it means a hot path regressed.
+const sweepAllocBudget = 200
+
+// TestFleetSweepAllocBudget gates the sweep's allocations per scenario.
+func TestFleetSweepAllocBudget(t *testing.T) {
+	spec := sweepSpec()
+	var completed int
+	allocs := testing.AllocsPerRun(1, func() {
+		res, err := fleet.Run(spec, fleet.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Agg.Errors > 0 {
+			t.Fatalf("failed scenarios: %+v", res.Failed)
+		}
+		completed = res.Completed
+	})
+	if completed != 64 {
+		t.Fatalf("sweep completed %d scenarios, want 64", completed)
+	}
+	per := allocs / float64(completed)
+	if per > sweepAllocBudget {
+		t.Errorf("fleet sweep = %.1f allocs/scenario, budget %d", per, sweepAllocBudget)
+	}
+	t.Logf("fleet sweep = %.1f allocs/scenario (budget %d)", per, sweepAllocBudget)
+}
+
+// BenchmarkFleetSweep runs a 64-scenario grid through the fleet engine at
+// worker counts 1, 2, 4, and NumCPU. The aggregates are byte-identical at
+// every count (asserted by internal/fleet's tests); only wall clock changes,
+// so the workers=N/workers=1 ns/op ratios are the engine's scaling curve.
+// On a single-core host the curve is flat — the fixed counts keep the
+// trajectory comparable across differently-sized runners.
+func BenchmarkFleetSweep(b *testing.B) {
+	spec := sweepSpec()
 	scens, err := spec.Expand()
 	if err != nil {
 		b.Fatal(err)
@@ -171,16 +206,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 // fault-tolerance machinery: sharding, leases, heartbeats, submission
 // fingerprints, and index-ordered folding.
 func BenchmarkServiceSweep(b *testing.B) {
-	spec := fleet.Spec{
-		Seed: 7,
-		Grid: &fleet.Grid{
-			Apps:           [][]apps.ID{{apps.StepCounter}, {apps.M2X}, {apps.StepCounter, apps.M2X}, {apps.Blynk}},
-			Schemes:        []string{"baseline", "batching"},
-			Windows:        []int{1, 2},
-			QoS:            []float64{0.25, 0.5, 1, 2},
-			SkipAppCompute: true,
-		},
-	}
+	spec := sweepSpec()
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -196,7 +196,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		if len(list) != 1 {
 			return fmt.Errorf("-battery-mah projects single-app workloads only")
 		}
-		life, err := core.Lifetime(list[0].Spec(), hub.DefaultParams(), core.Battery{CapacityMAh: *battery, Volts: 5})
+		life, err := core.Lifetime(list[0].Spec(), hub.DefaultParams(), power.Battery{CapacityMAh: *battery, Volts: 5})
 		if err != nil {
 			return err
 		}

@@ -8,36 +8,9 @@ import (
 	"iothub/internal/power"
 )
 
-// Battery describes the energy source powering a deployed hub — the unit
-// deployment planning actually cares about (the paper's motivation: billions
-// of devices whose batteries someone has to change). It is a thin planning
-// wrapper over power.Battery, the live supply model the simulator draws down
-// at run time; the arithmetic lives there so the analytic projection and the
-// in-run physics can never disagree.
-type Battery struct {
-	// CapacityMAh is the rated capacity in milliamp-hours.
-	CapacityMAh float64
-	// Volts is the nominal pack voltage.
-	Volts float64
-	// DerateFraction discounts usable capacity for aging/temperature
-	// (0 = use a typical 0.85).
-	DerateFraction float64
-}
-
 // TypicalPowerBank returns a common 10 Ah, 5 V USB pack.
-func TypicalPowerBank() Battery {
-	return Battery{CapacityMAh: 10_000, Volts: 5}
-}
-
-// Supply converts the planning battery into the simulator's live supply
-// model (internal/power), ready to arm a hub.Scenario.
-func (b Battery) Supply() power.Battery {
-	return power.Battery{CapacityMAh: b.CapacityMAh, Volts: b.Volts, DerateFraction: b.DerateFraction}
-}
-
-// UsableJoules is the battery's deliverable energy.
-func (b Battery) UsableJoules() (float64, error) {
-	return b.Supply().UsableJoules()
+func TypicalPowerBank() power.Battery {
+	return power.Battery{CapacityMAh: 10_000, Volts: 5}
 }
 
 // LifetimeEstimate is the projected runtime per scheme for one workload.
@@ -49,8 +22,10 @@ type LifetimeEstimate struct {
 
 // Lifetime projects how long a battery powers the hub running one workload
 // under each scheme, using the analytic energy model (validated against the
-// simulator by the Estimate tests).
-func Lifetime(spec apps.Spec, params hub.Params, battery Battery) (LifetimeEstimate, error) {
+// simulator by the Estimate tests). The battery is the simulator's own
+// supply model, so the projection and the in-run ledger share one usable-
+// joules calculation.
+func Lifetime(spec apps.Spec, params hub.Params, battery power.Battery) (LifetimeEstimate, error) {
 	joules, err := battery.UsableJoules()
 	if err != nil {
 		return LifetimeEstimate{}, err

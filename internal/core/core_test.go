@@ -9,6 +9,7 @@ import (
 	"iothub/internal/apps"
 	"iothub/internal/apps/catalog"
 	"iothub/internal/hub"
+	"iothub/internal/power"
 )
 
 func defaultApps(t *testing.T, ids ...apps.ID) []apps.App {
@@ -214,26 +215,6 @@ func TestEstimateSavingsOrdering(t *testing.T) {
 	}
 }
 
-func TestBatteryUsableJoules(t *testing.T) {
-	b := TypicalPowerBank()
-	j, err := b.UsableJoules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 Ah × 5 V × 3600 s × 0.85 derate = 153 kJ.
-	if j < 150_000 || j > 156_000 {
-		t.Errorf("usable = %.0f J, want ~153 kJ", j)
-	}
-	bad := Battery{CapacityMAh: 0, Volts: 5}
-	if _, err := bad.UsableJoules(); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	bad = Battery{CapacityMAh: 100, Volts: 5, DerateFraction: 2}
-	if _, err := bad.UsableJoules(); err == nil {
-		t.Error("derate > 1 accepted")
-	}
-}
-
 func TestLifetimeOrdering(t *testing.T) {
 	spec := defaultApps(t, apps.StepCounter)[0].Spec()
 	life, err := Lifetime(spec, hub.DefaultParams(), TypicalPowerBank())
@@ -255,7 +236,7 @@ func TestLifetimeOrdering(t *testing.T) {
 
 func TestLifetimeBadBattery(t *testing.T) {
 	spec := defaultApps(t, apps.StepCounter)[0].Spec()
-	if _, err := Lifetime(spec, hub.DefaultParams(), Battery{}); err == nil {
+	if _, err := Lifetime(spec, hub.DefaultParams(), power.Battery{}); err == nil {
 		t.Error("zero battery accepted")
 	}
 }

@@ -132,7 +132,7 @@ type CPU struct {
 	params Params
 	state  State
 
-	// Work items live in a slot pool from Exec until they finish, so they
+	// Work items live in a slot pool from ExecCall until they finish, so they
 	// start and finish in place and the completion event carries only a slot
 	// index. The lanes queue slot indices; the compute lane runs items
 	// concurrently, so they can finish out of order.
@@ -274,16 +274,11 @@ func (c *CPU) ComputeTime(millionInstr float64) time.Duration {
 // BusyByRoutine returns cumulative execution (not stall) time per routine.
 func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration { return c.busy.Map() }
 
-// Exec queues d of work attributed to routine r; done (may be nil) runs when
-// the work completes. Interrupt and DataTransfer work serializes on the IO
-// lane; everything else parallelizes on the compute lane. If the processor
-// is sleeping, the wake transition is charged to r and delays the work.
-func (c *CPU) Exec(d time.Duration, r energy.Routine, done func()) error {
-	return c.ExecCall(d, r, sim.Call(done))
-}
-
-// ExecCall is Exec taking the completion as a pre-bound sim.Done — the
-// allocation-free form for hot paths that would otherwise close over state.
+// ExecCall queues d of work attributed to routine r; done (the zero Done for
+// none) is delivered when the work completes. Interrupt and DataTransfer work
+// serializes on the IO lane; everything else parallelizes on the compute
+// lane. If the processor is sleeping, the wake transition is charged to r and
+// delays the work.
 func (c *CPU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("cpu: negative work duration %v", d)

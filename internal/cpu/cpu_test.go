@@ -21,6 +21,25 @@ func newCPU(t *testing.T) (*CPU, *sim.Scheduler, *energy.Meter) {
 	return c, s, m
 }
 
+// thunk adapts a plain func to sim.Callback, so tests can hand closures to
+// the typed scheduling API.
+type thunk func()
+
+func (f thunk) OnEvent(sim.Arg) { f() }
+
+// exec queues work whose completion runs fn (nil for none).
+func exec(c *CPU, d time.Duration, r energy.Routine, fn func()) error {
+	if fn == nil {
+		return c.ExecCall(d, r, sim.Done{})
+	}
+	return c.ExecCall(d, r, sim.Done{CB: thunk(fn)})
+}
+
+// after schedules fn d from now.
+func after(s *sim.Scheduler, d time.Duration, fn func()) (sim.EventID, error) {
+	return s.AfterCall(d, thunk(fn), sim.Arg{})
+}
+
 func run(t *testing.T, s *sim.Scheduler) {
 	t.Helper()
 	if err := s.Run(); err != nil {
@@ -38,8 +57,8 @@ func TestNewRejectsZeroMIPS(t *testing.T) {
 func TestExecChargesActivePower(t *testing.T) {
 	c, s, m := newCPU(t)
 	done := false
-	if err := c.Exec(100*time.Millisecond, energy.AppCompute, func() { done = true }); err != nil {
-		t.Fatalf("Exec: %v", err)
+	if err := exec(c, 100*time.Millisecond, energy.AppCompute, func() { done = true }); err != nil {
+		t.Fatalf("ExecCall: %v", err)
 	}
 	run(t, s)
 	if !done {
@@ -61,12 +80,12 @@ func TestExecSerializesFIFO(t *testing.T) {
 	var at []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		err := c.Exec(10*time.Millisecond, energy.DataTransfer, func() {
+		err := exec(c, 10*time.Millisecond, energy.DataTransfer, func() {
 			order = append(order, i)
 			at = append(at, s.Now())
 		})
 		if err != nil {
-			t.Fatalf("Exec: %v", err)
+			t.Fatalf("ExecCall: %v", err)
 		}
 	}
 	run(t, s)
@@ -80,7 +99,7 @@ func TestExecSerializesFIFO(t *testing.T) {
 
 func TestExecRejectsNegativeDuration(t *testing.T) {
 	c, _, _ := newCPU(t)
-	if err := c.Exec(-1, energy.AppCompute, nil); err == nil {
+	if err := exec(c, -1, energy.AppCompute, nil); err == nil {
 		t.Error("negative duration accepted")
 	}
 }
@@ -123,8 +142,8 @@ func TestIdlePicksDeepSleepOnlyWhenAllowed(t *testing.T) {
 
 func TestIdleWhileBusyFails(t *testing.T) {
 	c, s, _ := newCPU(t)
-	if err := c.Exec(time.Millisecond, energy.AppCompute, nil); err != nil {
-		t.Fatalf("Exec: %v", err)
+	if err := exec(c, time.Millisecond, energy.AppCompute, nil); err != nil {
+		t.Fatalf("ExecCall: %v", err)
 	}
 	if err := c.Idle(time.Second, energy.Idle, false); !errors.Is(err, ErrBusy) {
 		t.Errorf("Idle while busy = %v, want ErrBusy", err)
@@ -138,9 +157,9 @@ func TestWakeFromSleepChargesTransition(t *testing.T) {
 		t.Fatalf("Idle: %v", err)
 	}
 	// Sleep for 100 ms of virtual time, then new work arrives.
-	if _, err := s.After(100*time.Millisecond, func() {
-		if err := c.Exec(10*time.Millisecond, energy.Interrupt, nil); err != nil {
-			t.Errorf("Exec: %v", err)
+	if _, err := after(s, 100*time.Millisecond, func() {
+		if err := exec(c, 10*time.Millisecond, energy.Interrupt, nil); err != nil {
+			t.Errorf("ExecCall: %v", err)
 		}
 	}); err != nil {
 		t.Fatalf("After: %v", err)
@@ -199,15 +218,15 @@ func TestComputeTime(t *testing.T) {
 
 func TestBusyByRoutine(t *testing.T) {
 	c, s, _ := newCPU(t)
-	if err := c.Exec(5*time.Millisecond, energy.Interrupt, nil); err != nil {
+	if err := exec(c, 5*time.Millisecond, energy.Interrupt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Exec(7*time.Millisecond, energy.DataTransfer, nil); err != nil {
+	if err := exec(c, 7*time.Millisecond, energy.DataTransfer, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A routine whose items all took zero time still has an entry: the
 	// golden CPUBusy JSON depends on it.
-	if err := c.Exec(0, energy.AppCompute, nil); err != nil {
+	if err := exec(c, 0, energy.AppCompute, nil); err != nil {
 		t.Fatal(err)
 	}
 	run(t, s)
@@ -241,7 +260,7 @@ func TestQueuesSizedToPeakBacklog(t *testing.T) {
 		outstanding++
 		l.peak = max(l.peak, l.live)
 		peakOutstanding = max(peakOutstanding, outstanding)
-		if err := c.Exec(time.Millisecond, l.r, func() {
+		if err := exec(c, time.Millisecond, l.r, func() {
 			l.live--
 			outstanding--
 			if l.pushed < total {
@@ -285,9 +304,9 @@ func nextPow2(n int) int {
 func TestDoneCallbackCanChainExec(t *testing.T) {
 	c, s, _ := newCPU(t)
 	var second sim.Time
-	err := c.Exec(time.Millisecond, energy.Interrupt, func() {
-		if err := c.Exec(time.Millisecond, energy.DataTransfer, func() { second = s.Now() }); err != nil {
-			t.Errorf("chained Exec: %v", err)
+	err := exec(c, time.Millisecond, energy.Interrupt, func() {
+		if err := exec(c, time.Millisecond, energy.DataTransfer, func() { second = s.Now() }); err != nil {
+			t.Errorf("chained ExecCall: %v", err)
 		}
 	})
 	if err != nil {

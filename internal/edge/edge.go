@@ -116,6 +116,12 @@ func (p Params) Objective(latency time.Duration, joules float64) float64 {
 	return p.Omega*(latency.Seconds()/p.TRefSec) + (1-p.Omega)*(joules/p.ERefJoules)
 }
 
+// The executor's typed events, scheduled by Submit.
+const (
+	opArrive = iota + 1 // an upload reached its container: one more job runs
+	opFinish            // I0 init time, I1 arrival instant, P0 app name when tracing
+)
+
 // Edge is the remote executor bound to one hub run's virtual clock and
 // energy meter. Containers run concurrently (the machine behind the slice is
 // big); the track integrates ActiveW per concurrently running job.
@@ -182,14 +188,14 @@ func (e *Edge) ColdStarts() int { return e.coldStarts }
 
 // Submit ships one window's computation to the app's container: RTT/2 up,
 // a cold-start init proportional to the footprint on first use, the
-// execution itself at CapacityMIPS, and RTT/2 back, after which done runs
-// (at the instant the result notification reaches the hub's network
-// interface). The payload's airtime is the caller's: the hub charges its
-// radio before submitting, so transmit energy lands on the radio track
-// exactly like any other burst. Like radio.Transmit, the whole trip is
-// scheduled up-front, so every scheduler error surfaces here; the event
-// callbacks only move the power level.
-func (e *Edge) Submit(app string, footprintBytes int, mi float64, done func()) error {
+// execution itself at CapacityMIPS, and RTT/2 back, after which done (the
+// zero Done for none) is delivered — at the instant the result notification
+// reaches the hub's network interface. The payload's airtime is the caller's:
+// the hub charges its radio before submitting, so transmit energy lands on
+// the radio track exactly like any other burst. Like radio.Transmit, the
+// whole trip is scheduled up-front, so every scheduler error surfaces here;
+// the executor's own events only move the power level.
+func (e *Edge) Submit(app string, footprintBytes int, mi float64, done sim.Done) error {
 	if mi < 0 {
 		return fmt.Errorf("edge: negative compute demand %v MI", mi)
 	}
@@ -208,42 +214,44 @@ func (e *Edge) Submit(app string, footprintBytes int, mi float64, done func()) e
 	}
 	busyStart := e.sched.Now().Add(e.params.RTT / 2)
 	busyEnd := busyStart.Add(init + e.params.ComputeTime(mi))
-	if _, err := e.sched.At(busyStart, e.begin); err != nil {
+	if _, err := e.sched.AtCall(busyStart, e, sim.Arg{Op: opArrive}); err != nil {
 		return fmt.Errorf("edge: schedule arrival: %w", err)
 	}
-	if _, err := e.sched.At(busyEnd, func() {
-		e.end()
-		if e.rec.Tracing() {
-			if init > 0 {
-				e.rec.Span("edge", "init "+app, busyStart, busyStart.Add(init))
-			}
-			e.rec.Span("edge", "compute "+app, busyStart.Add(init), busyEnd)
-		}
-	}); err != nil {
+	finish := sim.Arg{Op: opFinish, I0: int64(init), I1: int64(busyStart)}
+	if e.rec.Tracing() {
+		finish.P0 = app
+	}
+	if _, err := e.sched.AtCall(busyEnd, e, finish); err != nil {
 		return fmt.Errorf("edge: schedule completion: %w", err)
 	}
-	if done != nil {
-		if _, err := e.sched.At(busyEnd.Add(e.params.RTT/2), done); err != nil {
+	if done.CB != nil {
+		if _, err := e.sched.AtCall(busyEnd.Add(e.params.RTT/2), done.CB, done.Arg); err != nil {
 			return fmt.Errorf("edge: schedule result return: %w", err)
 		}
 	}
 	return nil
 }
 
-// begin / end maintain the concurrency-aware power level: the track draws
+// OnEvent maintains the concurrency-aware power level: the track draws
 // ActiveW per running job (attributed to AppCompute), falling back to IdleW
-// when the slice drains.
-func (e *Edge) begin() {
-	e.active++
-	e.track.Set(e.params.ActiveW*float64(e.active), energy.AppCompute)
-}
-
-func (e *Edge) end() {
-	e.active--
-	if e.active <= 0 {
+// when the slice drains. A finishing job also emits its trace spans.
+func (e *Edge) OnEvent(a sim.Arg) {
+	if a.Op == opArrive {
+		e.active++
+	} else {
+		e.active--
+	}
+	if e.active > 0 {
+		e.track.Set(e.params.ActiveW*float64(e.active), energy.AppCompute)
+	} else {
 		e.active = 0
 		e.track.Set(e.params.IdleW, energy.Idle)
-		return
 	}
-	e.track.Set(e.params.ActiveW*float64(e.active), energy.AppCompute)
+	if app, ok := a.P0.(string); ok {
+		init, arrived := time.Duration(a.I0), sim.Time(a.I1)
+		if init > 0 {
+			e.rec.Span("edge", "init "+app, arrived, arrived.Add(init))
+		}
+		e.rec.Span("edge", "compute "+app, arrived.Add(init), e.sched.Now())
+	}
 }

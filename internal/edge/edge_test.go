@@ -22,6 +22,15 @@ func testParams() Params {
 	}
 }
 
+// thunk adapts a plain func to sim.Callback, so tests can hand closures to
+// the typed completion API.
+type thunk func()
+
+func (f thunk) OnEvent(sim.Arg) { f() }
+
+// call binds fn as a completion.
+func call(fn func()) sim.Done { return sim.Done{CB: thunk(fn)} }
+
 func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatalf("DefaultParams invalid: %v", err)
@@ -71,7 +80,7 @@ func TestSubmitTiming(t *testing.T) {
 	}
 	var first, second sim.Time
 	// 1 MB footprint -> 1ms init; 100 MI -> 100ms compute; RTT 10ms.
-	if err := e.Submit("A", 1<<20, 100, func() { first = sched.Now() }); err != nil {
+	if err := e.Submit("A", 1<<20, 100, call(func() { first = sched.Now() })); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Run(); err != nil {
@@ -83,7 +92,7 @@ func TestSubmitTiming(t *testing.T) {
 	if !e.Warm("A") || e.Warm("B") {
 		t.Errorf("warm state: A=%v B=%v", e.Warm("A"), e.Warm("B"))
 	}
-	if err := e.Submit("A", 1<<20, 100, func() { second = sched.Now() }); err != nil {
+	if err := e.Submit("A", 1<<20, 100, call(func() { second = sched.Now() })); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Run(); err != nil {
@@ -108,10 +117,10 @@ func TestEnergyAttribution(t *testing.T) {
 	}
 	// Two zero-footprint jobs, 100 MI each, submitted together: they overlap
 	// exactly, so the track draws 2 jobs x 2 W for 100ms = 0.4 J.
-	if err := e.Submit("A", 0, 100, nil); err != nil {
+	if err := e.Submit("A", 0, 100, sim.Done{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("B", 0, 100, nil); err != nil {
+	if err := e.Submit("B", 0, 100, sim.Done{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Run(); err != nil {
@@ -133,10 +142,35 @@ func TestSubmitRejectsNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Submit("A", -1, 1, nil); err == nil {
+	if err := e.Submit("A", -1, 1, sim.Done{}); err == nil {
 		t.Error("negative footprint accepted")
 	}
-	if err := e.Submit("A", 1, -1, nil); err == nil {
+	if err := e.Submit("A", 1, -1, sim.Done{}); err == nil {
 		t.Error("negative MI accepted")
+	}
+}
+
+// TestSubmitSteadyStateZeroAlloc pins the typed job events: once the
+// scheduler arena is warm and the containers are warm, a submission with the
+// zero Done allocates nothing.
+func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
+	sched := sim.NewScheduler()
+	e, err := New(sched, energy.NewMeter(sched), "edge", testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := func() {
+		for _, app := range []string{"A", "B", "A"} {
+			if err := e.Submit(app, 1<<20, 10, sim.Done{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs()
+	if got := testing.AllocsPerRun(100, jobs); got != 0 {
+		t.Errorf("warmed Submit allocates %v per run, want 0", got)
 	}
 }

@@ -8,6 +8,17 @@ import (
 	"iothub/internal/sim"
 )
 
+// thunk adapts a plain func to sim.Callback, so tests can schedule closures
+// through the typed scheduling API.
+type thunk func()
+
+func (f thunk) OnEvent(sim.Arg) { f() }
+
+// after schedules fn d from now.
+func after(s *sim.Scheduler, d time.Duration, fn func()) (sim.EventID, error) {
+	return s.AfterCall(d, thunk(fn), sim.Arg{})
+}
+
 // exerciseMeter drives a small two-component workload and returns the
 // serialized totals, per-component map, components order, and cpu trace —
 // everything a RunResult derives from a meter.
@@ -16,16 +27,16 @@ func exerciseMeter(t *testing.T, s *sim.Scheduler, m *Meter) (string, map[string
 	cpu := m.Track("cpu")
 	cpu.EnableTrace()
 	link := m.Track("link")
-	if _, err := s.After(time.Millisecond, func() { cpu.Set(0.4, AppCompute) }); err != nil {
+	if _, err := after(s, time.Millisecond, func() { cpu.Set(0.4, AppCompute) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.After(2*time.Millisecond, func() {
+	if _, err := after(s, 2*time.Millisecond, func() {
 		cpu.Set(0.1, Idle)
 		link.Set(0.7, DataTransfer)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.After(5*time.Millisecond, func() { link.Set(0, Idle) }); err != nil {
+	if _, err := after(s, 5*time.Millisecond, func() { link.Set(0, Idle) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -91,7 +102,7 @@ func TestMeterResetPoolsTracks(t *testing.T) {
 	m := NewMeter(s)
 	a := m.Track("a")
 	m.Track("b").Set(1.0, AppCompute)
-	if _, err := s.After(time.Millisecond, func() {}); err != nil {
+	if _, err := after(s, time.Millisecond, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {

@@ -72,7 +72,7 @@ func (r *Request) Marshal() ([]byte, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if strings.ContainsAny(k, "\r\n:") || strings.ContainsAny(r.Headers[k], "\r\n") {
+		if strings.TrimSpace(k) == "" || strings.ContainsAny(k, "\r\n:") || strings.ContainsAny(r.Headers[k], "\r\n") {
 			return nil, fmt.Errorf("%w: header %q", ErrMalformed, k)
 		}
 		fmt.Fprintf(&b, "%s: %s\r\n", k, r.Headers[k])
@@ -241,10 +241,13 @@ func splitHead(raw []byte) (head string, body []byte, err error) {
 	return string(raw[:idx]), raw[idx+4:], nil
 }
 
+// splitHeader splits one header line at its first colon into a trimmed
+// name, which must not be blank, and a trimmed value.
 func splitHeader(line string) (key, value string, err error) {
-	idx := strings.Index(line, ":")
-	if idx <= 0 {
+	name, value, ok := strings.Cut(line, ":")
+	key = strings.TrimSpace(name)
+	if !ok || key == "" {
 		return "", "", fmt.Errorf("%w: header line %q", ErrMalformed, line)
 	}
-	return strings.TrimSpace(line[:idx]), strings.TrimSpace(line[idx+1:]), nil
+	return key, strings.TrimSpace(value), nil
 }

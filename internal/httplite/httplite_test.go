@@ -101,6 +101,8 @@ func TestMarshalValidation(t *testing.T) {
 		{Method: "GET", Path: "/", Host: ""},
 		{Method: "GET", Path: "/", Host: "h", Headers: map[string]string{"Bad\r\nHeader": "v"}},
 		{Method: "GET", Path: "/", Host: "h", Headers: map[string]string{"K": "v\r\nX: y"}},
+		{Method: "GET", Path: "/", Host: "h", Headers: map[string]string{"": "v"}},
+		{Method: "GET", Path: "/", Host: "h", Headers: map[string]string{" ": "v"}},
 	}
 	for i, r := range cases {
 		if _, err := r.Marshal(); !errors.Is(err, ErrMalformed) {
@@ -136,6 +138,7 @@ func TestParseErrors(t *testing.T) {
 		[]byte("GET / HTTP/1.1\r\n\r\n"), // missing host
 		[]byte("POST / HTTP/1.1\r\nHost: h\r\nContent-Length: 10\r\n\r\nshort"),
 		[]byte("POST / HTTP/1.1\r\nHost: h\r\nContent-Length: -1\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\r\nHost:0\r\n :\r\n\r\n"), // blank header name
 	}
 	for i, raw := range bad {
 		if _, err := ParseRequest(raw); err == nil {
@@ -146,6 +149,7 @@ func TestParseErrors(t *testing.T) {
 		[]byte("HTTP/1.1\r\n\r\n"),
 		[]byte("HTTP/1.1 999x OK\r\n\r\n"),
 		[]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab"),
+		[]byte("HTTP/1.1 200 OK\r\n\t: x\r\n\r\n"), // blank header name
 	}
 	for i, raw := range badResp {
 		if _, err := ParseResponse(raw); err == nil {

@@ -153,35 +153,11 @@ func (r *runner) renew(cfg Config, params Params, reuse bool) error {
 	r.gapHint = 0
 	r.allowDeep = false
 	r.edge = nil
-	r.meterOn = false
-	r.meterPeriod = 0
-	r.meterSampleT = 0
-	r.meterFlushT = 0
-	r.meterHookT = 0
-	r.meterTrack = nil
-	r.meterIdx = 0
-	r.meterPend = 0
-	r.meterAllocd = 0
-	r.meterGen = 0
-	r.powerOn = false
-	r.battCapJ = 0
-	r.battSoCJ = 0
-	r.battMinJ = 0
-	r.battHarvestJ = 0
-	r.battDemandJ = 0
-	r.battHarvestW = 0
-	r.battDegradeJ = 0
-	r.battRecoverJ = 0
-	r.battPrevSoC = 0
-	r.battPeriod = 0
-	r.battLastAt = 0
-	r.battBrownoutAt = 0
-	r.battDegraded = false
-	r.battBrownout = false
-	r.battTrack = nil
-	// battSteps / battTraceSrc / battTraceHzn survive: they cache the
-	// compiled harvest trace across runs (armPower revalidates the key).
-	r.battRedo = r.battRedo[:0]
+	r.insitu = meterState{}
+	// The compiled harvest trace and its key survive (armPower revalidates
+	// the key), and so does the redo list's storage.
+	r.supply = supplyState{steps: r.supply.steps, traceSrc: r.supply.traceSrc,
+		traceHzn: r.supply.traceHzn, redo: r.supply.redo[:0]}
 	r.runErr = nil
 
 	r.cfg = cfg

@@ -100,40 +100,46 @@ func TestArenaCloneSurvivesRecycling(t *testing.T) {
 // audio generator and recognizer, the trained model is shared), policy/mode
 // maps, the stream plan, collect()'s result maps, and on a chaos run the
 // fault arming (schedule parsing, the compiled engine and its per-target
-// trigger state, the timed fault events, the per-window fault records) — NOT
-// per-event or per-sample state: the event kernel, device stack, meter
-// tracks, bookkeeping maps, and the batch and redo lists a crash wipes and
-// re-reads are all revived in place. Measured on go1.24: 32 plain, 33
-// metered, 35 heavy, 75 chaos; the budget leaves headroom for toolchain
-// drift. Raising it means a hot path regressed; see `make bench-smoke` for
-// the CI gate on the full sweep.
+// trigger state, the timed fault list, the per-window fault records), and on
+// an edge run each upload's radio completion — NOT per-event or per-sample
+// state: the event kernel, device stack, meter tracks, bookkeeping maps, and
+// the batch and redo lists a crash wipes and re-reads are all revived in
+// place. Measured on go1.24: 32 plain, 33
+// metered, 35 heavy, 53 chaos, 69 edge; the budget leaves headroom for
+// toolchain drift. Raising it means a hot path regressed; see
+// TestFleetSweepAllocBudget for the gate on the full sweep.
 const arenaAllocBudget = 100
 
 // TestArenaSteadyStateAllocs pins the per-scenario allocation count of a
 // warmed arena.
 func TestArenaSteadyStateAllocs(t *testing.T) {
 	meter := obs.Insitu(500)
+	step := []apps.ID{apps.StepCounter}
 	for _, tc := range []struct {
 		name   string
-		app    apps.ID
+		apps   []apps.ID
+		scheme hub.Scheme
 		meter  *obs.MeterModel
 		faults string
 	}{
-		{"plain", apps.StepCounter, nil, ""},
+		{"plain", step, hub.Batching, nil, ""},
 		// The armed meter's sampling ticks, flush completions, and track all
 		// come from pooled storage: observing a run must not buy allocations.
-		{"metered", apps.StepCounter, &meter, ""},
+		{"metered", step, hub.Batching, &meter, ""},
 		// The crash at 700 ms wipes 700 batched samples: their re-reads are
 		// typed events and the batch and redo lists keep their storage.
-		{"chaos", apps.StepCounter, nil, goldenChaos},
+		{"chaos", step, hub.Batching, nil, goldenChaos},
 		// A11 shares one reference model: building the app must not render
 		// and encode its keyword templates again.
-		{"heavy", apps.SpeechToTxt, nil, ""},
+		{"heavy", []apps.ID{apps.SpeechToTxt}, hub.Batching, nil, ""},
+		// Radio bursts, edge jobs, the crash and its alive notification are
+		// typed events: only the upload's radio completion is a func.
+		{"edge", []apps.ID{apps.SpeechToTxt, apps.Earthquake}, hub.ECOM, nil, goldenChaos},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := hub.Scenario{
-				Apps:           []apps.ID{tc.app},
-				Scheme:         hub.Batching,
+				Apps:           tc.apps,
+				Scheme:         tc.scheme,
 				Windows:        1,
 				Seed:           7,
 				Faults:         tc.faults,

@@ -65,14 +65,13 @@ func (r *runner) armFaults() error {
 	// detects the dead board and walks the degradation ladder.
 	crashes := engine.TimedEvents(faults.MCUCrash, "mcu", r.horizon)
 	for _, ev := range crashes {
-		d := ev.Rule.Duration
-		if _, err := r.sched.At(ev.At, func() { r.onMCUCrash(d) }); err != nil {
+		if _, err := r.sched.AtCall(ev.At, r, sim.Arg{Op: opCrash, I0: int64(ev.Rule.Duration)}); err != nil {
 			return err
 		}
 	}
 	if len(crashes) > 0 && r.pol.WatchdogInterval > 0 {
 		for at := r.pol.WatchdogInterval; at <= r.horizon; at += r.pol.WatchdogInterval {
-			if _, err := r.sched.At(sim.Time(at), r.watchdogProbe); err != nil {
+			if _, err := r.sched.AtCall(sim.Time(at), r, sim.Arg{Op: opWatchdog}); err != nil {
 				return err
 			}
 		}
@@ -140,7 +139,7 @@ func (r *runner) onMCUCrash(d time.Duration) {
 	// The in-situ meter's sample buffer lives in the same RAM: the crash
 	// drops it in one burst and resets the instrument's duty-cycle phase.
 	r.meterOnCrash()
-	if err := r.mcu.Crash(d, r.afterReboot); err != nil {
+	if err := r.mcu.Crash(d, sim.Done{CB: r, Arg: sim.Arg{Op: opRebooted}}); err != nil {
 		r.fail(err)
 		return
 	}

@@ -71,13 +71,13 @@ func (r *runner) collectObs() {
 	r.obs.SetMax(obs.MCUBufferHighWater, uint64(r.mcu.RAMHighWater()))
 	r.obs.Store(obs.MCUCrashes, uint64(r.mcu.Crashes()))
 	r.obs.Add(obs.FaultActivations, r.engine.Activations())
-	if r.powerOn {
+	if r.supply.on {
 		r.obs.Store(obs.BatteryBrownouts, uint64(r.res.Brownouts))
 		r.obs.Store(obs.BatteryBrownoutTimeNs, uint64(r.res.BrownoutTime))
-		if r.battCapJ > 0 {
-			r.obs.Store(obs.BatterySoCPermille, uint64(r.battSoCJ/r.battCapJ*1000))
+		if r.supply.capJ > 0 {
+			r.obs.Store(obs.BatterySoCPermille, uint64(r.supply.socJ/r.supply.capJ*1000))
 		}
-		r.obs.Store(obs.BatteryHarvestedMicroJ, uint64(r.battHarvestJ*1e6))
+		r.obs.Store(obs.BatteryHarvestedMicroJ, uint64(r.supply.harvestJ*1e6))
 	}
 	r.obs.Span("hub", r.cfg.Scheme.String(), 0, r.sched.Now())
 }

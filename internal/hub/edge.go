@@ -3,13 +3,14 @@ package hub
 // edgeCompute dispatches a window's app-specific computation to the upload
 // tier: the batched window payload (already landed at the CPU) goes up the
 // main radio as one burst, the edge container runs the computation, and the
-// small completion callback re-enters finishWindow after the downlink leg.
+// result notification re-enters finishWindow after the downlink leg.
 // The hub's costs are the driver handoff and the airtime; the dominant
 // compute energy moves to the edge's own meter track ("edge").
 
 import (
 	"iothub/internal/energy"
 	"iothub/internal/obs"
+	"iothub/internal/sim"
 )
 
 func (r *runner) edgeCompute(st *appState, w int) {
@@ -20,38 +21,42 @@ func (r *runner) edgeCompute(st *appState, w int) {
 	r.obs.Inc(obs.EdgeUploads)
 	r.obs.Add(obs.EdgeUploadBytes, uint64(payload))
 
-	submit := func() {
-		if !r.edge.Warm(string(st.spec.ID)) {
-			r.res.EdgeColdStarts++
-		}
-		err := r.edge.Submit(string(st.spec.ID), st.spec.MemoryBytes(), st.edgeMI, func() {
-			// Result notification: a small host-side driver slice to field
-			// the edge's completion message, then the window closes.
-			err := r.cpu.Exec(r.params.Edge.ResultCPU, energy.DataTransfer, func() {
-				r.finishWindow(st, w)
-				r.governCPU()
-			})
-			if err != nil {
-				r.fail(err)
-			}
-		})
-		if err != nil {
-			r.fail(err)
-		}
-	}
-
 	// The host hands the burst to its radio for the driver cost; zero-byte
 	// windows (every sample dropped) skip the airtime but still compute.
-	err := r.cpu.Exec(r.params.UplinkDriverCPU, energy.DataTransfer, func() { r.governCPU() })
+	err := r.cpu.ExecCall(r.params.UplinkDriverCPU, energy.DataTransfer, sim.Done{CB: r, Arg: sim.Arg{Op: opGovern}})
 	if err != nil {
 		r.fail(err)
 		return
 	}
 	if payload == 0 {
-		submit()
+		r.edgeSubmit(st, w)
 		return
 	}
-	if err := r.mainRadio.Transmit(payload, energy.DataTransfer, func() { submit() }); err != nil {
+	// radio.Transmit takes its completion as a func: one per upload.
+	if err := r.mainRadio.Transmit(payload, energy.DataTransfer, func() { r.edgeSubmit(st, w) }); err != nil {
+		r.fail(err)
+	}
+}
+
+// edgeSubmit ships the uploaded window to the app's container; the result
+// notification comes back as opEdgeResult.
+func (r *runner) edgeSubmit(st *appState, w int) {
+	if !r.edge.Warm(string(st.spec.ID)) {
+		r.res.EdgeColdStarts++
+	}
+	err := r.edge.Submit(string(st.spec.ID), st.spec.MemoryBytes(), st.edgeMI,
+		sim.Done{CB: r, Arg: sim.Arg{Op: opEdgeResult, P0: st, I0: int64(w)}})
+	if err != nil {
+		r.fail(err)
+	}
+}
+
+// edgeResult fields the edge's result notification: a small host-side
+// driver slice, after which the window closes like a CPU computation.
+func (r *runner) edgeResult(st *appState, w int) {
+	err := r.cpu.ExecCall(r.params.Edge.ResultCPU, energy.DataTransfer,
+		sim.Done{CB: r, Arg: sim.Arg{Op: opComputeDone, P0: st, I0: int64(w)}})
+	if err != nil {
 		r.fail(err)
 	}
 }

@@ -1,18 +1,18 @@
 package hub
 
-// Typed event dispatch for the conductor's hot paths. Every per-sample step
-// of a run — read scheduling, bus/format completion, the interrupt+transfer
-// chain, compute completion — used to close over its context, allocating a
-// fresh closure per event. The runner now implements sim.Callback once: the
-// op discriminates the step and the context rides in the sim.Arg (stream or
-// appState pointer in P0, indices packed into I0/I1), so a steady-state run
-// schedules thousands of events without a single allocation. The re-reads a
-// crash or a recharge issues are typed too (opRedoRead): there is one per
-// wiped batch sample, hundreds per crash. Cold paths that fire a handful of
-// times per run (fault arming, the reboot's alive callback, edge submission)
-// keep their closures.
+// Typed event dispatch for the conductor. The runner implements sim.Callback
+// once: the op discriminates the step and the context rides in the sim.Arg
+// (stream or appState pointer in P0, indices packed into I0/I1), so a
+// steady-state run schedules thousands of events without a single
+// allocation. Every event and device completion the runner hands out is one
+// of these ops — the per-sample chain, the re-reads after a crash or a
+// recharge, fault arming, the MCU's alive notifications and the edge glue.
+// The one func left is the radio completion that submits an upload to the
+// edge, because radio.Transmit takes its completion as a func.
 
 import (
+	"time"
+
 	"iothub/internal/energy"
 	"iothub/internal/obs"
 	"iothub/internal/scheme"
@@ -36,6 +36,11 @@ const (
 	opPowerTick                // supply ledger settlement instant (power.go)
 	opPowerStep                // I0 step index: harvest trace level change
 	opRedoRead                 // P0 *stream, I0 sample index: re-read after a reboot or recharge
+	opCrash                    // I0 reboot duration: an injected MCU crash fires (chaos.go)
+	opWatchdog                 // watchdog liveness probe (chaos.go)
+	opRebooted                 // the MCU is alive after a crash's reboot
+	opRecharged                // the MCU is alive after a brownout's restore
+	opEdgeResult               // P0 *appState, I0 window: the edge result reached the hub
 )
 
 // OnEvent dispatches the runner's typed events (see the ops above).
@@ -101,6 +106,16 @@ func (r *runner) OnEvent(a sim.Arg) {
 		r.powerStep(int(a.I0))
 	case opRedoRead:
 		r.startRead(a.P0.(*stream), int(a.I0))
+	case opCrash:
+		r.onMCUCrash(time.Duration(a.I0))
+	case opWatchdog:
+		r.watchdogProbe()
+	case opRebooted:
+		r.afterReboot()
+	case opRecharged:
+		r.afterRecharge()
+	case opEdgeResult:
+		r.edgeResult(a.P0.(*appState), int(a.I0))
 	}
 }
 

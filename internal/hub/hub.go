@@ -107,13 +107,17 @@ type Config struct {
 	// watchdog, degradation ladder, buffers). Nil means DefaultResilience
 	// when FaultSchedule is active, and no resilience machinery otherwise.
 	Resilience *ResiliencePolicy
-	// Meter optionally overrides Params.Meter with an in-situ measurement
-	// instrument (DESIGN.md §13); nil leaves the params' meter (default: the
-	// free external one) in effect.
+	// Meter is the in-situ measurement instrument (DESIGN.md §13). Unlike
+	// Params.Obs it is a physical model, not a software probe: when armed,
+	// its sampling runs as scheduled DES events on the MCU and costs real
+	// energy. Nil, or any disarmed model such as the free external bench
+	// meter, leaves runs byte-identical to unobserved ones, counters
+	// included.
 	Meter *obs.MeterModel
-	// Power optionally overrides Params.Power with a battery + harvest
-	// supply (DESIGN.md §14); nil leaves the params' supply (default: mains
-	// power, the golden-corpus asymptote) in effect.
+	// Power is the supply side of the ledger (DESIGN.md §14): a finite
+	// battery plus a deterministic harvest trace, settled as scheduled DES
+	// events against the meter's demand. Nil, or a supply without a battery,
+	// is mains power — the golden-corpus asymptote.
 	Power *power.Supply
 }
 
@@ -431,14 +435,16 @@ func (c *Config) validate() (Params, error) {
 	if c.Params != nil {
 		params = *c.Params
 	}
-	if c.Meter != nil {
-		params.Meter = *c.Meter
-	}
-	if c.Power != nil {
-		params.Power = *c.Power
-	}
 	if err := params.Validate(); err != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	if c.Meter != nil {
+		if err := c.Meter.Validate(); err != nil {
+			return Params{}, fmt.Errorf("%w: hub: meter: %v", ErrConfig, err)
+		}
+	}
+	if err := c.Power.Validate(); err != nil {
+		return Params{}, fmt.Errorf("%w: hub: power: %v", ErrConfig, err)
 	}
 	if err := c.FaultSchedule.Validate(); err != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrConfig, err)

@@ -31,26 +31,40 @@ import (
 	"iothub/internal/sim"
 )
 
+// meterState is the in-situ meter's runtime; its zero value is disarmed.
+type meterState struct {
+	model   *obs.MeterModel // the armed Config.Meter; nil when disarmed
+	period  time.Duration
+	sampleT time.Duration // MCU busy time per timed sample
+	flushT  time.Duration // MCU busy time per flush
+	hookT   time.Duration // MCU busy time per event-attribution hook
+	track   *energy.Track
+	idx     int64 // tick index since arm or reboot (duty-cycle phase)
+	pend    int   // samples buffered since the last flush
+	allocd  int   // MCU RAM the meter currently holds
+	gen     int64 // bumped on crash: outstanding flush completions go stale
+}
+
 // armMeter schedules the instrument's first sampling tick. Called after
 // armFaults (it needs the run horizon) and before the sensor reads are
 // scheduled, so the meter's tick stream occupies a fixed position in the
 // event order, fresh arena or reused.
 func (r *runner) armMeter() error {
-	m := r.params.Meter
-	r.meterOn = m.Armed()
-	if !r.meterOn {
+	m := r.cfg.Meter
+	if m == nil || !m.Armed() {
 		return nil
 	}
-	r.meterPeriod = m.Period()
-	r.meterSampleT = m.PerSampleTime()
-	r.meterFlushT = m.FlushTime()
-	r.meterHookT = m.HookTime()
+	r.insitu.model = m
+	r.insitu.period = m.Period()
+	r.insitu.sampleT = m.PerSampleTime()
+	r.insitu.flushT = m.FlushTime()
+	r.insitu.hookT = m.HookTime()
 	// The track registers here — after the device stack, before the streams'
 	// lazy revivals complete a run — at the same pipeline point every run, so
 	// a reused arena revives it in the identical component order.
-	r.meterTrack = r.meter.Track("meter")
+	r.insitu.track = r.meter.Track("meter")
 	// The first reading lands one conversion interval after boot.
-	_, err := r.sched.AtCall(sim.Time(r.meterPeriod), r, sim.Arg{Op: opMeterTick})
+	_, err := r.sched.AtCall(sim.Time(r.insitu.period), r, sim.Arg{Op: opMeterTick})
 	return err
 }
 
@@ -59,14 +73,13 @@ func (r *runner) armMeter() error {
 // any time and it comes from the scheduler's event arena, so steady-state
 // sampling allocates nothing.
 func (r *runner) meterTick() {
-	if next := r.sched.Now().Add(r.meterPeriod); next <= sim.Time(r.horizon) {
+	if next := r.sched.Now().Add(r.insitu.period); next <= sim.Time(r.horizon) {
 		if _, err := r.sched.AtCall(next, r, sim.Arg{Op: opMeterTick}); err != nil {
 			r.fail(err)
 			return
 		}
 	}
-	m := &r.params.Meter
-	r.meterSample(r.meterSampleT, m.PerSampleCycles)
+	r.meterSample(r.insitu.sampleT, r.insitu.model.PerSampleCycles)
 }
 
 // meterOnInterrupt is the event-attribution hook (events.go calls it at the
@@ -76,14 +89,9 @@ func (r *runner) meterTick() {
 // with the observed scheme's event rate, so per-sample execution pays it
 // per reading while batched execution pays it per flush.
 func (r *runner) meterOnInterrupt() {
-	if !r.meterOn {
-		return
+	if m := r.insitu.model; m != nil && m.HookCycles > 0 {
+		r.meterSample(r.insitu.hookT, m.HookCycles)
 	}
-	m := &r.params.Meter
-	if m.HookCycles <= 0 {
-		return
-	}
-	r.meterSample(r.meterHookT, m.HookCycles)
 }
 
 // meterSample takes one reading — timed or event-triggered — at the given
@@ -91,9 +99,9 @@ func (r *runner) meterOnInterrupt() {
 // RAM is exhausted, otherwise record it, deposit the conversion energy, run
 // the driver work on the MCU core, and flush when the buffer fills.
 func (r *runner) meterSample(execT time.Duration, cycles int64) {
-	m := &r.params.Meter
-	idx := r.meterIdx
-	r.meterIdx++
+	m := r.insitu.model
+	idx := r.insitu.idx
+	r.insitu.idx++
 	if cl := int64(m.DutyOn + m.DutyOff); cl > 0 && idx%cl >= int64(m.DutyOn) {
 		return // duty-cycle off phase: the instrument is powered down
 	}
@@ -111,12 +119,12 @@ func (r *runner) meterSample(execT time.Duration, cycles int64) {
 			r.obs.Inc(obs.MeterDroppedSamples)
 			return
 		}
-		r.meterAllocd += m.PerSampleRAM
+		r.insitu.allocd += m.PerSampleRAM
 	}
 	r.res.MeterSamples++
 	r.obs.Inc(obs.MeterSamples)
 	if m.SenseJ > 0 {
-		r.meterTrack.Deposit(m.SenseJ, energy.DataCollection)
+		r.insitu.track.Deposit(m.SenseJ, energy.DataCollection)
 	}
 	if cycles > 0 {
 		r.res.MeterCycles += cycles
@@ -131,8 +139,8 @@ func (r *runner) meterSample(execT time.Duration, cycles int64) {
 		r.obs.Span("meter", "sample", now, now.Add(execT))
 	}
 	if m.FlushEvery > 0 {
-		r.meterPend++
-		if r.meterPend >= m.FlushEvery {
+		r.insitu.pend++
+		if r.insitu.pend >= m.FlushEvery {
 			r.meterFlush()
 		}
 	}
@@ -143,24 +151,24 @@ func (r *runner) meterSample(execT time.Duration, cycles int64) {
 // generation: a reboot between dispatch and completion wipes the buffer, and
 // the stale completion must not count (or free) what no longer exists.
 func (r *runner) meterFlush() {
-	n := r.meterPend
-	r.meterPend = 0
+	n := r.insitu.pend
+	r.insitu.pend = 0
 	start := r.sched.Now()
-	if r.meterFlushT > 0 {
-		m := &r.params.Meter
+	if r.insitu.flushT > 0 {
+		m := r.insitu.model
 		r.res.MeterCycles += m.FlushCycles
 		r.obs.Add(obs.MeterCPUCycles, uint64(m.FlushCycles))
-		err := r.mcu.ExecCall(r.meterFlushT, energy.DataCollection,
-			sim.Done{CB: r, Arg: sim.Arg{Op: opMeterFlushed, I0: int64(n), I1: r.meterGen}})
+		err := r.mcu.ExecCall(r.insitu.flushT, energy.DataCollection,
+			sim.Done{CB: r, Arg: sim.Arg{Op: opMeterFlushed, I0: int64(n), I1: r.insitu.gen}})
 		if err != nil {
 			r.fail(err)
 			return
 		}
 	} else {
-		r.meterFlushed(n, r.meterGen)
+		r.meterFlushed(n, r.insitu.gen)
 	}
 	if r.obs.Tracing() {
-		r.obs.Span("meter", "flush", start, start.Add(r.meterFlushT))
+		r.obs.Span("meter", "flush", start, start.Add(r.insitu.flushT))
 	}
 }
 
@@ -170,10 +178,10 @@ func (r *runner) meterFlush() {
 // counted as a dropped burst and its RAM evaporated with the reboot, so the
 // stale completion is a no-op.
 func (r *runner) meterFlushed(n int, gen int64) {
-	if gen != r.meterGen {
+	if gen != r.insitu.gen {
 		return
 	}
-	m := &r.params.Meter
+	m := r.insitu.model
 	r.res.MeterFlushes++
 	r.obs.Inc(obs.MeterFlushes)
 	if bytes := n * m.FlushBytes; bytes > 0 {
@@ -181,10 +189,10 @@ func (r *runner) meterFlushed(n int, gen int64) {
 		r.obs.Add(obs.MeterBytes, uint64(bytes))
 	}
 	if free := n * m.PerSampleRAM; free > 0 {
-		if free > r.meterAllocd {
-			free = r.meterAllocd
+		if free > r.insitu.allocd {
+			free = r.insitu.allocd
 		}
-		r.meterAllocd -= free
+		r.insitu.allocd -= free
 		if free > 0 {
 			if err := r.mcu.Free(free); err != nil {
 				r.fail(err)
@@ -199,15 +207,15 @@ func (r *runner) meterFlushed(n int, gen int64) {
 // against the wiped accounting), the duty cycle restarts in phase with the
 // rebooted firmware, and outstanding flush completions go stale.
 func (r *runner) meterOnCrash() {
-	if !r.meterOn {
+	if r.insitu.model == nil {
 		return
 	}
-	if r.meterPend > 0 {
-		r.res.MeterDroppedSamples += r.meterPend
-		r.obs.Add(obs.MeterDroppedSamples, uint64(r.meterPend))
-		r.meterPend = 0
+	if r.insitu.pend > 0 {
+		r.res.MeterDroppedSamples += r.insitu.pend
+		r.obs.Add(obs.MeterDroppedSamples, uint64(r.insitu.pend))
+		r.insitu.pend = 0
 	}
-	r.meterAllocd = 0
-	r.meterIdx = 0
-	r.meterGen++
+	r.insitu.allocd = 0
+	r.insitu.idx = 0
+	r.insitu.gen++
 }

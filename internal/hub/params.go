@@ -9,7 +9,6 @@ import (
 	"iothub/internal/link"
 	"iothub/internal/mcu"
 	"iothub/internal/obs"
-	"iothub/internal/power"
 	"iothub/internal/radio"
 )
 
@@ -50,17 +49,6 @@ type Params struct {
 	// instrumentation point; the recorder only observes, never schedules, so
 	// simulation output is identical either way.
 	Obs *obs.Recorder `json:"-"`
-	// Meter is the in-situ measurement instrument (DESIGN.md §13). Unlike
-	// Obs it is a physical model, not a software probe: when armed, its
-	// sampling runs as scheduled DES events on the MCU and costs real energy.
-	// The zero value is the free external bench meter — runs under it are
-	// byte-identical to unobserved runs, counters included.
-	Meter obs.MeterModel
-	// Power is the supply side of the ledger (DESIGN.md §14): a finite
-	// battery plus a deterministic harvest trace, settled as scheduled DES
-	// events against the meter's demand. The zero value is mains power —
-	// runs under it are byte-identical to every pre-power result.
-	Power power.Supply
 }
 
 // DefaultParams returns the Raspberry Pi 3B + ESP8266 calibration.
@@ -101,12 +89,6 @@ func (p Params) Validate() error {
 	}
 	if err := p.Edge.Validate(); err != nil {
 		return fmt.Errorf("hub: edge: %w", err)
-	}
-	if err := p.Meter.Validate(); err != nil {
-		return fmt.Errorf("hub: meter: %w", err)
-	}
-	if err := p.Power.Validate(); err != nil {
-		return fmt.Errorf("hub: power: %w", err)
 	}
 	return nil
 }

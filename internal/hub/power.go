@@ -43,64 +43,88 @@ type battRedo struct {
 	k  int
 }
 
+// supplyState is the supply ledger's runtime; its zero value is mains power.
+type supplyState struct {
+	on         bool    // Config.Power has a battery
+	capJ       float64 // usable capacity in joules
+	socJ       float64 // current state of charge
+	minJ       float64 // low-water mark over the run
+	harvestJ   float64 // harvest energy actually credited (cap-clipped)
+	demandJ    float64 // meter-wide joules at the last settle
+	harvestW   float64 // harvest income level currently in force
+	degradeJ   float64 // SoC that takes one ladder step (0 disables)
+	recoverJ   float64 // SoC that reboots a browned-out board
+	prevSoC    float64 // SoC at the previous tick (terminal detection)
+	period     time.Duration
+	lastAt     sim.Time // instant of the last settle
+	brownoutAt sim.Time // start of the open brownout interval
+	degraded   bool     // the SoC ladder step fires once per run
+	brownout   bool
+	track      *energy.Track
+	steps      []power.Step // compiled harvest trace (cached across runs)
+	traceSrc   string       // cache key: the Harvest spec steps compiled from
+	traceHzn   time.Duration
+	redo       []battRedo // batch refs a brownout wiped, redone at restore
+}
+
 // armPower brings up the supply ledger. Called after armMeter (the "battery"
 // track must register at a fixed pipeline point, fresh arena or reused) and
 // after armFaults (it reads the run horizon and the resilience policy's SoC
 // thresholds).
 func (r *runner) armPower() error {
-	s := &r.params.Power
-	r.powerOn = s.Armed()
-	if !r.powerOn {
+	s := r.cfg.Power
+	if !s.Armed() {
 		return nil
 	}
+	r.supply.on = true
 	capJ, err := s.Battery.UsableJoules()
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	r.battCapJ = capJ
+	r.supply.capJ = capJ
 	soc := capJ
 	if s.Battery.InitialSoC > 0 {
 		soc = capJ * s.Battery.InitialSoC
 	}
-	r.battSoCJ = soc
-	r.battMinJ = soc
-	r.battPrevSoC = soc
+	r.supply.socJ = soc
+	r.supply.minJ = soc
+	r.supply.prevSoC = soc
 	// A battery-armed, fault-free run still needs SoC thresholds; the
 	// power-only default policy keeps every fault-side knob inert.
 	if r.pol == nil {
 		r.pol = defaultPowerResilience()
 	}
-	r.battDegradeJ = r.pol.SoCDegradeFrac * capJ
-	r.battRecoverJ = r.pol.SoCRecoverFrac * capJ
-	r.battPeriod = s.LedgerPeriod()
-	r.battTrack = r.meter.Track("battery")
+	r.supply.degradeJ = r.pol.SoCDegradeFrac * capJ
+	r.supply.recoverJ = r.pol.SoCRecoverFrac * capJ
+	r.supply.period = s.LedgerPeriod()
+	r.supply.track = r.meter.Track("battery")
 	if s.Battery.LeakageW > 0 {
-		r.battTrack.Set(s.Battery.LeakageW, energy.Idle)
+		r.supply.track.Set(s.Battery.LeakageW, energy.Idle)
 	}
 	// Compile the harvest trace, cached across arena reuses keyed on the
 	// spec text and horizon so steady-state sweeps never re-parse.
-	if s.Harvest != r.battTraceSrc || r.horizon != r.battTraceHzn {
-		r.battSteps = r.battSteps[:0]
+	if s.Harvest != r.supply.traceSrc || r.horizon != r.supply.traceHzn {
+		r.supply.steps = r.supply.steps[:0]
 		if s.Harvest != "" {
 			tr, err := power.ParseTrace(s.Harvest)
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrConfig, err)
 			}
-			r.battSteps = tr.AppendSteps(r.battSteps, r.horizon)
+			r.supply.steps = tr.AppendSteps(r.supply.steps, r.horizon)
 		}
-		r.battTraceSrc = s.Harvest
-		r.battTraceHzn = r.horizon
+		r.supply.traceSrc = s.Harvest
+		r.supply.traceHzn = r.horizon
 	}
-	for i, stp := range r.battSteps {
+	for i, stp := range r.supply.steps {
 		if stp.At == 0 {
-			r.battHarvestW = stp.Watts
+			r.supply.harvestW = stp.Watts
 			continue
 		}
 		if _, err := r.sched.AtCall(sim.Time(stp.At), r, sim.Arg{Op: opPowerStep, I0: int64(i)}); err != nil {
 			return err
 		}
 	}
-	_, err = r.sched.AtCall(sim.Time(r.battPeriod), r, sim.Arg{Op: opPowerTick})
+	_, err = r.sched.AtCall(sim.Time(r.supply.period), r, sim.Arg{Op: opPowerTick})
 	return err
 }
 
@@ -110,29 +134,29 @@ func (r *runner) armPower() error {
 // zero (the deficit inside one settlement interval is the discretization the
 // ledger rate bounds).
 func (r *runner) powerSettle(now sim.Time) {
-	dt := (now - r.battLastAt).Duration().Seconds()
-	r.battLastAt = now
+	dt := (now - r.supply.lastAt).Duration().Seconds()
+	r.supply.lastAt = now
 	demand := r.meter.TotalJoules()
-	drawn := demand - r.battDemandJ
-	r.battDemandJ = demand
-	soc := r.battSoCJ - drawn
-	if income := r.battHarvestW * dt; income > 0 {
+	drawn := demand - r.supply.demandJ
+	r.supply.demandJ = demand
+	soc := r.supply.socJ - drawn
+	if income := r.supply.harvestW * dt; income > 0 {
 		credited := income
-		if soc+credited > r.battCapJ {
-			credited = r.battCapJ - soc
+		if soc+credited > r.supply.capJ {
+			credited = r.supply.capJ - soc
 			if credited < 0 {
 				credited = 0
 			}
 		}
-		r.battHarvestJ += credited
+		r.supply.harvestJ += credited
 		soc += credited
 	}
 	if soc < 0 {
 		soc = 0
 	}
-	r.battSoCJ = soc
-	if soc < r.battMinJ {
-		r.battMinJ = soc
+	r.supply.socJ = soc
+	if soc < r.supply.minJ {
+		r.supply.minJ = soc
 	}
 }
 
@@ -141,17 +165,17 @@ func (r *runner) powerSettle(now sim.Time) {
 // zero, and — while browned out — the reboot once the harvest lifts the
 // charge past the recovery threshold.
 func (r *runner) powerCheck(now sim.Time) {
-	if !r.battBrownout {
-		if !r.battDegraded && r.battDegradeJ > 0 && r.battSoCJ <= r.battDegradeJ {
-			r.battDegraded = true
+	if !r.supply.brownout {
+		if !r.supply.degraded && r.supply.degradeJ > 0 && r.supply.socJ <= r.supply.degradeJ {
+			r.supply.degraded = true
 			r.degradeAll("soc low")
 		}
-		if r.battSoCJ <= 0 {
+		if r.supply.socJ <= 0 {
 			r.onBrownout(now)
 		}
 		return
 	}
-	if r.battSoCJ > r.battRecoverJ {
+	if r.supply.socJ > r.supply.recoverJ {
 		r.onRecharge(now)
 	}
 }
@@ -165,14 +189,14 @@ func (r *runner) powerTick() {
 	now := r.sched.Now()
 	r.powerSettle(now)
 	r.powerCheck(now)
-	next := now.Add(r.battPeriod)
-	if next <= sim.Time(r.horizon) || (r.battBrownout && r.battSoCJ > r.battPrevSoC) {
+	next := now.Add(r.supply.period)
+	if next <= sim.Time(r.horizon) || (r.supply.brownout && r.supply.socJ > r.supply.prevSoC) {
 		if _, err := r.sched.AtCall(next, r, sim.Arg{Op: opPowerTick}); err != nil {
 			r.fail(err)
 			return
 		}
 	}
-	r.battPrevSoC = r.battSoCJ
+	r.supply.prevSoC = r.supply.socJ
 }
 
 // powerStep switches the harvest income to the trace's next level, settling
@@ -181,7 +205,7 @@ func (r *runner) powerTick() {
 func (r *runner) powerStep(i int) {
 	now := r.sched.Now()
 	r.powerSettle(now)
-	r.battHarvestW = r.battSteps[i].Watts
+	r.supply.harvestW = r.supply.steps[i].Watts
 	r.powerCheck(now)
 }
 
@@ -191,8 +215,8 @@ func (r *runner) powerStep(i int) {
 // never come. The in-situ meter's buffer lives in the same RAM and drops in
 // one burst, exactly as under a crash.
 func (r *runner) onBrownout(now sim.Time) {
-	r.battBrownout = true
-	r.battBrownoutAt = now
+	r.supply.brownout = true
+	r.supply.brownoutAt = now
 	r.res.Brownouts++
 	if r.res.Brownouts == 1 {
 		r.res.BatterySurvival = now.Duration()
@@ -203,7 +227,7 @@ func (r *runner) onBrownout(now sim.Time) {
 	}
 	for _, st := range r.states {
 		for _, ref := range st.batchRefs {
-			r.battRedo = append(r.battRedo, battRedo{st: st, s: ref.s, k: ref.k})
+			r.supply.redo = append(r.supply.redo, battRedo{st: st, s: ref.s, k: ref.k})
 		}
 		st.batchRefs = st.batchRefs[:0]
 		st.batchFill = 0
@@ -216,17 +240,18 @@ func (r *runner) onBrownout(now sim.Time) {
 }
 
 // onRecharge ends the brownout interval and reboots the board through the
-// same seam a crash uses — an alive callback absorbed from an overlapping
-// injected crash runs first, so the board reboots exactly once. The reboot
+// same seam a crash uses — an alive notification absorbed from an
+// overlapping injected crash is delivered first, so the board reboots exactly
+// once. The reboot
 // itself draws RebootW: if the harvest cannot carry that, the ledger gates
 // the board again mid-reboot and the cycle repeats at the next recharge.
 func (r *runner) onRecharge(now sim.Time) {
-	r.battBrownout = false
-	r.res.BrownoutTime += (now - r.battBrownoutAt).Duration()
+	r.supply.brownout = false
+	r.res.BrownoutTime += (now - r.supply.brownoutAt).Duration()
 	if r.obs.Enabled() {
-		r.obs.Note("recharge", fmt.Sprintf("SoC back above %.3g J after %v", r.battRecoverJ, (now-r.battBrownoutAt).Duration()))
+		r.obs.Note("recharge", fmt.Sprintf("SoC back above %.3g J after %v", r.supply.recoverJ, (now-r.supply.brownoutAt).Duration()))
 	}
-	if err := r.mcu.PowerRestore(r.afterRecharge); err != nil {
+	if err := r.mcu.PowerRestore(sim.Done{CB: r, Arg: sim.Arg{Op: opRecharged}}); err != nil {
 		r.fail(err)
 	}
 }
@@ -235,23 +260,23 @@ func (r *runner) onRecharge(now sim.Time) {
 // the deferred re-collection accounting apply — the outage's lost samples
 // rewind their windows' progress and count as re-collected, mirroring the
 // crash path — because only now is the redo actually going to happen: a
-// brownout that re-opens mid-reboot holds this callback with the gate, so
-// nothing is ever rewound twice. The offload footprint is re-reserved (the
-// binary reloads from flash) unless an absorbed crash's own alive callback
-// already did, and in-flight offloaded windows re-enter the planner's
+// brownout that re-opens mid-reboot holds this notification with the gate,
+// so nothing is ever rewound twice. The offload footprint is re-reserved (the
+// binary reloads from flash) unless an absorbed crash's own alive
+// notification already did, and in-flight offloaded windows re-enter the planner's
 // time-budget check.
 func (r *runner) afterRecharge() {
 	now := r.sched.Now()
-	if n := len(r.battRedo); n > 0 {
-		for _, ref := range r.battRedo {
+	if n := len(r.supply.redo); n > 0 {
+		for _, ref := range r.supply.redo {
 			ref.st.readsDone[ref.k/ref.s.perWindow]--
 		}
 		r.res.RecollectedSamples += n
 		r.windowFault(r.windowAt(now)).Recollected += n
 	}
-	// RAMUsed < offloadNeed means the footprint is not resident: the chained
-	// crash callback (if any) ran a moment ago in this same instant, so no
-	// other allocation can have landed in between.
+	// RAMUsed < offloadNeed means the footprint is not resident: the held
+	// crash notification (if any) ran a moment ago in this same instant, so
+	// no other allocation can have landed in between.
 	if r.offloadNeed > 0 && r.mcu.RAMUsed() < r.offloadNeed && r.anyOffloadedAhead() {
 		if err := r.mcu.Alloc(r.offloadNeed); err != nil {
 			r.fail(err)
@@ -265,14 +290,14 @@ func (r *runner) afterRecharge() {
 			}
 		}
 	}
-	for i, ref := range r.battRedo {
+	for i, ref := range r.supply.redo {
 		delay := time.Duration(i) * ref.s.spec.ReadTime
 		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, P0: ref.s, I0: int64(ref.k)}); err != nil {
 			r.fail(err)
 			return
 		}
 	}
-	r.battRedo = r.battRedo[:0]
+	r.supply.redo = r.supply.redo[:0]
 }
 
 // collectPower finalizes the ledger into the result: one last settle at the
@@ -281,17 +306,17 @@ func (r *runner) afterRecharge() {
 // mid-flight on the gated board (queued formatting, unfired re-reads) — the
 // stranded samples are accounted as dropped so the sample ledger balances.
 func (r *runner) collectPower() {
-	if !r.powerOn {
+	if !r.supply.on {
 		return
 	}
 	now := r.sched.Now()
 	r.powerSettle(now)
-	r.res.BatteryCapacityJ = r.battCapJ
-	r.res.BatterySoCJ = r.battSoCJ
-	r.res.BatteryMinSoCJ = r.battMinJ
-	r.res.BatteryHarvestJ = r.battHarvestJ
-	if r.battBrownout {
-		r.res.BrownoutTime += (now - r.battBrownoutAt).Duration()
+	r.res.BatteryCapacityJ = r.supply.capJ
+	r.res.BatterySoCJ = r.supply.socJ
+	r.res.BatteryMinSoCJ = r.supply.minJ
+	r.res.BatteryHarvestJ = r.supply.harvestJ
+	if r.supply.brownout {
+		r.res.BrownoutTime += (now - r.supply.brownoutAt).Duration()
 		stranded := r.res.ScheduledSamples + r.res.RecollectedSamples -
 			r.res.DeliveredSamples - r.res.DroppedSamples - r.res.DownshiftSkipped
 		if stranded > 0 {

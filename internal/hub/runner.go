@@ -21,7 +21,6 @@ import (
 	"iothub/internal/link"
 	"iothub/internal/mcu"
 	"iothub/internal/obs"
-	"iothub/internal/power"
 	"iothub/internal/radio"
 	"iothub/internal/scheme"
 	"iothub/internal/sensor"
@@ -84,41 +83,11 @@ type runner struct {
 	xfers    []xfer
 	xferFree []int32
 
-	// In-situ meter runtime (meter.go); all zero unless params.Meter is
-	// armed, so unobserved runs stay byte-identical.
-	meterOn      bool
-	meterPeriod  time.Duration
-	meterSampleT time.Duration // MCU busy time per timed sample
-	meterFlushT  time.Duration // MCU busy time per flush
-	meterHookT   time.Duration // MCU busy time per event-attribution hook
-	meterTrack   *energy.Track
-	meterIdx     int64 // tick index since arm or reboot (duty-cycle phase)
-	meterPend    int   // samples buffered since the last flush
-	meterAllocd  int   // MCU RAM the meter currently holds
-	meterGen     int64 // bumped on crash: outstanding flush completions go stale
-
-	// Supply/demand power ledger runtime (power.go); all zero unless
-	// params.Power is armed, so mains-powered runs stay byte-identical.
-	powerOn        bool
-	battCapJ       float64 // usable capacity in joules
-	battSoCJ       float64 // current state of charge
-	battMinJ       float64 // low-water mark over the run
-	battHarvestJ   float64 // harvest energy actually credited (cap-clipped)
-	battDemandJ    float64 // meter-wide joules at the last settle
-	battHarvestW   float64 // harvest income level currently in force
-	battDegradeJ   float64 // SoC that takes one ladder step (0 disables)
-	battRecoverJ   float64 // SoC that reboots a browned-out board
-	battPrevSoC    float64 // SoC at the previous tick (terminal detection)
-	battPeriod     time.Duration
-	battLastAt     sim.Time // instant of the last settle
-	battBrownoutAt sim.Time // start of the open brownout interval
-	battDegraded   bool     // the SoC ladder step fires once per run
-	battBrownout   bool
-	battTrack      *energy.Track
-	battSteps      []power.Step // compiled harvest trace (cached across runs)
-	battTraceSrc   string       // cache key: the Harvest spec battSteps compiled from
-	battTraceHzn   time.Duration
-	battRedo       []battRedo // batch refs a brownout wiped, redone at restore
+	// In-situ meter (meter.go) and supply ledger (power.go) runtimes. Each
+	// zero value is the disarmed subsystem, so unobserved and mains-powered
+	// runs stay byte-identical.
+	insitu meterState
+	supply supplyState
 
 	// Arena pools (arena.go): scrubbed per-run objects recycled across runs.
 	// All empty on a fresh runner, so first use constructs exactly what the
@@ -343,7 +312,7 @@ func (r *runner) queueRead(s *stream, k int, base uint64) error {
 // rate-downshifted: every other remaining read is skipped so the deadline
 // survives.
 func (r *runner) startRead(s *stream, k int) {
-	if r.battBrownout {
+	if r.supply.brownout {
 		// The board is power-gated: the sensor is unpowered, the read never
 		// happens, and no energy is spent. Accounted as an ordinary drop so
 		// the sample ledger stays balanced however long the outage lasts.
@@ -579,7 +548,7 @@ func (r *runner) uplink(st *appState, w int, payload []byte) {
 		return
 	}
 	if st.policyFor(w).PlaceCompute() == scheme.OnMCU {
-		if err := r.mcu.Exec(r.params.UplinkDriverCPU, energy.AppCompute, nil); err != nil {
+		if err := r.mcu.ExecCall(r.params.UplinkDriverCPU, energy.AppCompute, sim.Done{}); err != nil {
 			r.fail(err)
 			return
 		}

@@ -96,7 +96,7 @@ type MCU struct {
 	busy    energy.RoutineTimes
 
 	// Crash/reboot state: while rebooting no work starts, RAM contents are
-	// gone, and new Exec items queue until the board comes back. A power
+	// gone, and new ExecCall items queue until the board comes back. A power
 	// gate (brownout) is a reboot with no scheduled end: gated marks it,
 	// and PowerRestore starts the actual reboot timer.
 	rebooting bool
@@ -105,7 +105,9 @@ type MCU struct {
 	endEv     sim.EventID
 	rebootEv  sim.EventID
 	downAt    sim.Time // reboot/gate start, for the recovery spans
-	pendAlive func()   // runs once the board is next alive
+	// pendAlive holds the alive notifications, in call order, for the next
+	// completed reboot; a restore cut short by a new gate keeps its own.
+	pendAlive []sim.Done
 
 	obs       *obs.Recorder
 	highWater int // peak RAM allocation, for the buffer high-water counter
@@ -160,7 +162,7 @@ func (m *MCU) Reset(params Params) error {
 	m.endEv = sim.EventID{}
 	m.rebootEv = sim.EventID{}
 	m.downAt = 0
-	m.pendAlive = nil
+	m.pendAlive = m.pendAlive[:0]
 	m.obs = nil
 	m.highWater = 0
 	m.track.Set(params.IdleW, energy.Idle)
@@ -225,14 +227,9 @@ func (m *MCU) OffloadTime(cpuTime time.Duration, fpPenalty float64) time.Duratio
 // BusyByRoutine returns cumulative execution time per routine.
 func (m *MCU) BusyByRoutine() map[energy.Routine]time.Duration { return m.busy.Map() }
 
-// Exec queues d of work attributed to routine r; done (may be nil) runs on
-// completion. Work is serialized FIFO — the L106 is a single core.
-func (m *MCU) Exec(d time.Duration, r energy.Routine, done func()) error {
-	return m.ExecCall(d, r, sim.Call(done))
-}
-
-// ExecCall is Exec taking the completion as a pre-bound sim.Done — the
-// allocation-free form for hot paths that would otherwise close over state.
+// ExecCall queues d of work attributed to routine r; done (the zero Done for
+// none) is delivered on completion. Work is serialized FIFO — the L106 is a
+// single core.
 func (m *MCU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("mcu: negative work duration %v", d)
@@ -295,11 +292,11 @@ func (m *MCU) endWork() {
 // (it restarts from scratch after the reboot — partial progress and its
 // partial energy are genuinely spent), queued items survive (drivers re-issue
 // from flash), and every RAM allocation is lost. The board draws RebootW for
-// d (or the calibrated RebootTime when d <= 0), then onAlive (may be nil)
-// runs and queued work resumes. A crash during an ongoing reboot is absorbed
-// by it and not counted. No in-flight work item ever dangles: its completion
-// callback still fires, after the restart.
-func (m *MCU) Crash(d time.Duration, onAlive func()) error {
+// d (or the calibrated RebootTime when d <= 0), then onAlive (the zero Done
+// for none) is delivered and queued work resumes. A crash during an ongoing
+// reboot is absorbed by it and not counted. No in-flight work item ever
+// dangles: its completion callback still fires, after the restart.
+func (m *MCU) Crash(d time.Duration, onAlive sim.Done) error {
 	if m.rebooting {
 		return nil
 	}
@@ -309,7 +306,7 @@ func (m *MCU) Crash(d time.Duration, onAlive func()) error {
 	m.crashes++
 	m.takeDown()
 	m.rebooting = true
-	m.pendAlive = onAlive
+	m.pendAlive = append(m.pendAlive, onAlive)
 	m.track.Set(m.params.RebootW, energy.Idle)
 	m.downAt = m.sched.Now()
 	ev, err := m.sched.AfterCall(d, m, sim.Arg{Op: opReboot})
@@ -331,19 +328,20 @@ func (m *MCU) takeDown() {
 	m.ramUsed = 0
 }
 
-// endReboot brings the board back: the stored alive callback runs once, then
-// queued work resumes.
+// endReboot brings the board back: each pending alive notification is
+// delivered once, in order, then queued work resumes. A notification queued
+// during delivery waits for the next reboot.
 func (m *MCU) endReboot() {
 	m.rebooting = false
 	m.obs.Span("mcu", "reboot", m.downAt, m.sched.Now())
 	if m.queue.Len() == 0 {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
-	cb := m.pendAlive
-	m.pendAlive = nil
-	if cb != nil {
-		cb()
+	n := len(m.pendAlive)
+	for _, d := range m.pendAlive[:n] {
+		d.Invoke()
 	}
+	m.pendAlive = m.pendAlive[:copy(m.pendAlive, m.pendAlive[n:])]
 	if err := m.maybeStart(); err != nil {
 		m.sched.Stop()
 	}
@@ -354,9 +352,9 @@ func (m *MCU) endReboot() {
 // with. Like Crash it requeues the interrupted item and wipes RAM, but the
 // board then draws nothing (it is unpowered, not rebooting), and a pending
 // reboot end — the gate arriving mid-reboot — is cancelled and absorbed: its
-// alive callback is held and runs after PowerRestore's reboot instead, so a
-// crash overlapped by a brownout still reboots exactly once. Gating a gated
-// board is a no-op. PowerGate does not count into Crashes: brownouts are
+// alive notifications are held and delivered after PowerRestore's reboot
+// instead, so a crash overlapped by a brownout still reboots exactly once.
+// Gating a gated board is a no-op. PowerGate does not count into Crashes: brownouts are
 // accounted by the supply layer, and the watchdog's once-per-crash ladder
 // must not fire for a board that is down for lack of joules.
 func (m *MCU) PowerGate() error {
@@ -376,20 +374,16 @@ func (m *MCU) PowerGate() error {
 }
 
 // PowerRestore ends a power gate: the board reboots (RebootTime at RebootW),
-// then any alive callback absorbed from an interrupted crash runs, then
-// onAlive, then queued work resumes. A no-op when the board is not gated.
-func (m *MCU) PowerRestore(onAlive func()) error {
+// then the alive notifications held from interrupted reboots are delivered,
+// then onAlive (the zero Done for none), then queued work resumes. A no-op
+// when the board is not gated.
+func (m *MCU) PowerRestore(onAlive sim.Done) error {
 	if !m.gated {
 		return nil
 	}
 	m.gated = false
 	m.obs.Span("mcu", "browned-out", m.downAt, m.sched.Now())
-	if prev := m.pendAlive; prev != nil && onAlive != nil {
-		next := onAlive
-		m.pendAlive = func() { prev(); next() }
-	} else if onAlive != nil {
-		m.pendAlive = onAlive
-	}
+	m.pendAlive = append(m.pendAlive, onAlive)
 	m.track.Set(m.params.RebootW, energy.Idle)
 	m.downAt = m.sched.Now()
 	ev, err := m.sched.AfterCall(m.params.RebootTime, m, sim.Arg{Op: opReboot})

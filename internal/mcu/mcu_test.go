@@ -92,8 +92,8 @@ func TestHeavyAppDoesNotFit(t *testing.T) {
 
 func TestExecChargesActiveEnergy(t *testing.T) {
 	mc, s, m := newMCU(t)
-	if err := mc.Exec(50*time.Millisecond, energy.DataCollection, nil); err != nil {
-		t.Fatalf("Exec: %v", err)
+	if err := exec(mc, 50*time.Millisecond, energy.DataCollection, nil); err != nil {
+		t.Fatalf("ExecCall: %v", err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -109,7 +109,7 @@ func TestExecSerializes(t *testing.T) {
 	mc, s, _ := newMCU(t)
 	var end sim.Time
 	for i := 0; i < 4; i++ {
-		if err := mc.Exec(time.Millisecond, energy.AppCompute, func() { end = s.Now() }); err != nil {
+		if err := exec(mc, time.Millisecond, energy.AppCompute, func() { end = s.Now() }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestExecSerializes(t *testing.T) {
 
 func TestExecRejectsNegative(t *testing.T) {
 	mc, _, _ := newMCU(t)
-	if err := mc.Exec(-1, energy.AppCompute, nil); err == nil {
+	if err := exec(mc, -1, energy.AppCompute, nil); err == nil {
 		t.Error("negative duration accepted")
 	}
 }
@@ -163,7 +163,7 @@ func TestIdleReattributesDraw(t *testing.T) {
 
 func TestIdleWhileBusyFails(t *testing.T) {
 	mc, s, _ := newMCU(t)
-	if err := mc.Exec(time.Millisecond, energy.AppCompute, nil); err != nil {
+	if err := exec(mc, time.Millisecond, energy.AppCompute, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := mc.Idle(energy.Idle); !errors.Is(err, ErrBusy) {
@@ -180,13 +180,13 @@ func TestCrashLosesRAMAndRestartsWork(t *testing.T) {
 		t.Fatalf("Alloc: %v", err)
 	}
 	var doneAt sim.Time
-	if err := mc.Exec(10*time.Millisecond, energy.AppCompute, func() { doneAt = s.Now() }); err != nil {
-		t.Fatalf("Exec: %v", err)
+	if err := exec(mc, 10*time.Millisecond, energy.AppCompute, func() { doneAt = s.Now() }); err != nil {
+		t.Fatalf("ExecCall: %v", err)
 	}
 	alive := sim.Time(-1)
 	// Crash 4 ms into the 10 ms item; it restarts in full after the reboot.
-	if _, err := s.After(4*time.Millisecond, func() {
-		if err := mc.Crash(100*time.Millisecond, func() { alive = s.Now() }); err != nil {
+	if _, err := after(s, 4*time.Millisecond, func() {
+		if err := mc.Crash(100*time.Millisecond, call(func() { alive = s.Now() })); err != nil {
 			t.Errorf("Crash: %v", err)
 		}
 		if mc.Alive() {
@@ -220,16 +220,16 @@ func TestCrashEnergyAndQueueSurvival(t *testing.T) {
 	// complete, in order, after the reboot.
 	for i := 0; i < 2; i++ {
 		i := i
-		if err := mc.Exec(10*time.Millisecond, energy.AppCompute, func() { order = append(order, i) }); err != nil {
+		if err := exec(mc, 10*time.Millisecond, energy.AppCompute, func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.After(5*time.Millisecond, func() {
-		if err := mc.Crash(50*time.Millisecond, nil); err != nil {
+	if _, err := after(s, 5*time.Millisecond, func() {
+		if err := mc.Crash(50*time.Millisecond, sim.Done{}); err != nil {
 			t.Errorf("Crash: %v", err)
 		}
 		// A crash during the reboot is absorbed, not double-counted.
-		if err := mc.Crash(time.Millisecond, nil); err != nil {
+		if err := mc.Crash(time.Millisecond, sim.Done{}); err != nil {
 			t.Errorf("nested Crash: %v", err)
 		}
 	}); err != nil {
@@ -259,12 +259,12 @@ func TestCrashEnergyAndQueueSurvival(t *testing.T) {
 
 func TestExecDuringRebootQueuesUntilAlive(t *testing.T) {
 	mc, s, _ := newMCU(t)
-	if err := mc.Crash(20*time.Millisecond, nil); err != nil {
+	if err := mc.Crash(20*time.Millisecond, sim.Done{}); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
 	var doneAt sim.Time
-	if err := mc.Exec(time.Millisecond, energy.DataCollection, func() { doneAt = s.Now() }); err != nil {
-		t.Fatalf("Exec during reboot: %v", err)
+	if err := exec(mc, time.Millisecond, energy.DataCollection, func() { doneAt = s.Now() }); err != nil {
+		t.Fatalf("ExecCall during reboot: %v", err)
 	}
 	if err := mc.Idle(energy.Idle); !errors.Is(err, ErrBusy) {
 		t.Errorf("Idle during reboot = %v, want ErrBusy", err)
@@ -335,7 +335,7 @@ func TestQueueSizedToPeakBacklog(t *testing.T) {
 		pushed++
 		live++
 		peak = max(peak, live)
-		if err := mc.Exec(time.Millisecond, energy.DataCollection, func() {
+		if err := exec(mc, time.Millisecond, energy.DataCollection, func() {
 			live--
 			if pushed < total {
 				push()
@@ -368,13 +368,13 @@ func TestTakeDownAfterWrapKeepsFIFO(t *testing.T) {
 		name string
 		down func(mc *MCU, s *sim.Scheduler) error
 	}{
-		{"crash", func(mc *MCU, _ *sim.Scheduler) error { return mc.Crash(10*time.Millisecond, nil) }},
+		{"crash", func(mc *MCU, _ *sim.Scheduler) error { return mc.Crash(10*time.Millisecond, sim.Done{}) }},
 		{"power-gate", func(mc *MCU, s *sim.Scheduler) error {
 			if err := mc.PowerGate(); err != nil {
 				return err
 			}
-			_, err := s.After(5*time.Millisecond, func() {
-				if err := mc.PowerRestore(nil); err != nil {
+			_, err := after(s, 5*time.Millisecond, func() {
+				if err := mc.PowerRestore(sim.Done{}); err != nil {
 					t.Errorf("PowerRestore: %v", err)
 				}
 			})
@@ -385,8 +385,8 @@ func TestTakeDownAfterWrapKeepsFIFO(t *testing.T) {
 			mc, s, _ := newMCU(t)
 			var order []int
 			var restartedAt, downAt sim.Time
-			exec := func(i int) {
-				err := mc.Exec(time.Millisecond, energy.AppCompute, func() {
+			push := func(i int) {
+				err := exec(mc, time.Millisecond, energy.AppCompute, func() {
 					order = append(order, i)
 					if i == 2 {
 						restartedAt = s.Now() - sim.Time(time.Millisecond)
@@ -397,13 +397,13 @@ func TestTakeDownAfterWrapKeepsFIFO(t *testing.T) {
 				}
 			}
 			for i := 0; i < 4; i++ {
-				exec(i)
+				push(i)
 			}
 			// Items 0 and 1 are done and item 2 runs from the ring's third
 			// slot, so items 4 and 5 wrap into the first two.
 			mustAfter(t, s, 2500*time.Microsecond, func() {
-				exec(4)
-				exec(5)
+				push(4)
+				push(5)
 				if got := mc.queue.Cap(); got != 4 {
 					t.Errorf("queue capacity %d before the take-down, want 4 (wrapped, not grown)", got)
 				}
@@ -432,12 +432,105 @@ func TestTakeDownAfterWrapKeepsFIFO(t *testing.T) {
 
 // TestBusyByRoutineKeepsZeroTimeRoutines pins that a routine whose items all
 // took zero time still has an entry: the golden MCUBusy JSON depends on it.
-func TestBusyByRoutineKeepsZeroTimeRoutines(t *testing.T) {
+// aliveLog records which alive notifications arrive, and when; onAlive, if
+// set, runs after each one is recorded.
+type aliveLog struct {
+	s       *sim.Scheduler
+	ops     []int
+	ats     []sim.Time
+	onAlive func(op int)
+}
+
+func (l *aliveLog) OnEvent(a sim.Arg) {
+	l.ops = append(l.ops, a.Op)
+	l.ats = append(l.ats, l.s.Now())
+	if l.onAlive != nil {
+		l.onAlive(a.Op)
+	}
+}
+
+// TestAliveNotificationsSurviveCutRestores cuts a crash's reboot with a
+// power gate, then cuts the restore's reboot with a second gate. Every
+// notification is held until the one reboot that completes, where the
+// crash's, the first restore's and the second restore's arrive once each,
+// in that order.
+func TestAliveNotificationsSurviveCutRestores(t *testing.T) {
 	mc, s, _ := newMCU(t)
-	if err := mc.Exec(0, energy.Interrupt, nil); err != nil {
+	log := &aliveLog{s: s}
+	notify := func(op int) sim.Done { return sim.Done{CB: log, Arg: sim.Arg{Op: op}} }
+	step := func(at time.Duration, fn func() error) {
+		mustAfter(t, s, at, func() {
+			if err := fn(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	step(0, func() error { return mc.Crash(100*time.Millisecond, notify(1)) })
+	step(10*time.Millisecond, mc.PowerGate)
+	step(20*time.Millisecond, func() error { return mc.PowerRestore(notify(2)) })
+	step(50*time.Millisecond, mc.PowerGate)
+	step(60*time.Millisecond, func() error { return mc.PowerRestore(notify(3)) })
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.Exec(2*time.Millisecond, energy.DataTransfer, nil); err != nil {
+	if want := []int{1, 2, 3}; !slices.Equal(log.ops, want) {
+		t.Fatalf("notifications %v, want %v", log.ops, want)
+	}
+	end := sim.Time(60*time.Millisecond + mc.Params().RebootTime)
+	for i, at := range log.ats {
+		if at != end {
+			t.Errorf("notification %d at %v, want %v (the completed reboot)", log.ops[i], at, end)
+		}
+	}
+	if !mc.Alive() || mc.Crashes() != 1 {
+		t.Errorf("alive=%v crashes=%d, want true/1", mc.Alive(), mc.Crashes())
+	}
+}
+
+// TestAliveNotificationQueuedDuringDeliveryWaits crashes the board again
+// from inside an alive notification: the new crash's notification waits for
+// its own reboot instead of arriving with the list being delivered.
+func TestAliveNotificationQueuedDuringDeliveryWaits(t *testing.T) {
+	mc, s, _ := newMCU(t)
+	log := &aliveLog{s: s}
+	notify := func(op int) sim.Done { return sim.Done{CB: log, Arg: sim.Arg{Op: op}} }
+	log.onAlive = func(op int) {
+		if op == 1 {
+			if err := mc.Crash(30*time.Millisecond, notify(3)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	mustAfter(t, s, 0, func() {
+		if err := mc.Crash(10*time.Millisecond, notify(1)); err != nil {
+			t.Error(err)
+		}
+		if err := mc.PowerGate(); err != nil {
+			t.Error(err)
+		}
+		if err := mc.PowerRestore(notify(2)); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	first := sim.Time(mc.Params().RebootTime)
+	wantAts := []sim.Time{first, first, first + sim.Time(30*time.Millisecond)}
+	if want := []int{1, 2, 3}; !slices.Equal(log.ops, want) || !slices.Equal(log.ats, wantAts) {
+		t.Errorf("notifications %v at %v, want %v at %v", log.ops, log.ats, want, wantAts)
+	}
+	if mc.Crashes() != 2 {
+		t.Errorf("crashes = %d, want 2", mc.Crashes())
+	}
+}
+
+func TestBusyByRoutineKeepsZeroTimeRoutines(t *testing.T) {
+	mc, s, _ := newMCU(t)
+	if err := exec(mc, 0, energy.Interrupt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := exec(mc, 2*time.Millisecond, energy.DataTransfer, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -449,9 +542,33 @@ func TestBusyByRoutineKeepsZeroTimeRoutines(t *testing.T) {
 	}
 }
 
+// thunk adapts a plain func to sim.Callback, so tests can hand closures to
+// the typed scheduling API.
+type thunk func()
+
+func (f thunk) OnEvent(sim.Arg) { f() }
+
+// call binds fn as a completion; nil is the zero Done.
+func call(fn func()) sim.Done {
+	if fn == nil {
+		return sim.Done{}
+	}
+	return sim.Done{CB: thunk(fn)}
+}
+
+// exec queues work whose completion runs fn (nil for none).
+func exec(mc *MCU, d time.Duration, r energy.Routine, fn func()) error {
+	return mc.ExecCall(d, r, call(fn))
+}
+
+// after schedules fn d from now.
+func after(s *sim.Scheduler, d time.Duration, fn func()) (sim.EventID, error) {
+	return s.AfterCall(d, thunk(fn), sim.Arg{})
+}
+
 func mustAfter(t *testing.T, s *sim.Scheduler, d time.Duration, fn func()) {
 	t.Helper()
-	if _, err := s.After(d, fn); err != nil {
+	if _, err := after(s, d, fn); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,9 +13,9 @@ package power
 import "fmt"
 
 // DefaultDerate discounts rated capacity for aging/temperature when the
-// battery does not specify its own fraction — the same 0.85 the post-hoc
-// core.Lifetime estimate has always used (core now delegates here, so the
-// live ledger and the estimate can never disagree).
+// battery does not specify its own fraction. The post-hoc core.Lifetime
+// estimate takes a Battery too, so the live ledger and the estimate can
+// never disagree.
 const DefaultDerate = 0.85
 
 // Battery is the energy store powering a hub run. The zero value is "no
@@ -43,7 +43,7 @@ type Battery struct {
 func (b Battery) Armed() bool { return b.CapacityMAh > 0 }
 
 // UsableJoules is the battery's deliverable energy: capacity × voltage ×
-// derate. This is the one place that math lives; core.Battery wraps it.
+// derate. This is the one place that math lives.
 func (b Battery) UsableJoules() (float64, error) {
 	if b.CapacityMAh <= 0 || b.Volts <= 0 {
 		return 0, fmt.Errorf("power: battery %v mAh @ %v V", b.CapacityMAh, b.Volts)

@@ -71,6 +71,13 @@ func (p Params) Validate() error {
 // outage is one span the radio is off the air (fault injection).
 type outage struct{ from, until sim.Time }
 
+// The radio's typed events, scheduled by Transmit.
+const (
+	opDequeue = iota + 1 // I0 bytes: a deferred burst leaves the driver queue
+	opTxStart            // I0 routine: the burst goes on the air
+	opTxEnd              // the front pending burst has left the air
+)
+
 // Radio is one uplink instance with its own energy track.
 type Radio struct {
 	params Params
@@ -81,6 +88,10 @@ type Radio struct {
 	obs    *obs.Recorder
 	// busyUntil serializes bursts on the single air interface.
 	busyUntil sim.Time
+	// dones holds the completions of bursts still on or waiting for the air,
+	// in airtime order: bursts serialize, so they leave the air in call
+	// order and each tx end delivers the front one.
+	dones sim.Ring[func()]
 
 	// Fault-injection state: outage windows defer bursts, the bounded queue
 	// drops what the buffer cannot hold while waiting.
@@ -114,6 +125,7 @@ func (r *Radio) Reset(params Params) error {
 	r.track = r.meter.Track(r.name)
 	r.obs = nil
 	r.busyUntil = 0
+	r.dones.Reset()
 	r.outages = r.outages[:0]
 	r.queueLimit = 0
 	r.queuedBytes = 0
@@ -207,7 +219,7 @@ func (r *Radio) Transmit(n int, rt energy.Routine, done func()) error {
 		}
 		r.deferred++
 		r.queuedBytes += n
-		if _, err := r.sched.At(start, func() { r.queuedBytes -= n }); err != nil {
+		if _, err := r.sched.AtCall(start, r, sim.Arg{Op: opDequeue, I0: int64(n)}); err != nil {
 			return fmt.Errorf("radio: schedule dequeue: %w", err)
 		}
 	}
@@ -224,23 +236,35 @@ func (r *Radio) Transmit(n int, rt energy.Routine, done func()) error {
 		}
 		return nil
 	}
-	if _, err := r.sched.At(start, func() { r.track.Set(r.params.TxW, rt) }); err != nil {
+	if _, err := r.sched.AtCall(start, r, sim.Arg{Op: opTxStart, I0: int64(rt)}); err != nil {
 		return fmt.Errorf("radio: schedule tx start: %w", err)
 	}
-	_, err := r.sched.At(end, func() {
+	if _, err := r.sched.AtCall(end, r, sim.Arg{Op: opTxEnd}); err != nil {
+		return fmt.Errorf("radio: schedule tx end: %w", err)
+	}
+	*r.dones.Push() = done
+	return nil
+}
+
+// OnEvent dispatches the radio's typed events (see the ops above).
+func (r *Radio) OnEvent(a sim.Arg) {
+	switch a.Op {
+	case opDequeue:
+		r.queuedBytes -= int(a.I0)
+	case opTxStart:
+		r.track.Set(r.params.TxW, energy.Routine(a.I0))
+	case opTxEnd:
 		// A back-to-back burst may already have re-raised the power level;
 		// only drop to idle when this burst is the last queued.
-		if r.busyUntil == end {
+		if r.busyUntil == r.sched.Now() {
 			r.track.Set(r.params.IdleW, energy.Idle)
 		}
+		done := *r.dones.Front()
+		r.dones.Pop()
 		if done != nil {
 			done()
 		}
-	})
-	if err != nil {
-		return fmt.Errorf("radio: schedule tx end: %w", err)
 	}
-	return nil
 }
 
 // Track exposes the radio's energy track.

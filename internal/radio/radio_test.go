@@ -237,3 +237,36 @@ func TestAddOutageRejectsEmptySpan(t *testing.T) {
 		t.Error("negative outage accepted")
 	}
 }
+
+// TestTransmitSteadyStateZeroAlloc pins the typed burst events: once the
+// scheduler arena and the completion ring are warm, a burst with a pre-bound
+// completion allocates nothing, also when a completion chains the next
+// burst.
+func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
+	r, s, _ := newRadio(t, DefaultMainParams())
+	left := 0
+	var next func()
+	next = func() {
+		if left > 0 {
+			left--
+			if err := r.Transmit(64, energy.DataTransfer, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	burst := func() {
+		left = 3
+		for i := 0; i < 4; i++ {
+			if err := r.Transmit(256, energy.AppCompute, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if got := testing.AllocsPerRun(100, burst); got != 0 {
+		t.Errorf("warmed Transmit allocates %v per run, want 0", got)
+	}
+}

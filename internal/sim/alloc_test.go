@@ -13,7 +13,7 @@ func TestSteadyStateScheduleDispatchZeroAlloc(t *testing.T) {
 	fn := func() {}
 	// Warm up: grow the arena, heap, and free list to steady-state capacity.
 	for i := 0; i < 64; i++ {
-		if _, err := s.After(time.Microsecond, fn); err != nil {
+		if _, err := schedAfter(s, time.Microsecond, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -22,7 +22,7 @@ func TestSteadyStateScheduleDispatchZeroAlloc(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 16; i++ {
-			if _, err := s.After(time.Microsecond, fn); err != nil {
+			if _, err := schedAfter(s, time.Microsecond, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -41,7 +41,7 @@ func TestSteadyStateCancelZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		if _, err := s.After(time.Microsecond, fn); err != nil {
+		if _, err := schedAfter(s, time.Microsecond, fn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestSteadyStateCancelZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(100, func() {
-		id, err := s.After(time.Millisecond, fn)
+		id, err := schedAfter(s, time.Millisecond, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestSteadyStateCancelZeroAlloc(t *testing.T) {
 // classic ABA hazard of index-based pools).
 func TestCancelAfterSlotReuseReportsFalse(t *testing.T) {
 	s := NewScheduler()
-	stale, err := s.At(10, func() {})
+	stale, err := schedAt(s, 10, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCancelAfterSlotReuseReportsFalse(t *testing.T) {
 	}
 
 	ran := false
-	fresh, err := s.At(20, func() { ran = true }) // reuses the freed slot
+	fresh, err := schedAt(s, 20, func() { ran = true }) // reuses the freed slot
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCancelHeavyInterleaveOrdering(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		// Deliberately colliding timestamps to exercise the seq tie-break.
-		id, err := s.At(Time(i%37), func() { fired = append(fired, i) })
+		id, err := schedAt(s, Time(i%37), func() { fired = append(fired, i) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,16 +151,16 @@ func BenchmarkSchedulerCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		keep, err := s.After(time.Microsecond, fn)
+		keep, err := schedAfter(s, time.Microsecond, fn)
 		if err != nil {
 			b.Fatal(err)
 		}
 		_ = keep
-		w1, err := s.After(time.Millisecond, fn)
+		w1, err := schedAfter(s, time.Millisecond, fn)
 		if err != nil {
 			b.Fatal(err)
 		}
-		w2, err := s.After(time.Second, fn)
+		w2, err := schedAfter(s, time.Second, fn)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,12 +16,12 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		step = func() {
 			count++
 			if count < 10_000 {
-				if _, err := s.After(time.Microsecond, step); err != nil {
+				if _, err := schedAfter(s, time.Microsecond, step); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		if _, err := s.At(0, step); err != nil {
+		if _, err := schedAt(s, 0, step); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.Run(); err != nil {
@@ -36,7 +36,7 @@ func BenchmarkSchedulerFanOut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewScheduler()
 		for k := 0; k < 5000; k++ {
-			if _, err := s.At(Time(k), func() {}); err != nil {
+			if _, err := schedAt(s, Time(k), func() {}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,43 +42,12 @@ func TestAtCallDeliversArg(t *testing.T) {
 	}
 }
 
-// TestAtCallInterleavesWithAt proves the two scheduling forms share one
-// (at, seq) order: alternating At and AtCall at colliding timestamps fires
-// in exact schedule order.
-func TestAtCallInterleavesWithAt(t *testing.T) {
-	s := NewScheduler()
-	rec := &recorderCB{s: s}
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		if i%2 == 0 {
-			if _, err := s.At(50, func() { order = append(order, i) }); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			cb := funcCB(func() { order = append(order, i) })
-			if _, err := s.AtCall(50, cb, Arg{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	_ = rec
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("dispatch order %v, want ascending schedule order", order)
-		}
-	}
-}
-
-// TestAtCallErrors mirrors At's contract: scheduling in the past or with a
-// nil callback is rejected without touching the queue.
+// TestAtCallErrors: scheduling in the past or with a nil callback is
+// rejected without touching the queue.
 func TestAtCallErrors(t *testing.T) {
 	s := NewScheduler()
 	rec := &recorderCB{s: s}
-	if _, err := s.At(10, func() {}); err != nil {
+	if _, err := schedAt(s, 10, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -114,17 +83,15 @@ func TestAtCallCancel(t *testing.T) {
 	}
 }
 
-// TestDoneInvoke pins the zero-value contract: a zero Done is a no-op, Call
-// adapts a func, and Call(nil) is the zero Done.
+// TestDoneInvoke pins the zero-value contract: a zero Done is a no-op, and
+// a bound Done delivers its Arg to its Callback.
 func TestDoneInvoke(t *testing.T) {
 	Done{}.Invoke() // must not panic
-	ran := false
-	Call(func() { ran = true }).Invoke()
-	if !ran {
-		t.Error("Call(fn).Invoke() did not run fn")
-	}
-	if d := Call(nil); d.CB != nil {
-		t.Error("Call(nil) is not the zero Done")
+	rec := &recorderCB{s: NewScheduler()}
+	want := Arg{Op: 3, I0: 9}
+	Done{CB: rec, Arg: want}.Invoke()
+	if len(rec.args) != 1 || rec.args[0] != want {
+		t.Errorf("Invoke delivered %+v, want [%+v]", rec.args, want)
 	}
 }
 
@@ -174,7 +141,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		id, err := s.At(100, func() {})
+		id, err := schedAt(s, 100, func() {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +188,7 @@ func TestResetReuseZeroAlloc(t *testing.T) {
 	fn := func() {}
 	workload := func() {
 		for i := 0; i < 32; i++ {
-			if _, err := s.After(time.Duration(i)*time.Microsecond, fn); err != nil {
+			if _, err := schedAfter(s, time.Duration(i)*time.Microsecond, fn); err != nil {
 				t.Fatal(err)
 			}
 		}

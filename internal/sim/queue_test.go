@@ -81,8 +81,8 @@ const (
 )
 
 // schedule queues one event at at through the form named by how (0 AtCall,
-// 1 At, 2 AfterCall, 3 AtCallSeq under a reserved seq) and mirrors it in
-// the reference. depth limits how far callbacks keep scheduling.
+// 1 AtCall with a second Callback, 2 AfterCall, 3 AtCallSeq under a
+// reserved seq) and mirrors it in the reference. depth limits how far callbacks keep scheduling.
 func (q *queueFuzz) schedule(how int, at Time, depth int64) {
 	if len(q.ref.pending) >= maxPending || q.total >= maxEvents {
 		return
@@ -96,7 +96,7 @@ func (q *queueFuzz) schedule(how int, at Time, depth int64) {
 	case 0:
 		id, err = q.s.AtCall(at, q, arg)
 	case 1:
-		id, err = q.s.At(at, func() { q.OnEvent(arg) })
+		id, err = schedAt(q.s, at, func() { q.OnEvent(arg) })
 	case 2:
 		id, err = q.s.AfterCall((at - q.s.Now()).Duration(), q, arg)
 	case 3:
@@ -250,8 +250,8 @@ func (q *queueFuzz) step() {
 }
 
 // FuzzQueueOrder checks the run queue against a brute-force reference that
-// scans a plain slice for the minimum (at, seq). Random interleavings of At,
-// AtCall and AfterCall at colliding instants, Reserve + AtCallSeq, Cancel of
+// scans a plain slice for the minimum (at, seq). Random interleavings of
+// AtCall (through two Callbacks) and AfterCall at colliding instants, Reserve + AtCallSeq, Cancel of
 // pending, already-run, stale-generation and self IDs (also from inside
 // callbacks), RunUntil partitions and Reset must dispatch the reference's
 // minimum every time, with Now, Pending and Stats matching after every

@@ -123,8 +123,8 @@ func (o *orderRun) OnEvent(a Arg) {
 }
 
 // dispatch logs the event and, up to depth 2, schedules its follow-ups,
-// alternating the closure and Callback forms so both share the order under
-// test.
+// alternating a func adapter and the run's own Callback so two handlers
+// share the order under test.
 func (o *orderRun) dispatch(label string, follow []Time, depth int) {
 	o.log = append(o.log, fmt.Sprintf("%s@%d", label, o.s.Now()))
 	if depth == 2 {
@@ -134,7 +134,7 @@ func (o *orderRun) dispatch(label string, follow []Time, depth int) {
 		child := fmt.Sprintf("%s/%d", label, i)
 		at := o.s.Now() + d
 		if i%2 == 0 {
-			mustSchedule(o.s.At(at, func() { o.dispatch(child, follow, depth+1) }))
+			mustSchedule(schedAt(o.s, at, func() { o.dispatch(child, follow, depth+1) }))
 			continue
 		}
 		mustSchedule(o.s.AtCall(at, o, Arg{Op: opFollowUp, P0: &followUp{child, follow}, I0: int64(depth + 1)}))

@@ -12,6 +12,12 @@
 // energy accounting in package energy exact — power-state changes are totally
 // ordered on the virtual timeline.
 //
+// There is one scheduling API: an event is a Callback plus the Arg it is
+// delivered (AtCall, AfterCall, and AtCallSeq under a reserved sequence
+// number), and a completion handed to a device model is the same pair as a
+// Done value. Models implement Callback once and dispatch on Arg.Op, so no
+// event captures a closure.
+//
 // Internally pending events live in a value-typed arena with a free list,
 // and the run queue is a sorted slice of arena indices with slack at both
 // ends: dispatch takes the front, and an insert binary-searches its rank and
@@ -56,9 +62,9 @@ var ErrStopped = errors.New("simulation stopped")
 
 // Arg is the context an event carries to a Callback: a small operation
 // discriminator plus two integer payloads and one pointer payload. It rides
-// inside the event's arena slot, so scheduling with AtCall/AfterCall captures
-// no closure — the allocation-free alternative to At/After for hot paths that
-// fire the same handler with different context millions of times per run.
+// inside the event's arena slot, so scheduling captures no closure and a
+// handler fired millions of times per run with different context allocates
+// nothing.
 type Arg struct {
 	// Op discriminates event kinds when one Callback handles several
 	// (typically a switch in OnEvent).
@@ -67,8 +73,8 @@ type Arg struct {
 	P0     any
 }
 
-// Callback is the closure-free event handler: OnEvent receives the Arg the
-// event was scheduled with. Model objects implement it once and dispatch on
+// Callback is the event handler: OnEvent receives the Arg the event was
+// scheduled with. Model objects implement it once and dispatch on
 // Arg.Op, so a long-lived object schedules unbounded events with zero
 // per-event allocations.
 type Callback interface {
@@ -76,9 +82,8 @@ type Callback interface {
 }
 
 // Done is a completion notification value: a Callback plus the Arg to
-// deliver. It replaces `done func()` parameters on hot execution paths —
-// being a value, it is copied into work queues without allocating. The zero
-// Done means "no notification".
+// deliver. Being a value, it is copied into work queues without allocating.
+// The zero Done means "no notification".
 type Done struct {
 	CB  Callback
 	Arg Arg
@@ -91,25 +96,9 @@ func (d Done) Invoke() {
 	}
 }
 
-// funcCB adapts a plain func() to Callback. Func values are pointer-shaped,
-// so the conversion to the interface does not allocate.
-type funcCB func()
-
-func (f funcCB) OnEvent(Arg) { f() }
-
-// Call wraps a plain completion func as a Done, so func-based convenience
-// APIs can delegate to their Done-based siblings. A nil fn yields the zero
-// (no-op) Done.
-func Call(fn func()) Done {
-	if fn == nil {
-		return Done{}
-	}
-	return Done{CB: funcCB(fn)}
-}
-
 // event is one arena slot (80 bytes on 64-bit). A slot is pending — queued
-// in the run queue — while cb != nil: At/After store their func as a funcCB,
-// and release clears cb before the event runs or once it is cancelled. gen
+// in the run queue — while cb != nil: release clears cb before the event runs
+// or once it is cancelled. gen
 // increments every time the slot is released, which invalidates any EventID
 // minted for an earlier occupancy.
 type event struct {
@@ -167,29 +156,10 @@ func (s *Scheduler) Now() Time { return s.now }
 // Pending reports how many events are currently scheduled.
 func (s *Scheduler) Pending() int { return s.hi - s.lo }
 
-// At schedules fn to run at instant t. Scheduling in the past (t < Now) is a
-// programming error in the model and returns an error; the event is not
-// scheduled.
-func (s *Scheduler) At(t Time, fn func()) (EventID, error) {
-	if fn == nil {
-		return EventID{}, errors.New("sim: schedule nil callback")
-	}
-	return s.AtCall(t, funcCB(fn), Arg{})
-}
-
-// After schedules fn to run d after the current virtual time. Negative d is
-// clamped to zero so "run as soon as possible" is easy to express.
-func (s *Scheduler) After(d time.Duration, fn func()) (EventID, error) {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now.Add(d), fn)
-}
-
 // AtCall schedules cb.OnEvent(arg) at instant t. The context rides in the
-// event's arena slot, so — unlike At with a capturing closure — steady-state
-// scheduling performs zero allocations. Dispatch order is identical to At:
-// the two forms share one (at, seq) sequence.
+// event's arena slot, so steady-state scheduling performs zero allocations.
+// Scheduling in the past (t < Now) or with a nil cb is a programming error in
+// the model and returns an error; the event is not scheduled.
 func (s *Scheduler) AtCall(t Time, cb Callback, arg Arg) (EventID, error) {
 	if t < s.now || cb == nil {
 		return EventID{}, s.reject(t)
@@ -206,7 +176,8 @@ func (s *Scheduler) AtCall(t Time, cb Callback, arg Arg) (EventID, error) {
 }
 
 // AfterCall schedules cb.OnEvent(arg) d after the current virtual time.
-// Negative d is clamped to zero, mirroring After.
+// Negative d is clamped to zero so "run as soon as possible" is easy to
+// express.
 func (s *Scheduler) AfterCall(d time.Duration, cb Callback, arg Arg) (EventID, error) {
 	if d < 0 {
 		d = 0
@@ -304,8 +275,8 @@ func (s *Scheduler) Cancel(id EventID) bool {
 }
 
 // release returns an arena slot to the free list. Bumping gen here is what
-// invalidates outstanding EventIDs; clearing cb/arg releases the callback's
-// closure and context pointers to the collector.
+// invalidates outstanding EventIDs; clearing cb/arg releases the callback and
+// context pointers to the collector.
 func (s *Scheduler) release(idx int32) {
 	ev := &s.arena[idx]
 	ev.cb = nil

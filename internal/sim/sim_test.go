@@ -50,29 +50,29 @@ func TestSchedulerRejectsPast(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, err := s.At(50, func() {}); err == nil {
-		t.Fatal("At in the past succeeded, want error")
+	if _, err := schedAt(s, 50, func() {}); err == nil {
+		t.Fatal("AtCall in the past succeeded, want error")
 	}
 }
 
 func TestSchedulerRejectsNilCallback(t *testing.T) {
 	s := NewScheduler()
-	if _, err := s.At(0, nil); err == nil {
-		t.Fatal("At(nil) succeeded, want error")
+	if _, err := s.AtCall(0, nil, Arg{}); err == nil {
+		t.Fatal("AtCall(nil) succeeded, want error")
 	}
 }
 
 func TestAfterClampsNegative(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	if _, err := s.After(-time.Second, func() { ran = true }); err != nil {
-		t.Fatalf("After: %v", err)
+	if _, err := schedAfter(s, -time.Second, func() { ran = true }); err != nil {
+		t.Fatalf("AfterCall: %v", err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !ran {
-		t.Error("negative After never ran")
+		t.Error("negative AfterCall never ran")
 	}
 	if s.Now() != 0 {
 		t.Errorf("Now = %v, want 0", s.Now())
@@ -84,8 +84,8 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	var got []Time
 	mustAt(t, s, 10, func() {
 		got = append(got, s.Now())
-		if _, err := s.After(5*time.Nanosecond, func() { got = append(got, s.Now()) }); err != nil {
-			t.Errorf("nested After: %v", err)
+		if _, err := schedAfter(s, 5*time.Nanosecond, func() { got = append(got, s.Now()) }); err != nil {
+			t.Errorf("nested AfterCall: %v", err)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -151,9 +151,9 @@ func TestStopHaltsRun(t *testing.T) {
 func TestCancelRemovesEvent(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	id, err := s.At(10, func() { ran = true })
+	id, err := schedAt(s, 10, func() { ran = true })
 	if err != nil {
-		t.Fatalf("At: %v", err)
+		t.Fatalf("AtCall: %v", err)
 	}
 	if !s.Cancel(id) {
 		t.Fatal("Cancel reported false for a pending event")
@@ -212,7 +212,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		var fired []Time
 		for _, off := range offsets {
 			at := Time(off)
-			if _, err := s.At(at, func() { fired = append(fired, s.Now()) }); err != nil {
+			if _, err := schedAt(s, at, func() { fired = append(fired, s.Now()) }); err != nil {
 				return false
 			}
 		}
@@ -255,7 +255,7 @@ func TestPropertyRunUntilPartition(t *testing.T) {
 					late++
 				}
 			}
-			if _, err := s.At(at, cb); err != nil {
+			if _, err := schedAt(s, at, cb); err != nil {
 				return false
 			}
 		}
@@ -275,9 +275,24 @@ func TestPropertyRunUntilPartition(t *testing.T) {
 	}
 }
 
+// thunk adapts a plain func to Callback, so tests can schedule closures
+// through the scheduler's one typed API.
+type thunk func()
+
+func (f thunk) OnEvent(Arg) { f() }
+
+// schedAt and schedAfter schedule fn at instant t, or d after now.
+func schedAt(s *Scheduler, t Time, fn func()) (EventID, error) {
+	return s.AtCall(t, thunk(fn), Arg{})
+}
+
+func schedAfter(s *Scheduler, d time.Duration, fn func()) (EventID, error) {
+	return s.AfterCall(d, thunk(fn), Arg{})
+}
+
 func mustAt(t *testing.T, s *Scheduler, at Time, fn func()) {
 	t.Helper()
-	if _, err := s.At(at, fn); err != nil {
-		t.Fatalf("At(%v): %v", at, err)
+	if _, err := schedAt(s, at, fn); err != nil {
+		t.Fatalf("AtCall(%v): %v", at, err)
 	}
 }
