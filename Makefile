@@ -41,8 +41,9 @@ lint-scheme:
 # trace grammar, fleetd's HTTP requests and responses, JSON, JPEG, scheme
 # names), a fuzz pass checking that chained reserved-seq series dispatch
 # exactly like series queued up front, one checking the scheduler's run queue
-# against a brute-force reference, and one feeding parsed fault schedules and
-# probe scripts to the fault engine and a brute-force reference.
+# against a brute-force reference, one feeding parsed fault schedules and
+# probe scripts to the fault engine and a brute-force reference, and one
+# feeding scenario JSON to Scenario.Config.
 check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 5s ./internal/jpegcodec
 	$(GO) test -run '^$$' -fuzz FuzzParseScheme -fuzztime 5s ./internal/scheme
 	$(GO) test -run '^$$' -fuzz FuzzModeUnmarshalText -fuzztime 5s ./internal/scheme
+	$(GO) test -run '^$$' -fuzz FuzzScenarioConfig -fuzztime 5s ./internal/hub
 
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the

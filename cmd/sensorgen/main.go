@@ -46,11 +46,13 @@ func run(args []string, out io.Writer) error {
 }
 
 func dump(out io.Writer, spec sensor.Spec, src sensor.Source, n int) error {
+	var buf []byte // the current sample, reused across rows
 	switch spec.DataType {
 	case "Int*3":
 		fmt.Fprintln(out, "index,x,y,z")
 		for i := 0; i < n; i++ {
-			v, err := sensor.DecodeVec3(src.Sample(i))
+			buf = src.AppendSample(buf[:0], i)
+			v, err := sensor.DecodeVec3(buf)
 			if err != nil {
 				return err
 			}
@@ -59,7 +61,8 @@ func dump(out io.Writer, spec sensor.Spec, src sensor.Source, n int) error {
 	case "Int":
 		fmt.Fprintln(out, "index,value")
 		for i := 0; i < n; i++ {
-			v, err := sensor.DecodeI32(src.Sample(i))
+			buf = src.AppendSample(buf[:0], i)
+			v, err := sensor.DecodeI32(buf)
 			if err != nil {
 				return err
 			}
@@ -68,7 +71,8 @@ func dump(out io.Writer, spec sensor.Spec, src sensor.Source, n int) error {
 	case "Double":
 		fmt.Fprintln(out, "index,value")
 		for i := 0; i < n; i++ {
-			v, err := sensor.DecodeF64(src.Sample(i))
+			buf = src.AppendSample(buf[:0], i)
+			v, err := sensor.DecodeF64(buf)
 			if err != nil {
 				return err
 			}
@@ -78,7 +82,8 @@ func dump(out io.Writer, spec sensor.Spec, src sensor.Source, n int) error {
 		// Opaque payloads (signatures, frames): dump sizes only.
 		fmt.Fprintln(out, "index,bytes")
 		for i := 0; i < n; i++ {
-			fmt.Fprintf(out, "%d,%d\n", i, len(src.Sample(i)))
+			buf = src.AppendSample(buf[:0], i)
+			fmt.Fprintf(out, "%d,%d\n", i, len(buf))
 		}
 	}
 	return nil

@@ -226,6 +226,11 @@ var ErrUnknownSensor = errors.New("apps: sensor not used by this app")
 // CollectWindow pulls one window's samples from the app's sources — the
 // helper tests and the offload executor use to assemble Compute inputs.
 // Window w covers sample indices [w*n, (w+1)*n) per sensor.
+//
+// Each sensor's samples are appended into one buffer sized from the declared
+// sample size (only a hint: a source may write another size), and every
+// sample is capped at its own length, so an app appending to one sample
+// reallocates instead of overwriting the next.
 func CollectWindow(a App, w int) (WindowInput, error) {
 	spec := a.Spec()
 	in := WindowInput{Window: w, Samples: make(map[sensor.ID][][]byte, len(spec.Sensors))}
@@ -234,13 +239,20 @@ func CollectWindow(a App, w int) (WindowInput, error) {
 		if err != nil {
 			return WindowInput{}, err
 		}
+		size, err := u.SampleBytes()
+		if err != nil {
+			return WindowInput{}, err
+		}
 		src, err := a.Source(u.Sensor)
 		if err != nil {
 			return WindowInput{}, err
 		}
-		samples := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			samples = append(samples, src.Sample(w*n+i))
+		buf := make([]byte, 0, n*size)
+		samples := make([][]byte, n)
+		for i := range samples {
+			at := len(buf)
+			buf = src.AppendSample(buf, w*n+i)
+			samples[i] = buf[at:len(buf):len(buf)]
 		}
 		in.Samples[u.Sensor] = samples
 	}

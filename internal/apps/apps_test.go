@@ -1,10 +1,12 @@
 package apps_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"iothub/internal/apps"
+	"iothub/internal/apps/custom"
 	"iothub/internal/apps/stepcounter"
 	"iothub/internal/sensor"
 )
@@ -124,11 +126,77 @@ func TestCollectWindowPullsCorrectIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := src.Sample(1000)
+	want := src.AppendSample(nil, 1000)
 	got := w1.Samples[sensor.Accelerometer][0]
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatal("window 1 does not start at sample 1000")
 		}
+	}
+}
+
+// CollectWindow allocates per sensor, not per sample: each sensor's window
+// is one buffer plus one slice of sample headers, at any sampling rate, and
+// the window adds its map.
+func TestCollectWindowAllocs(t *testing.T) {
+	const perSensor, perWindow = 2, 4
+	app, err := stepcounter.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mult := range []float64{0.1, 1, 4} {
+		a, err := apps.ScaleRates(app, mult)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := a.Spec().SamplesPerWindow(sensor.Accelerometer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the source's memoized noise so only CollectWindow is counted.
+		if _, err := apps.CollectWindow(a, 1); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := apps.CollectWindow(a, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(perWindow + perSensor*len(a.Spec().Sensors)); allocs > limit {
+			t.Errorf("%d samples per window: %v allocs per CollectWindow, want <= %v", n, allocs, limit)
+		}
+	}
+}
+
+// The declared sample size only sizes CollectWindow's buffer: a source that
+// writes more (a 12-byte accelerometer declared as 4 bytes through
+// custom.WithSensor) still yields its exact bytes, and appending to one
+// sample never reaches the next.
+func TestCollectWindowSampleSizeIsAHint(t *testing.T) {
+	src := sensor.NewAccelWalk(7, 100, 2)
+	app, err := custom.NewBuilder("C1", "undeclared size").
+		WithSensor(sensor.Accelerometer, src, 100, 4).
+		WithCompute(func(apps.WindowInput) (apps.Result, error) { return apps.Result{}, nil }).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := apps.CollectWindow(app, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := in.Samples[sensor.Accelerometer]
+	if len(got) != 100 {
+		t.Fatalf("samples = %d, want 100", len(got))
+	}
+	for i, s := range got {
+		if want := src.AppendSample(nil, 200+i); !bytes.Equal(s, want) {
+			t.Fatalf("sample %d = %x, want %x", i, s, want)
+		}
+	}
+	next := bytes.Clone(got[1])
+	_ = append(got[0], 0xFF, 0xFF, 0xFF, 0xFF)
+	if !bytes.Equal(got[1], next) {
+		t.Error("appending to sample 0 overwrote sample 1")
 	}
 }

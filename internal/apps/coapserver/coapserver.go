@@ -80,6 +80,9 @@ const historyBlockSZX = 2
 // with a piggybacked 2.05 Content JSON payload.
 func (a *App) Compute(in apps.WindowInput) (apps.Result, error) {
 	var served []byte
+	// history is the window's one rendering of /sensors/history, set before
+	// the blockwise fetch; every Block2 reply is cut from it.
+	var history []byte
 	exchanges := 0
 	exchange := func(req *coapmsg.Message) (*coapmsg.Message, error) {
 		wire, err := req.Marshal()
@@ -90,7 +93,7 @@ func (a *App) Compute(in apps.WindowInput) (apps.Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("coapserver: parse request: %w", err)
 		}
-		reply, err := a.serve(parsed, in)
+		reply, err := a.serve(parsed, in, history)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +170,13 @@ func (a *App) Compute(in apps.WindowInput) (apps.Result, error) {
 	}
 
 	// Blockwise fetch of /sensors/history — the full per-sample document is
-	// far beyond a constrained client's MTU.
+	// far beyond a constrained client's MTU. All blocks of one transfer come
+	// from one representation (RFC 7959 §2.4), so it is rendered once.
+	doc, err := a.history(in)
+	if err != nil {
+		return apps.Result{}, err
+	}
+	history = doc
 	var asm coapmsg.Assembler
 	blocks := 0
 	for !asm.Done() {
@@ -267,17 +276,15 @@ func SplitReplies(b []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// serve dispatches a parsed request against the sensor resources.
-func (a *App) serve(req *coapmsg.Message, in apps.WindowInput) (*coapmsg.Message, error) {
+// serve dispatches a parsed request against the sensor resources. A history
+// request is answered with one block of history, the window's rendered
+// history document (see history).
+func (a *App) serve(req *coapmsg.Message, in apps.WindowInput, history []byte) (*coapmsg.Message, error) {
 	path := req.PathOptions()
 	if len(path) != 2 || path[0] != "sensors" {
 		return coapmsg.NewReply(req, coapmsg.CodeBadReq, coapmsg.FormatText, nil), nil
 	}
 	if path[1] == "history" {
-		doc, err := a.history(in)
-		if err != nil {
-			return nil, err
-		}
 		blk, found, err := req.BlockOption(coapmsg.OptBlock2)
 		if err != nil {
 			return coapmsg.NewReply(req, coapmsg.CodeBadReq, coapmsg.FormatText, nil), nil
@@ -285,7 +292,7 @@ func (a *App) serve(req *coapmsg.Message, in apps.WindowInput) (*coapmsg.Message
 		if !found {
 			blk = coapmsg.Block{SZX: historyBlockSZX}
 		}
-		return coapmsg.ServeBlock2(req, coapmsg.CodeContent, coapmsg.FormatJSON, doc, blk)
+		return coapmsg.ServeBlock2(req, coapmsg.CodeContent, coapmsg.FormatJSON, history, blk)
 	}
 	id, ok := resources[path[1]]
 	if !ok {

@@ -1,6 +1,7 @@
 package coapserver
 
 import (
+	"bytes"
 	"testing"
 
 	"iothub/internal/apps"
@@ -131,7 +132,7 @@ func TestReplyPayloadIsAggregatedJSON(t *testing.T) {
 	req := &coapmsg.Message{Type: coapmsg.Confirmable, Code: coapmsg.CodeGET, MessageID: 9}
 	req.AddOption(coapmsg.OptUriPath, []byte("sensors"))
 	req.AddOption(coapmsg.OptUriPath, []byte("light"))
-	reply, err := a.serve(req, in)
+	reply, err := a.serve(req, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestServeErrorPaths(t *testing.T) {
 	miss := &coapmsg.Message{Type: coapmsg.Confirmable, Code: coapmsg.CodeGET, MessageID: 1}
 	miss.AddOption(coapmsg.OptUriPath, []byte("sensors"))
 	miss.AddOption(coapmsg.OptUriPath, []byte("nonexistent"))
-	reply, err := a.serve(miss, in)
+	reply, err := a.serve(miss, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestServeErrorPaths(t *testing.T) {
 		t.Errorf("missing resource code = %v, want 4.04", reply.Code)
 	}
 	bad := &coapmsg.Message{Type: coapmsg.Confirmable, Code: coapmsg.CodeGET, MessageID: 2}
-	reply, err = a.serve(bad, in)
+	reply, err = a.serve(bad, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +261,83 @@ func TestObserveNotificationsInLaterWindows(t *testing.T) {
 	}
 	if seq2 <= seq {
 		t.Errorf("sequence %d then %d, want increasing", seq, seq2)
+	}
+}
+
+// Every Block2 reply of one transfer is cut from one representation (RFC
+// 7959 §2.4): all replies announce the same Size2, and the blocks assemble
+// to one history rendering of the window byte for byte.
+func TestHistoryBlocksShareOneRepresentation(t *testing.T) {
+	a, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 3; w++ {
+		in, err := apps.CollectWindow(a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := a.history(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Compute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := SplitReplies(res.Upstream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc []byte
+		blocks := 0
+		for _, f := range frames {
+			reply, err := coapmsg.Unmarshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, found, _ := reply.BlockOption(coapmsg.OptBlock2); !found {
+				continue
+			}
+			size := -1
+			for _, o := range reply.Options {
+				if o.ID == coapmsg.OptSize2 {
+					size = 0
+					for _, b := range o.Value {
+						size = size<<8 | int(b)
+					}
+				}
+			}
+			if size != len(want) {
+				t.Errorf("window %d block %d: Size2 = %d, want %d", w, blocks, size, len(want))
+			}
+			doc = append(doc, reply.Payload...)
+			blocks++
+		}
+		if blocks != int(res.Metrics["blocks"]) {
+			t.Errorf("window %d: %d Block2 replies, want %v", w, blocks, res.Metrics["blocks"])
+		}
+		if !bytes.Equal(doc, want) {
+			t.Errorf("window %d: assembled %d bytes differ from the %d-byte rendering", w, len(doc), len(want))
+		}
+	}
+}
+
+// BenchmarkCompute measures one A1 window: the resource GETs, the observe
+// traffic and the blockwise history fetch, each over the CoAP wire format.
+func BenchmarkCompute(b *testing.B) {
+	a, err := New(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := apps.CollectWindow(a, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := a.Compute(in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func TestSingleSampleGlitchDoesNotTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one sample with a massive ADC glitch.
-	in.Samples[sensor.Accelerometer][500] = sensor.EncodeVec3(sensor.Vec3{X: 0, Y: 0, Z: 30000})
+	in.Samples[sensor.Accelerometer][500] = sensor.AppendVec3(nil, sensor.Vec3{X: 0, Y: 0, Z: 30000})
 	res, err := a.Compute(in)
 	if err != nil {
 		t.Fatal(err)

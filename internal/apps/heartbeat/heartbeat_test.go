@@ -55,7 +55,7 @@ func TestFlagsIrregularInterval(t *testing.T) {
 	}
 	samples := make([][]byte, 3000)
 	for i := range samples {
-		samples[i] = src.Sample(i)
+		samples[i] = src.AppendSample(nil, i)
 	}
 	res, err := a.Compute(apps.WindowInput{Samples: map[sensor.ID][][]byte{sensor.Pulse: samples}})
 	if err != nil {

@@ -89,7 +89,7 @@ func TestSourceContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(src.Sample(0)); got != 12 {
+	if got := len(src.AppendSample(nil, 0)); got != 12 {
 		t.Errorf("sample size = %d, want 12", got)
 	}
 }

@@ -623,10 +623,11 @@ func Fig12() (*Result, error) {
 		Notes:  []string{"paper: A11 alone Batching saves 5%; A11+A6 BCOM 9%; A11+A6+A1 BCOM 10%"},
 	}
 	values := map[string]float64{}
-	addScenario := func(key string, ids []apps.ID) error {
+	// addScenario adds one scenario's rows and returns its Baseline run.
+	addScenario := func(key string, ids []apps.ID) (*hub.RunResult, error) {
 		base, err := run(hub.Baseline, nil, ids...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		addRow := func(scheme string, r *hub.RunResult) {
 			frac := r.TotalJoules() / base.TotalJoules()
@@ -635,13 +636,13 @@ func Fig12() (*Result, error) {
 		}
 		bat, err := run(hub.Batching, nil, ids...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.AddRow(key, "Baseline", "100.0%", "0.0%")
 		if len(ids) > 1 {
 			beam, err := run(hub.BEAM, nil, ids...)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			addRow("BEAM", beam)
 		}
@@ -649,36 +650,33 @@ func Fig12() (*Result, error) {
 		if len(ids) > 1 {
 			list, err := newApps(ids...)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			plan, err := core.PlanBCOM(list, hub.DefaultParams())
 			if err != nil {
-				return err
+				return nil, err
 			}
 			bcom, err := hub.Run(hub.Config{
 				Apps: list, Scheme: hub.BCOM, Assign: plan.Assign, Windows: Windows,
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			addRow("BCOM", bcom)
 		}
-		return nil
+		return base, nil
 	}
-	if err := addScenario("A11", []apps.ID{apps.SpeechToTxt}); err != nil {
-		return nil, err
-	}
-	if err := addScenario("A11+A6", []apps.ID{apps.SpeechToTxt, apps.DropboxMgr}); err != nil {
-		return nil, err
-	}
-	if err := addScenario("A11+A6+A1", []apps.ID{apps.SpeechToTxt, apps.DropboxMgr, apps.CoAPServer}); err != nil {
-		return nil, err
-	}
-	// Fig. 12a also reports the baseline compute share of A11 (~78%).
-	a11, err := run(hub.Baseline, nil, apps.SpeechToTxt)
+	a11, err := addScenario("A11", []apps.ID{apps.SpeechToTxt})
 	if err != nil {
 		return nil, err
 	}
+	if _, err := addScenario("A11+A6", []apps.ID{apps.SpeechToTxt, apps.DropboxMgr}); err != nil {
+		return nil, err
+	}
+	if _, err := addScenario("A11+A6+A1", []apps.ID{apps.SpeechToTxt, apps.DropboxMgr, apps.CoAPServer}); err != nil {
+		return nil, err
+	}
+	// Fig. 12a also reports the baseline compute share of A11 (~78%).
 	values["A11:computeFraction"] = a11.Energy.Fraction(energy.AppCompute)
 	return &Result{ID: "fig12", Title: t.Title, Table: t, Values: values}, nil
 }

@@ -56,7 +56,7 @@ func TestIdentifyGenuineScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scan := sensor.NewSignature(99, 2).Sample(0) // bob's finger, scan noise
+	scan := sensor.NewSignature(99, 2).AppendSample(nil, 0) // bob's finger, scan noise
 	name, score, err := db.Identify(scan)
 	if err != nil {
 		t.Fatalf("Identify: %v", err)
@@ -77,7 +77,7 @@ func TestIdentifyImpostorRejected(t *testing.T) {
 	if err := db.Enroll("alice", sensor.FingerTemplate(1)); err != nil {
 		t.Fatal(err)
 	}
-	scan := sensor.NewSignature(7, 42).Sample(0) // un-enrolled finger
+	scan := sensor.NewSignature(7, 42).AppendSample(nil, 0) // un-enrolled finger
 	_, score, err := db.Identify(scan)
 	if !errors.Is(err, ErrNoMatch) {
 		t.Errorf("impostor err = %v (score %.3f), want ErrNoMatch", err, score)
@@ -105,11 +105,11 @@ func TestVerify(t *testing.T) {
 	if err := db.Enroll("alice", sensor.FingerTemplate(1)); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := db.Verify("alice", sensor.NewSignature(5, 1).Sample(0))
+	ok, err := db.Verify("alice", sensor.NewSignature(5, 1).AppendSample(nil, 0))
 	if err != nil || !ok {
 		t.Errorf("genuine Verify = %v, %v", ok, err)
 	}
-	ok, err = db.Verify("alice", sensor.NewSignature(5, 9).Sample(0))
+	ok, err = db.Verify("alice", sensor.NewSignature(5, 9).AppendSample(nil, 0))
 	if err != nil || ok {
 		t.Errorf("impostor Verify = %v, %v", ok, err)
 	}

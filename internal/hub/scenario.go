@@ -10,6 +10,7 @@ import (
 	"iothub/internal/faults"
 	"iothub/internal/obs"
 	"iothub/internal/power"
+	"iothub/internal/scheme"
 )
 
 // Scenario is a self-contained, serializable description of one hub run: the
@@ -88,10 +89,14 @@ func (s Scenario) Label() string {
 // Config materializes the scenario: apps are instantiated from the catalog
 // with the scenario seed, rates are scaled, and the fault schedule is
 // compiled. BCOM scenarios come back with a nil Assign — the caller supplies
-// the planner's partition (fleet.RunScenario does).
+// the planner's partition (fleet.RunScenario does). An unregistered scheme
+// is refused here, since it could not be written back as scenario JSON.
 func (s Scenario) Config() (Config, error) {
 	if len(s.Apps) == 0 {
 		return Config{}, fmt.Errorf("%w: scenario lists no apps", ErrConfig)
+	}
+	if _, err := scheme.Lookup(s.Scheme); err != nil {
+		return Config{}, err
 	}
 	cfg := Config{
 		Scheme:         s.Scheme,

@@ -29,6 +29,7 @@ func TestScenarioLabel(t *testing.T) {
 func TestScenarioConfigErrors(t *testing.T) {
 	for name, s := range map[string]Scenario{
 		"no apps":     {Scheme: Baseline, Windows: 1},
+		"no scheme":   {Apps: []apps.ID{apps.StepCounter}, Windows: 1, Seed: 1},
 		"unknown app": {Apps: []apps.ID{"A99"}, Scheme: Baseline, Windows: 1, Seed: 1},
 		"bad qos":     {Apps: []apps.ID{apps.StepCounter}, Scheme: Baseline, Windows: 1, Seed: 1, QoSMult: -1},
 		"bad faults":  {Apps: []apps.ID{apps.StepCounter}, Scheme: Baseline, Windows: 1, Seed: 1, Faults: "warp-core:breach"},
@@ -114,4 +115,54 @@ func TestRunScenarioMatchesExplicitConfig(t *testing.T) {
 		t.Errorf("run stats diverge: %v/%d vs %v/%d",
 			got.Duration, got.LinkRetransmits, want.Duration, want.LinkRetransmits)
 	}
+}
+
+// FuzzScenarioConfig feeds arbitrary scenario JSON to Config, the entry point
+// of every fleet spec, journal and optimizer plan. Config never panics, every
+// error it returns wraps ErrConfig, and an accepted scenario re-marshals to
+// JSON that decodes to the same Label and is accepted again.
+func FuzzScenarioConfig(f *testing.F) {
+	for _, s := range []Scenario{
+		{Apps: []apps.ID{apps.StepCounter}, Scheme: Baseline, Windows: 3, Seed: 1},
+		{Apps: []apps.ID{apps.SpeechToTxt, apps.DropboxMgr}, Scheme: BCOM, Windows: 3, Seed: 2, QoSMult: 0.5},
+		{Apps: []apps.ID{apps.StepCounter, apps.Earthquake}, Scheme: Batching, Windows: 2, Seed: 7,
+			Faults: "seed=7; link-corrupt:prob=0.05; mcu-crash:at=700ms,for=80ms", SkipAppCompute: true},
+		{Apps: []apps.ID{apps.SpeechToTxt, apps.StepCounter}, Scheme: Hybrid, Windows: 1, Seed: 1,
+			Assign: map[apps.ID]Mode{apps.SpeechToTxt: Uploaded, apps.StepCounter: Offloaded}, Tag: "plan"},
+	} {
+		blob, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(`{"apps":["A6"],"scheme":"com","windows":2,"meter":{"rateHz":100},"power":{"battery":{"capacityMah":0.5,"volts":3}}}`))
+	f.Add([]byte(`{"apps":["A99"],"scheme":"beam"}`))
+	f.Add([]byte(`{"apps":["A2"],"qos":-1}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var s Scenario
+		if json.Unmarshal(blob, &s) != nil {
+			return
+		}
+		if _, err := s.Config(); err != nil {
+			if !errors.Is(err, ErrConfig) {
+				t.Fatalf("Config(%s) err = %v, want ErrConfig", blob, err)
+			}
+			return
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted scenario %s does not marshal: %v", s.Label(), err)
+		}
+		var back Scenario
+		if err := json.Unmarshal(again, &back); err != nil {
+			t.Fatalf("accepted scenario %s re-marshals to %s, which does not decode: %v", s.Label(), again, err)
+		}
+		if back.Label() != s.Label() {
+			t.Fatalf("label %q re-decodes as %q (from %s)", s.Label(), back.Label(), again)
+		}
+		if _, err := back.Config(); err != nil {
+			t.Fatalf("accepted scenario %s is refused after a JSON round trip: %v", s.Label(), err)
+		}
+	})
 }

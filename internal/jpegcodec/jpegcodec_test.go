@@ -238,7 +238,7 @@ func TestFromRGBLuma(t *testing.T) {
 
 func TestFromRGBWithSensorFrame(t *testing.T) {
 	frame := sensor.NewFrame(3, 96, 84)
-	img, err := FromRGB(frame.RGBAt(0), 96, 84)
+	img, err := FromRGB(frame.AppendSample(nil, 0), 96, 84)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,20 +8,21 @@ import (
 )
 
 // Source produces the raw formatted samples one sensor delivers to an app.
-// Sample(i) is the i-th sample since the start of the run; implementations
-// are deterministic, so the same index always yields the same bytes.
+// AppendSample(dst, i) appends the i-th sample since the start of the run to
+// dst and returns the extended slice, leaving dst[:len(dst)] untouched, the
+// way the append built-in does; AppendSample(nil, i) returns a standalone
+// sample. Implementations are deterministic, so the same index always yields
+// the same bytes.
 type Source interface {
-	Sample(i int) []byte
+	AppendSample(dst []byte, i int) []byte
 }
 
 // Encoding helpers shared by generators and app-side drivers. All sensors use
 // little-endian register layouts.
 
-// EncodeF64 formats a float64 sample ("Double" sensors).
-func EncodeF64(v float64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-	return b
+// AppendF64 appends a float64 sample ("Double" sensors).
+func AppendF64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // DecodeF64 parses a float64 sample.
@@ -32,11 +33,9 @@ func DecodeF64(b []byte) (float64, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
-// EncodeI32 formats an int32 sample ("Int" sensors).
-func EncodeI32(v int32) []byte {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	return b
+// AppendI32 appends an int32 sample ("Int" sensors).
+func AppendI32(dst []byte, v int32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(v))
 }
 
 // DecodeI32 parses an int32 sample.
@@ -50,13 +49,11 @@ func DecodeI32(b []byte) (int32, error) {
 // Vec3 is a three-axis integer sample (accelerometer, "Int*3").
 type Vec3 struct{ X, Y, Z int32 }
 
-// EncodeVec3 formats a 12-byte three-axis sample.
-func EncodeVec3(v Vec3) []byte {
-	b := make([]byte, 12)
-	binary.LittleEndian.PutUint32(b[0:], uint32(v.X))
-	binary.LittleEndian.PutUint32(b[4:], uint32(v.Y))
-	binary.LittleEndian.PutUint32(b[8:], uint32(v.Z))
-	return b
+// AppendVec3 appends a 12-byte three-axis sample.
+func AppendVec3(dst []byte, v Vec3) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.X))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Y))
+	return binary.LittleEndian.AppendUint32(dst, uint32(v.Z))
 }
 
 // DecodeVec3 parses a 12-byte three-axis sample.
@@ -106,13 +103,13 @@ func (a *AccelWalk) noise(i int) float64 {
 	return a.noiseVals[i]
 }
 
-// Sample returns the 12-byte register image of sample i.
-func (a *AccelWalk) Sample(i int) []byte {
+// AppendSample appends the 12-byte register image of sample i.
+func (a *AccelWalk) AppendSample(dst []byte, i int) []byte {
 	t := float64(i) / a.RateHz
 	z := 1000 + a.AmplMilli*math.Sin(2*math.Pi*a.StepHz*t) + a.noise(i)
 	x := 0.3 * a.AmplMilli * math.Sin(2*math.Pi*a.StepHz*t+math.Pi/3)
 	y := 0.2 * a.AmplMilli * math.Cos(2*math.Pi*a.StepHz*t)
-	return EncodeVec3(Vec3{X: int32(x), Y: int32(y), Z: int32(z)})
+	return AppendVec3(dst, Vec3{X: int32(x), Y: int32(y), Z: int32(z)})
 }
 
 // TrueSteps reports the number of steps contained in the first n samples.
@@ -153,14 +150,14 @@ func (q *AccelQuake) noise(i int) float64 {
 	return q.noiseVals[i]
 }
 
-// Sample returns the 12-byte register image of sample i.
-func (q *AccelQuake) Sample(i int) []byte {
+// AppendSample appends the 12-byte register image of sample i.
+func (q *AccelQuake) AppendSample(dst []byte, i int) []byte {
 	base := q.noise(i) * 5 // quiescent ground noise, milli-g
 	if q.BurstStart >= 0 && i >= q.BurstStart && i < q.BurstStart+q.BurstLen {
 		t := float64(i-q.BurstStart) / q.RateHz
 		base += 400 * math.Exp(-t*2) * math.Sin(2*math.Pi*12*t)
 	}
-	return EncodeVec3(Vec3{X: int32(base), Y: int32(base / 2), Z: int32(1000 + base)})
+	return AppendVec3(dst, Vec3{X: int32(base), Y: int32(base / 2), Z: int32(1000 + base)})
 }
 
 // HasEvent reports whether the first n samples contain the burst.
@@ -224,8 +221,8 @@ func (e *ECGWave) peakIndex(k int) int {
 	return e.peaks[k]
 }
 
-// Sample returns the 4-byte register image of sample i (ADC counts).
-func (e *ECGWave) Sample(i int) []byte {
+// AppendSample appends the 4-byte register image of sample i (ADC counts).
+func (e *ECGWave) AppendSample(dst []byte, i int) []byte {
 	v := 512 + 30*math.Sin(2*math.Pi*0.3*float64(i)/e.RateHz) + e.noise(i)
 	// Superimpose the nearest R peak as a narrow triangular spike.
 	for k := 0; ; k++ {
@@ -239,7 +236,7 @@ func (e *ECGWave) Sample(i int) []byte {
 			v += 400 * (1 - d/width)
 		}
 	}
-	return EncodeI32(int32(v))
+	return AppendI32(dst, int32(v))
 }
 
 // TrueBeats reports how many R peaks fall in the first n samples.
@@ -354,15 +351,12 @@ func (a *AudioSpeech) PCMAt(i int) float64 {
 	return v
 }
 
-// Sample returns the 6-byte register image of sample i.
-func (a *AudioSpeech) Sample(i int) []byte {
-	v := a.PCMAt(i)
-	b := make([]byte, 6)
-	main := int16(clamp(v, -32000, 32000))
-	binary.LittleEndian.PutUint16(b[0:], uint16(main))
-	binary.LittleEndian.PutUint16(b[2:], uint16(main/2))
-	binary.LittleEndian.PutUint16(b[4:], uint16(main/4))
-	return b
+// AppendSample appends the 6-byte register image of sample i.
+func (a *AudioSpeech) AppendSample(dst []byte, i int) []byte {
+	main := int16(clamp(a.PCMAt(i), -32000, 32000))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(main))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(main/2))
+	return binary.LittleEndian.AppendUint16(dst, uint16(main/4))
 }
 
 // Transcript returns the spoken words in order (ground truth).
@@ -446,13 +440,13 @@ func (s *Scalar) ValueAt(i int) float64 {
 	return s.walkVals[i]
 }
 
-// Sample returns the register image of sample i.
-func (s *Scalar) Sample(i int) []byte {
+// AppendSample appends the register image of sample i.
+func (s *Scalar) AppendSample(dst []byte, i int) []byte {
 	v := s.ValueAt(i)
 	if s.AsInt {
-		return EncodeI32(int32(v))
+		return AppendI32(dst, int32(v))
 	}
-	return EncodeF64(v)
+	return AppendF64(dst, v)
 }
 
 var _ Source = (*Scalar)(nil)
@@ -472,10 +466,12 @@ func NewFrame(seed int64, width, height int) *Frame {
 	return &Frame{Width: width, Height: height, seed: seed}
 }
 
-// RGBAt returns the raw w×h×3 pixel buffer of frame i.
-func (f *Frame) RGBAt(i int) []byte {
+// AppendSample appends the raw w×h×3 pixel buffer of frame i.
+func (f *Frame) AppendSample(dst []byte, i int) []byte {
 	rng := rand.New(rand.NewSource(f.seed + int64(i)*7919))
-	buf := make([]byte, f.Width*f.Height*3)
+	at := len(dst)
+	dst = append(dst, make([]byte, f.Width*f.Height*3)...)
+	buf := dst[at:]
 	rx, ry := rng.Intn(f.Width/2), rng.Intn(f.Height/2)
 	rw, rh := f.Width/4+1, f.Height/4+1
 	for y := 0; y < f.Height; y++ {
@@ -490,14 +486,10 @@ func (f *Frame) RGBAt(i int) []byte {
 			buf[o], buf[o+1], buf[o+2] = r, g, b
 		}
 	}
-	return buf
+	return dst
 }
 
-// Sample returns frame i padded/truncated to size bytes when size > 0,
-// else the raw buffer.
-func (f *Frame) Sample(i int) []byte {
-	return f.RGBAt(i)
-}
+var _ Source = (*Frame)(nil)
 
 // FixedSize wraps a source so every sample is exactly n bytes (truncating or
 // zero-padding), matching a sensor's formatted SampleBytes.
@@ -506,15 +498,14 @@ type FixedSize struct {
 	N   int
 }
 
-// Sample returns the wrapped sample normalized to N bytes.
-func (f FixedSize) Sample(i int) []byte {
-	b := f.Src.Sample(i)
-	if len(b) == f.N {
-		return b
+// AppendSample appends the wrapped sample normalized to N bytes.
+func (f FixedSize) AppendSample(dst []byte, i int) []byte {
+	at := len(dst)
+	dst = f.Src.AppendSample(dst, i)
+	if n := len(dst) - at; n < f.N {
+		return append(dst, make([]byte, f.N-n)...)
 	}
-	out := make([]byte, f.N)
-	copy(out, b)
-	return out
+	return dst[:at+f.N]
 }
 
 var _ Source = FixedSize{}
@@ -543,17 +534,19 @@ func FingerTemplate(finger int) []byte {
 	return b
 }
 
-// Sample returns scan i of the finger: the template with ~1% of bits
+// AppendSample appends scan i of the finger: the template with ~1% of bits
 // flipped by scan noise.
-func (s *Signature) Sample(i int) []byte {
-	b := FingerTemplate(s.Finger)
+func (s *Signature) AppendSample(dst []byte, i int) []byte {
+	at := len(dst)
+	dst = append(dst, FingerTemplate(s.Finger)...)
+	b := dst[at:]
 	rng := rand.New(rand.NewSource(s.seed + int64(i)*31337))
 	flips := len(b) * 8 / 100
 	for k := 0; k < flips; k++ {
 		bit := rng.Intn(len(b) * 8)
 		b[bit/8] ^= 1 << (bit % 8)
 	}
-	return b
+	return dst
 }
 
 var _ Source = (*Signature)(nil)

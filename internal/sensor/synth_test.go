@@ -2,6 +2,8 @@ package sensor
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,7 +11,7 @@ import (
 
 func TestEncodeDecodeF64(t *testing.T) {
 	f := func(v float64) bool {
-		got, err := DecodeF64(EncodeF64(v))
+		got, err := DecodeF64(AppendF64(nil, v))
 		if err != nil {
 			return false
 		}
@@ -22,7 +24,7 @@ func TestEncodeDecodeF64(t *testing.T) {
 
 func TestEncodeDecodeI32(t *testing.T) {
 	f := func(v int32) bool {
-		got, err := DecodeI32(EncodeI32(v))
+		got, err := DecodeI32(AppendI32(nil, v))
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -32,7 +34,7 @@ func TestEncodeDecodeI32(t *testing.T) {
 
 func TestEncodeDecodeVec3(t *testing.T) {
 	f := func(x, y, z int32) bool {
-		got, err := DecodeVec3(EncodeVec3(Vec3{x, y, z}))
+		got, err := DecodeVec3(AppendVec3(nil, Vec3{x, y, z}))
 		return err == nil && got == (Vec3{x, y, z})
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -59,14 +61,14 @@ func TestAccelWalkDeterministic(t *testing.T) {
 	a := NewAccelWalk(42, 1000, 2)
 	b := NewAccelWalk(42, 1000, 2)
 	for i := 0; i < 100; i++ {
-		if !bytes.Equal(a.Sample(i), b.Sample(i)) {
+		if !bytes.Equal(a.AppendSample(nil, i), b.AppendSample(nil, i)) {
 			t.Fatalf("sample %d differs between same-seed generators", i)
 		}
 	}
 	// Pure function of index: revisiting an index yields the same bytes.
-	s50 := a.Sample(50)
-	a.Sample(99)
-	if !bytes.Equal(a.Sample(50), s50) {
+	s50 := a.AppendSample(nil, 50)
+	a.AppendSample(nil, 99)
+	if !bytes.Equal(a.AppendSample(nil, 50), s50) {
 		t.Error("Sample(50) changed after reading later indices")
 	}
 }
@@ -83,7 +85,7 @@ func TestAccelWalkTrueSteps(t *testing.T) {
 
 func TestAccelWalkSampleShape(t *testing.T) {
 	a := NewAccelWalk(7, 1000, 2)
-	v, err := DecodeVec3(a.Sample(0))
+	v, err := DecodeVec3(a.AppendSample(nil, 0))
 	if err != nil {
 		t.Fatalf("DecodeVec3: %v", err)
 	}
@@ -96,14 +98,14 @@ func TestAccelQuakeBurstRaisesAmplitude(t *testing.T) {
 	q := NewAccelQuake(3, 1000, 500, 200)
 	quiet, loud := 0.0, 0.0
 	for i := 0; i < 200; i++ {
-		v, err := DecodeVec3(q.Sample(i))
+		v, err := DecodeVec3(q.AppendSample(nil, i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		quiet += math.Abs(float64(v.Z - 1000))
 	}
 	for i := 500; i < 700; i++ {
-		v, err := DecodeVec3(q.Sample(i))
+		v, err := DecodeVec3(q.AppendSample(nil, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +148,11 @@ func TestECGWaveIrregularStretchesInterval(t *testing.T) {
 func TestECGWavePeaksVisible(t *testing.T) {
 	e := NewECGWave(11, 1000, 60)
 	p := e.peakIndex(0)
-	vPeak, err := DecodeI32(e.Sample(p))
+	vPeak, err := DecodeI32(e.AppendSample(nil, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vBase, err := DecodeI32(e.Sample(p + 200))
+	vBase, err := DecodeI32(e.AppendSample(nil, p+200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,19 +179,19 @@ func TestAudioSpeechWordAt(t *testing.T) {
 
 func TestAudioSpeechSampleSizeAndEnergy(t *testing.T) {
 	a := NewAudioSpeech(5, 8000, 200, 100, WordStop)
-	if got := len(a.Sample(0)); got != 6 {
+	if got := len(a.AppendSample(nil, 0)); got != 6 {
 		t.Fatalf("sample size = %d, want 6", got)
 	}
 	var inWord, inGap float64
 	for i := 0; i < 200; i++ {
-		v, err := DecodePCM(a.Sample(i))
+		v, err := DecodePCM(a.AppendSample(nil, i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		inWord += math.Abs(float64(v))
 	}
 	for i := 200; i < 300; i++ {
-		v, err := DecodePCM(a.Sample(i))
+		v, err := DecodePCM(a.AppendSample(nil, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,11 +235,11 @@ func TestScalarBaselines(t *testing.T) {
 
 func TestScalarEncoding(t *testing.T) {
 	f := NewScalar(1, ScalarPressure)
-	if got := len(f.Sample(0)); got != 8 {
+	if got := len(f.AppendSample(nil, 0)); got != 8 {
 		t.Errorf("pressure sample = %d bytes, want 8", got)
 	}
 	i := NewScalar(1, ScalarAirQuality)
-	if got := len(i.Sample(0)); got != 4 {
+	if got := len(i.AppendSample(nil, 0)); got != 4 {
 		t.Errorf("air-quality sample = %d bytes, want 4", got)
 	}
 }
@@ -253,14 +255,14 @@ func TestScalarPureFunctionOfIndex(t *testing.T) {
 
 func TestFrameDeterministicAndSized(t *testing.T) {
 	f := NewFrame(21, 32, 24)
-	a, b := f.RGBAt(3), f.RGBAt(3)
+	a, b := f.AppendSample(nil, 3), f.AppendSample(nil, 3)
 	if !bytes.Equal(a, b) {
-		t.Error("RGBAt not deterministic")
+		t.Error("frame not deterministic")
 	}
 	if len(a) != 32*24*3 {
 		t.Errorf("frame size = %d, want %d", len(a), 32*24*3)
 	}
-	if bytes.Equal(f.RGBAt(0), f.RGBAt(1)) {
+	if bytes.Equal(f.AppendSample(nil, 0), f.AppendSample(nil, 1)) {
 		t.Error("consecutive frames identical, want seeded variation")
 	}
 }
@@ -268,15 +270,15 @@ func TestFrameDeterministicAndSized(t *testing.T) {
 func TestFixedSizePadsAndTruncates(t *testing.T) {
 	f := NewFrame(1, 8, 8) // 192 bytes
 	pad := FixedSize{Src: f, N: 300}
-	if got := len(pad.Sample(0)); got != 300 {
+	if got := len(pad.AppendSample(nil, 0)); got != 300 {
 		t.Errorf("padded size = %d, want 300", got)
 	}
 	trunc := FixedSize{Src: f, N: 100}
-	if got := len(trunc.Sample(0)); got != 100 {
+	if got := len(trunc.AppendSample(nil, 0)); got != 100 {
 		t.Errorf("truncated size = %d, want 100", got)
 	}
 	exact := FixedSize{Src: f, N: 192}
-	if got := len(exact.Sample(0)); got != 192 {
+	if got := len(exact.AppendSample(nil, 0)); got != 192 {
 		t.Errorf("exact size = %d, want 192", got)
 	}
 }
@@ -285,7 +287,7 @@ func TestSignatureNearTemplateSameFingerFarOtherwise(t *testing.T) {
 	src := NewSignature(4, 1)
 	tmpl1 := FingerTemplate(1)
 	tmpl2 := FingerTemplate(2)
-	scan := src.Sample(0)
+	scan := src.AppendSample(nil, 0)
 	d1 := hamming(scan, tmpl1)
 	d2 := hamming(scan, tmpl2)
 	if d1*10 > d2 {
@@ -302,7 +304,7 @@ func TestDefaultSourceCoversAllSensors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DefaultSource(%s): %v", sp.ID, err)
 		}
-		got := len(src.Sample(0))
+		got := len(src.AppendSample(nil, 0))
 		// Non-fixed sources must match the spec size exactly for the data
 		// volumes of Table II to come out right; image sources are wrapped.
 		if got != sp.SampleBytes && sp.ID != Accelerometer {
@@ -324,4 +326,75 @@ func hamming(a, b []byte) int {
 		}
 	}
 	return d
+}
+
+// Every source appends exactly its standalone sample and never writes into
+// the prefix it was handed, whether the append fits the spare capacity or
+// must reallocate. The spare capacity is dirtied first, so a source that
+// reslices instead of writing every byte (FixedSize's zero padding) shows.
+func TestAppendSampleKeepsPrefix(t *testing.T) {
+	sources := map[string]Source{
+		"AccelWalk":      NewAccelWalk(3, 1000, 2),
+		"AccelQuake":     NewAccelQuake(3, 1000, 10, 40),
+		"ECGWave":        NewECGWave(3, 500, 72, 1),
+		"AudioSpeech":    NewAudioSpeech(3, 8000, 20, 10, WordYes, WordStop),
+		"Scalar/double":  NewScalar(3, ScalarLight),
+		"Scalar/int":     NewScalar(3, ScalarSoundLevel),
+		"Frame":          NewFrame(3, 8, 6),
+		"FixedSize/pad":  FixedSize{Src: NewFrame(3, 8, 6), N: 200},
+		"FixedSize/trim": FixedSize{Src: NewFrame(3, 8, 6), N: 100},
+		"Signature":      NewSignature(3, 2),
+	}
+	prefix := []byte("head")
+	for name, src := range sources {
+		for _, i := range []int{0, 1, 37} {
+			want := src.AppendSample(nil, i)
+			for _, spare := range []int{0, 1024} {
+				dirty := bytes.Repeat([]byte{0xA5}, len(prefix)+spare)
+				dst := append(dirty[:0], prefix...)
+				got := src.AppendSample(dst, i)
+				if !bytes.Equal(dst, prefix) || !bytes.Equal(got[:len(prefix)], prefix) {
+					t.Errorf("%s sample %d (spare %d): prefix overwritten", name, i, spare)
+				}
+				if !bytes.Equal(got[len(prefix):], want) {
+					t.Errorf("%s sample %d (spare %d): appended %d bytes that differ from AppendSample(nil, %d) (%d bytes)",
+						name, i, spare, len(got)-len(prefix), i, len(want))
+				}
+			}
+		}
+	}
+}
+
+// The bytes every default source delivers are pinned: the SHA-256 of the
+// first 64 samples at seed 1, recorded from the allocating Sample(i)
+// interface this one replaced.
+func TestDefaultSourceBytesPinned(t *testing.T) {
+	want := map[ID]string{
+		Barometer:     "2616462cefb5a155b8df26f5667b577c950abd6784254361b17024ab538767d8",
+		Temperature:   "af9aa8928f0480a6eb07f38788a12d2cf748114f9d48b6d90974b55b5f5642a1",
+		Fingerprint:   "c7f21fae593d1823d3d4f8439bd24ad5405173a0152cb6495b1082d34be501bb",
+		Accelerometer: "04b1c255b7e2a5847c7909a8881a70e781f3af18a0587ab79e482d77ceaabd6d",
+		AirQuality:    "31fa41c1bc11ca99fa250be6f81c9f096c553299aae2befc8ffaa1a876132d9d",
+		Pulse:         "4fc075ec23bce8851c6b58db505d57b902d40c4a60ba75c56c38b1d528e65ace",
+		Light:         "c0f547820c7f0fbd57637c734dd86e09f9fe560c1140e2c7417de2c03eb15956",
+		Sound:         "acddb4aaff1808979ea2c2ecfeccac68539e724d2169c3f85a6de427639b9883",
+		Distance:      "782a0e3eddead7e7a2eaceee63c6c0d517bcd94f39f48e54dd2f0bb39b461314",
+		LowResImage:   "8f1cb0483019fc20a8da93db13cd4cd1b413c9fd02b36a7bac0f2a6b6b7b524b",
+		HighResImage:  "e78966e5bf7537ea16c826f76d239a45cacf1a27222b61278c9a272010dfe31e",
+	}
+	for _, sp := range All() {
+		src, err := DefaultSource(sp.ID, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf []byte
+		for i := 0; i < 64; i++ {
+			buf = src.AppendSample(buf[:0], i)
+			h.Write(buf)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[sp.ID] {
+			t.Errorf("%s: first 64 samples hash to %s, want %s", sp.ID, got, want[sp.ID])
+		}
+	}
 }
