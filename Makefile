@@ -42,8 +42,9 @@ lint-scheme:
 # names), a fuzz pass checking that chained reserved-seq series dispatch
 # exactly like series queued up front, one checking the scheduler's run queue
 # against a brute-force reference, one feeding parsed fault schedules and
-# probe scripts to the fault engine and a brute-force reference, and one
-# feeding scenario JSON to Scenario.Config.
+# probe scripts to the fault engine and a brute-force reference, one feeding
+# scenario JSON to Scenario.Config, and one feeding sweep-spec JSON to
+# ParseSpec and Expand.
 check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:
@@ -59,13 +60,23 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseScheme -fuzztime 5s ./internal/scheme
 	$(GO) test -run '^$$' -fuzz FuzzModeUnmarshalText -fuzztime 5s ./internal/scheme
 	$(GO) test -run '^$$' -fuzz FuzzScenarioConfig -fuzztime 5s ./internal/hub
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/fleet
 
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the
 # sweep self-scrapes its own /metrics at the end), and the CLI in one shot.
+# The scrape must count all 8 scenarios done and export a nonzero run total
+# from the runs' counters.
 fleet-smoke:
-	$(GO) run -race ./cmd/iotfleet -spec internal/fleet/testdata/smoke.json \
-		-workers 4 -progress -metrics-addr 127.0.0.1:0
+	@out=$$($(GO) run -race ./cmd/iotfleet -spec internal/fleet/testdata/smoke.json \
+		-workers 4 -progress -metrics-addr 127.0.0.1:0 2>&1); status=$$?; \
+	printf '%s\n' "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	printf '%s\n' "$$out" | grep -qx 'iothub_fleet_scenarios_done 8' || \
+	  { echo "fleet-smoke: scrape lacks iothub_fleet_scenarios_done 8"; exit 1; }; \
+	printf '%s\n' "$$out" | grep -Eq '^iothub_interrupts_raised_total [1-9]' || \
+	  { echo "fleet-smoke: scrape lacks a nonzero iothub_interrupts_raised_total"; exit 1; }; \
+	echo "fleet-smoke: ok"
 
 # Service-mode fault-tolerance smoke: coordinator + two worker processes
 # under the race detector, one worker kill -9'd mid-sweep; the merged

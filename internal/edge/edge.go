@@ -179,9 +179,6 @@ func (e *Edge) Reset(params Params) error {
 // Observe attaches an observability recorder (nil disables the layer).
 func (e *Edge) Observe(rec *obs.Recorder) { e.rec = rec }
 
-// Warm reports whether the app's container has already been initialized.
-func (e *Edge) Warm(app string) bool { return e.warm[app] }
-
 // Jobs and ColdStarts report cumulative executions and cold container inits.
 func (e *Edge) Jobs() int       { return e.jobs }
 func (e *Edge) ColdStarts() int { return e.coldStarts }
@@ -209,7 +206,6 @@ func (e *Edge) Submit(app string, footprintBytes int, mi float64, done sim.Done)
 		// warm/cold state at submission equals its state at arrival.
 		e.warm[app] = true
 		e.coldStarts++
-		e.rec.Inc(obs.EdgeColdStarts)
 		init = e.params.InitTime(footprintBytes)
 	}
 	busyStart := e.sched.Now().Add(e.params.RTT / 2)

@@ -89,9 +89,6 @@ func TestSubmitTiming(t *testing.T) {
 	if want := sim.Time(111 * time.Millisecond); first != want {
 		t.Errorf("cold trip returned at %v, want %v", first, want)
 	}
-	if !e.Warm("A") || e.Warm("B") {
-		t.Errorf("warm state: A=%v B=%v", e.Warm("A"), e.Warm("B"))
-	}
 	if err := e.Submit("A", 1<<20, 100, call(func() { second = sched.Now() })); err != nil {
 		t.Fatal(err)
 	}

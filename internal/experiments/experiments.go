@@ -12,8 +12,8 @@ import (
 
 	"iothub/internal/apps"
 	"iothub/internal/apps/catalog"
-	"iothub/internal/core"
 	"iothub/internal/energy"
+	"iothub/internal/fleet"
 	"iothub/internal/hub"
 	"iothub/internal/report"
 	"iothub/internal/sensor"
@@ -648,16 +648,8 @@ func Fig12() (*Result, error) {
 		}
 		addRow("Batching", bat)
 		if len(ids) > 1 {
-			list, err := newApps(ids...)
-			if err != nil {
-				return nil, err
-			}
-			plan, err := core.PlanBCOM(list, hub.DefaultParams())
-			if err != nil {
-				return nil, err
-			}
-			bcom, err := hub.Run(hub.Config{
-				Apps: list, Scheme: hub.BCOM, Assign: plan.Assign, Windows: Windows,
+			bcom, err := fleet.RunScenario(hub.Scenario{
+				Apps: ids, Scheme: hub.BCOM, Windows: Windows, Seed: Seed,
 			})
 			if err != nil {
 				return nil, err

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"iothub/internal/apps"
-	"iothub/internal/core"
 	"iothub/internal/fleet"
 	"iothub/internal/hub"
 	"iothub/internal/power"
@@ -38,26 +37,13 @@ func harvestSupply() (power.Supply, error) {
 	}, nil
 }
 
-// runPowered executes one golden-corpus pairing on a supply, planning the
-// BCOM partition when the scheme needs one (the battery-armed sibling of
-// runObserved).
+// runPowered executes one golden-corpus pairing on a supply (the
+// battery-armed sibling of runObserved).
 func runPowered(scheme hub.Scheme, ids []apps.ID, sup *power.Supply) (*hub.RunResult, error) {
-	list, err := newApps(ids...)
-	if err != nil {
-		return nil, err
-	}
-	cfg := hub.Config{
-		Apps: list, Scheme: scheme, Windows: Windows,
+	return fleet.RunScenario(hub.Scenario{
+		Apps: ids, Scheme: scheme, Windows: Windows, Seed: Seed,
 		SkipAppCompute: true, Power: sup,
-	}
-	if scheme == hub.BCOM {
-		plan, err := core.PlanBCOM(list, hub.DefaultParams())
-		if err != nil {
-			return nil, err
-		}
-		cfg.Assign = plan.Assign
-	}
-	return hub.Run(cfg)
+	})
 }
 
 // AblHarvest ranks the golden-corpus schemes by survival time on one shared

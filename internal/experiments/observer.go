@@ -12,7 +12,7 @@ import (
 	"fmt"
 
 	"iothub/internal/apps"
-	"iothub/internal/core"
+	"iothub/internal/fleet"
 	"iothub/internal/hub"
 	"iothub/internal/obs"
 	"iothub/internal/report"
@@ -44,24 +44,12 @@ func observerScenarios() []struct {
 }
 
 // runObserved executes one scheme/app pairing under the given meter (nil =
-// unobserved), planning the BCOM partition when the scheme needs one.
+// unobserved); fleet.RunScenario plans the partition when the scheme needs one.
 func runObserved(scheme hub.Scheme, ids []apps.ID, m *obs.MeterModel) (*hub.RunResult, error) {
-	list, err := newApps(ids...)
-	if err != nil {
-		return nil, err
-	}
-	cfg := hub.Config{
-		Apps: list, Scheme: scheme, Windows: Windows,
+	return fleet.RunScenario(hub.Scenario{
+		Apps: ids, Scheme: scheme, Windows: Windows, Seed: Seed,
 		SkipAppCompute: true, Meter: m,
-	}
-	if scheme == hub.BCOM {
-		plan, err := core.PlanBCOM(list, hub.DefaultParams())
-		if err != nil {
-			return nil, err
-		}
-		cfg.Assign = plan.Assign
-	}
-	return hub.Run(cfg)
+	})
 }
 
 // AblObserver quantifies the observer effect per scheme: each golden-corpus

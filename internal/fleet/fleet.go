@@ -166,8 +166,8 @@ func RunRange(scens []hub.Scenario, start, end, parallelism int) ([]DoneRecord, 
 // arena across its scenarios, and hands every record to emit on the calling
 // goroutine in completion order. The first error emit returns stops
 // dispatch; scenarios already running finish and are dropped, and pool
-// returns that error. g receives worker occupancy and each run's meter and
-// battery totals; it may be nil.
+// returns that error. g receives worker occupancy and each run's counter
+// totals; it may be nil.
 func pool(scens []hub.Scenario, start, end, workers int, g *obs.Gauges, emit func(DoneRecord) error) error {
 	indices := make(chan int)
 	// One slot per worker: a finished worker starts its next scenario
@@ -190,10 +190,7 @@ func pool(scens []hub.Scenario, start, end, workers int, g *obs.Gauges, emit fun
 				if err != nil {
 					d.Err = err.Error()
 				} else {
-					g.MeterObserved(int64(r.MeterSamples), int64(r.MeterDroppedSamples),
-						r.MeterCycles, int64(r.MeterFlushes), int64(r.MeterBytes))
-					g.PowerObserved(int64(r.Brownouts), int64(r.BrownoutTime),
-						int64(r.BatteryHarvestJ*1e6))
+					r.Counters(g.RunObserved)
 					d.Metrics = Metrics(r, scens[i].Windows)
 				}
 				records <- d

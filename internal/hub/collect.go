@@ -17,9 +17,15 @@ import (
 )
 
 // collect finalizes the result after the event queue drains. The power
-// ledger settles first so its final counters are visible to the recorder.
+// ledger settles, and the totals a device keeps are read into the result,
+// before collectObs copies the result's counters to the recorder.
 func (r *runner) collect() {
 	r.collectPower()
+	r.res.CPUWakes = r.cpu.Wakes()
+	r.res.MCUCrashes = r.mcu.Crashes()
+	if r.edge != nil {
+		r.res.EdgeColdStarts = r.edge.ColdStarts()
+	}
 	r.collectObs()
 	r.res.Energy = r.meter.Total()
 	for _, name := range r.meter.Components() {
@@ -27,8 +33,6 @@ func (r *runner) collect() {
 	}
 	r.res.CPUBusy = r.cpu.BusyByRoutine()
 	r.res.MCUBusy = r.mcu.BusyByRoutine()
-	r.res.CPUWakes = r.cpu.Wakes()
-	r.res.MCUCrashes = r.mcu.Crashes()
 	r.res.RadioDeferred = r.mainRadio.Deferred() + r.mcuRadio.Deferred()
 	r.res.RadioDroppedBursts = r.mainRadio.DroppedBursts() + r.mcuRadio.DroppedBursts()
 	r.res.RadioDroppedBytes = r.mainRadio.DroppedBytes() + r.mcuRadio.DroppedBytes()
@@ -46,8 +50,9 @@ func (r *runner) collect() {
 }
 
 // collectObs copies component-kept running totals into the recorder — the
-// event kernel's traffic, CPU residency and wakes, MCU high-water and
-// crashes, fault-engine probe hits — and closes the run-level scheme span.
+// event kernel's traffic, CPU residency, MCU high-water, fault-engine probe
+// hits, the battery's final charge — plus the result's own Counters, and
+// closes the run-level scheme span.
 func (r *runner) collectObs() {
 	if !r.obs.Enabled() {
 		return
@@ -67,17 +72,13 @@ func (r *runner) collectObs() {
 			r.obs.Store(c, uint64(d))
 		}
 	}
-	r.obs.Store(obs.CPUWakes, uint64(r.cpu.Wakes()))
 	r.obs.SetMax(obs.MCUBufferHighWater, uint64(r.mcu.RAMHighWater()))
-	r.obs.Store(obs.MCUCrashes, uint64(r.mcu.Crashes()))
 	r.obs.Add(obs.FaultActivations, r.engine.Activations())
-	if r.supply.on {
-		r.obs.Store(obs.BatteryBrownouts, uint64(r.res.Brownouts))
-		r.obs.Store(obs.BatteryBrownoutTimeNs, uint64(r.res.BrownoutTime))
-		if r.supply.capJ > 0 {
-			r.obs.Store(obs.BatterySoCPermille, uint64(r.supply.socJ/r.supply.capJ*1000))
-		}
-		r.obs.Store(obs.BatteryHarvestedMicroJ, uint64(r.supply.harvestJ*1e6))
+	r.res.Counters(r.obs.Store)
+	// The final charge is a level, not a sum: it stays out of Counters, so
+	// sweeps never add it up.
+	if r.supply.on && r.supply.capJ > 0 {
+		r.obs.Store(obs.BatterySoCPermille, uint64(r.supply.socJ/r.supply.capJ*1000))
 	}
 	r.obs.Span("hub", r.cfg.Scheme.String(), 0, r.sched.Now())
 }

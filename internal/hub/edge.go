@@ -9,7 +9,6 @@ package hub
 
 import (
 	"iothub/internal/energy"
-	"iothub/internal/obs"
 	"iothub/internal/sim"
 )
 
@@ -18,8 +17,6 @@ func (r *runner) edgeCompute(st *appState, w int) {
 	delete(st.uploadBytes, w)
 	r.res.EdgeUploads++
 	r.res.EdgeUploadBytes += payload
-	r.obs.Inc(obs.EdgeUploads)
-	r.obs.Add(obs.EdgeUploadBytes, uint64(payload))
 
 	// The host hands the burst to its radio for the driver cost; zero-byte
 	// windows (every sample dropped) skip the airtime but still compute.
@@ -41,9 +38,6 @@ func (r *runner) edgeCompute(st *appState, w int) {
 // edgeSubmit ships the uploaded window to the app's container; the result
 // notification comes back as opEdgeResult.
 func (r *runner) edgeSubmit(st *appState, w int) {
-	if !r.edge.Warm(string(st.spec.ID)) {
-		r.res.EdgeColdStarts++
-	}
 	err := r.edge.Submit(string(st.spec.ID), st.spec.MemoryBytes(), st.edgeMI,
 		sim.Done{CB: r, Arg: sim.Arg{Op: opEdgeResult, P0: st, I0: int64(w)}})
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"iothub/internal/energy"
-	"iothub/internal/obs"
 	"iothub/internal/scheme"
 	"iothub/internal/sim"
 )
@@ -169,11 +168,9 @@ func (r *runner) startXfer(slot int) {
 func (r *runner) xferRaised(slot int) {
 	x := &r.xfers[slot]
 	r.res.Interrupts++
-	r.obs.Inc(obs.InterruptsRaised)
 	r.meterOnInterrupt()
 	if x.kind == xfBatch {
 		r.res.BatchFlushes++
-		r.obs.Inc(obs.BatchFlushes)
 	}
 	err := r.cpu.ExecCall(r.params.CPUIrqHandle, energy.Interrupt,
 		sim.Done{CB: r, Arg: sim.Arg{Op: opXferHandled, I0: int64(slot)}})

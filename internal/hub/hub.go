@@ -316,6 +316,31 @@ type RunResult struct {
 // TotalJoules is the hub-wide energy of the run.
 func (r *RunResult) TotalJoules() float64 { return r.Energy.Total() }
 
+// Counters lists, in registry order, the obs counters whose only count is a
+// RunResult field: the run's recorder and the fleet's sweep gauges both read
+// them from here. Counters only a device keeps (UART, radio, CPU residency,
+// sensor reads, ...) have no field and reach the recorder from the device.
+func (r *RunResult) Counters(emit func(obs.Counter, uint64)) {
+	emit(obs.CPUWakes, uint64(r.CPUWakes))
+	emit(obs.InterruptsRaised, uint64(r.Interrupts))
+	emit(obs.MCUCrashes, uint64(r.MCUCrashes))
+	emit(obs.SamplesDropped, uint64(r.DroppedSamples))
+	emit(obs.BatchFlushes, uint64(r.BatchFlushes))
+	emit(obs.UpstreamBytes, uint64(r.UpstreamBytes))
+	emit(obs.EdgeUploads, uint64(r.EdgeUploads))
+	emit(obs.EdgeUploadBytes, uint64(r.EdgeUploadBytes))
+	emit(obs.EdgeColdStarts, uint64(r.EdgeColdStarts))
+	emit(obs.EdgeUpstreamBytes, uint64(r.EdgeUpstreamBytes))
+	emit(obs.MeterSamples, uint64(r.MeterSamples))
+	emit(obs.MeterDroppedSamples, uint64(r.MeterDroppedSamples))
+	emit(obs.MeterCPUCycles, uint64(r.MeterCycles))
+	emit(obs.MeterFlushes, uint64(r.MeterFlushes))
+	emit(obs.MeterBytes, uint64(r.MeterBytes))
+	emit(obs.BatteryBrownouts, uint64(r.Brownouts))
+	emit(obs.BatteryBrownoutTimeNs, uint64(r.BrownoutTime))
+	emit(obs.BatteryHarvestedMicroJ, uint64(r.BatteryHarvestJ*1e6))
+}
+
 // Clone deep-copies every container an Arena recycles, so the copy stays
 // valid after the arena's next Run (see the retention contract in arena.go).
 // App Result payloads inside Outputs are allocated fresh each run and never

@@ -108,7 +108,6 @@ func (r *runner) meterSample(execT time.Duration, cycles int64) {
 	if !r.mcu.Alive() {
 		// The board is mid-reboot: the conversion has no core to service it.
 		r.res.MeterDroppedSamples++
-		r.obs.Inc(obs.MeterDroppedSamples)
 		return
 	}
 	if m.PerSampleRAM > 0 {
@@ -116,19 +115,16 @@ func (r *runner) meterSample(execT time.Duration, cycles int64) {
 			// Buffer full against app batches: shed the reading rather than
 			// evict workload data.
 			r.res.MeterDroppedSamples++
-			r.obs.Inc(obs.MeterDroppedSamples)
 			return
 		}
 		r.insitu.allocd += m.PerSampleRAM
 	}
 	r.res.MeterSamples++
-	r.obs.Inc(obs.MeterSamples)
 	if m.SenseJ > 0 {
 		r.insitu.track.Deposit(m.SenseJ, energy.DataCollection)
 	}
 	if cycles > 0 {
 		r.res.MeterCycles += cycles
-		r.obs.Add(obs.MeterCPUCycles, uint64(cycles))
 		if err := r.mcu.ExecCall(execT, energy.DataCollection, sim.Done{}); err != nil {
 			r.fail(err)
 			return
@@ -157,7 +153,6 @@ func (r *runner) meterFlush() {
 	if r.insitu.flushT > 0 {
 		m := r.insitu.model
 		r.res.MeterCycles += m.FlushCycles
-		r.obs.Add(obs.MeterCPUCycles, uint64(m.FlushCycles))
 		err := r.mcu.ExecCall(r.insitu.flushT, energy.DataCollection,
 			sim.Done{CB: r, Arg: sim.Arg{Op: opMeterFlushed, I0: int64(n), I1: r.insitu.gen}})
 		if err != nil {
@@ -183,11 +178,7 @@ func (r *runner) meterFlushed(n int, gen int64) {
 	}
 	m := r.insitu.model
 	r.res.MeterFlushes++
-	r.obs.Inc(obs.MeterFlushes)
-	if bytes := n * m.FlushBytes; bytes > 0 {
-		r.res.MeterBytes += bytes
-		r.obs.Add(obs.MeterBytes, uint64(bytes))
-	}
+	r.res.MeterBytes += n * m.FlushBytes
 	if free := n * m.PerSampleRAM; free > 0 {
 		if free > r.insitu.allocd {
 			free = r.insitu.allocd
@@ -210,11 +201,8 @@ func (r *runner) meterOnCrash() {
 	if r.insitu.model == nil {
 		return
 	}
-	if r.insitu.pend > 0 {
-		r.res.MeterDroppedSamples += r.insitu.pend
-		r.obs.Add(obs.MeterDroppedSamples, uint64(r.insitu.pend))
-		r.insitu.pend = 0
-	}
+	r.res.MeterDroppedSamples += r.insitu.pend
+	r.insitu.pend = 0
 	r.insitu.allocd = 0
 	r.insitu.idx = 0
 	r.insitu.gen++

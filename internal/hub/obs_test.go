@@ -17,6 +17,7 @@ import (
 	"iothub/internal/faults"
 	"iothub/internal/hub"
 	"iothub/internal/obs"
+	"iothub/internal/power"
 	"iothub/internal/sensor"
 )
 
@@ -161,6 +162,70 @@ func TestObsCountersBEAMSharing(t *testing.T) {
 		t.Error("interrupts_coalesced = 0, want > 0 for a shared stream")
 	}
 	expectCounter(t, rec, obs.InterruptsRaised, uint64(res.Interrupts))
+}
+
+// TestObsCountersMatchResult: each counter a RunResult field also counts
+// must read exactly that field, for every golden case unarmed, under an
+// in-situ meter, on the harvesting test supply, and on a battery too small
+// to finish (a terminal brownout strands samples, which count as dropped).
+func TestObsCountersMatchResult(t *testing.T) {
+	insitu := obs.Insitu(500)
+	supply := testSupply()
+	tiny := power.Supply{Battery: power.Battery{CapacityMAh: 0.05, Volts: 3, DerateFraction: 1}}
+	arms := []struct {
+		name string
+		arm  func(*hub.Config)
+	}{
+		{"unarmed", func(*hub.Config) {}},
+		{"insitu", func(c *hub.Config) { c.Meter = &insitu }},
+		{"supply", func(c *hub.Config) { c.Power = &supply }},
+		{"tiny-battery", func(c *hub.Config) { c.Power = &tiny }},
+	}
+	for _, tc := range goldenCases() {
+		for _, a := range arms {
+			t.Run(tc.name+"/"+a.name, func(t *testing.T) {
+				rec := obs.NewRecorder()
+				cfg := obsConfig(t, tc.ids, tc.scheme, 2, rec)
+				if tc.chaos != "" {
+					schedule, err := faults.ParseSchedule(tc.chaos)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.FaultSchedule = schedule
+				}
+				a.arm(&cfg)
+				res, err := hub.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range []struct {
+					c obs.Counter
+					v int64
+				}{
+					{obs.CPUWakes, int64(res.CPUWakes)},
+					{obs.InterruptsRaised, int64(res.Interrupts)},
+					{obs.MCUCrashes, int64(res.MCUCrashes)},
+					{obs.SamplesDropped, int64(res.DroppedSamples)},
+					{obs.BatchFlushes, int64(res.BatchFlushes)},
+					{obs.UpstreamBytes, int64(res.UpstreamBytes)},
+					{obs.EdgeUploads, int64(res.EdgeUploads)},
+					{obs.EdgeUploadBytes, int64(res.EdgeUploadBytes)},
+					{obs.EdgeColdStarts, int64(res.EdgeColdStarts)},
+					{obs.EdgeUpstreamBytes, int64(res.EdgeUpstreamBytes)},
+					{obs.MeterSamples, int64(res.MeterSamples)},
+					{obs.MeterDroppedSamples, int64(res.MeterDroppedSamples)},
+					{obs.MeterCPUCycles, res.MeterCycles},
+					{obs.MeterFlushes, int64(res.MeterFlushes)},
+					{obs.MeterBytes, int64(res.MeterBytes)},
+					{obs.BatteryBrownouts, int64(res.Brownouts)},
+					{obs.BatteryBrownoutTimeNs, int64(res.BrownoutTime)},
+					{obs.BatteryHarvestedMicroJ, int64(res.BatteryHarvestJ * 1e6)},
+				} {
+					expectCounter(t, rec, f.c, uint64(f.v))
+				}
+			})
+		}
+	}
 }
 
 // TestObsRecorderDoesNotPerturb is the measurement-does-not-perturb

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"iothub/internal/energy"
-	"iothub/internal/obs"
 	"iothub/internal/power"
 	"iothub/internal/sim"
 )
@@ -221,7 +220,6 @@ func (r *runner) onBrownout(now sim.Time) {
 	if r.res.Brownouts == 1 {
 		r.res.BatterySurvival = now.Duration()
 	}
-	r.obs.Inc(obs.BatteryBrownouts)
 	if r.obs.Enabled() {
 		r.obs.Note("brownout", fmt.Sprintf("SoC zero in window %d", r.windowAt(now)))
 	}

@@ -380,7 +380,6 @@ func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
 // computed outputs (real apps tolerate missing samples; see DESIGN.md).
 func (r *runner) dropSample(s *stream, k int) {
 	r.res.DroppedSamples++
-	r.obs.Inc(obs.SamplesDropped)
 	w := k / s.perWindow
 	r.windowFault(w).Drops++
 	if r.obs.Enabled() {
@@ -539,12 +538,10 @@ func (r *runner) uplink(st *appState, w int, payload []byte) {
 		return
 	}
 	r.res.UpstreamBytes += len(payload)
-	r.obs.Add(obs.UpstreamBytes, uint64(len(payload)))
 	if st.policyFor(w).PlaceCompute() == scheme.OnEdge {
 		// The result already lives in the edge container; it egresses from
 		// the edge's own network, costing the hub nothing.
 		r.res.EdgeUpstreamBytes += len(payload)
-		r.obs.Add(obs.EdgeUpstreamBytes, uint64(len(payload)))
 		return
 	}
 	if st.policyFor(w).PlaceCompute() == scheme.OnMCU {

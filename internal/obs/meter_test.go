@@ -103,29 +103,3 @@ func TestMeterTimes(t *testing.T) {
 		t.Errorf("disarmed Period = %v, want 0", got)
 	}
 }
-
-func TestGaugesMeterObserved(t *testing.T) {
-	g := NewGauges()
-	g.MeterObserved(0, 0, 0, 0, 0) // all-zero fold-in is a no-op
-	g.MeterObserved(100, 2, 160_000, 1, 512)
-	g.MeterObserved(50, 0, 80_000, 1, 256)
-	s := g.Read()
-	if s.MeterSamples != 150 || s.MeterDropped != 2 || s.MeterCycles != 240_000 ||
-		s.MeterFlushes != 2 || s.MeterBytes != 768 {
-		t.Errorf("meter snapshot = %+v", s)
-	}
-	text := g.PrometheusText()
-	for _, want := range []string{
-		"iothub_meter_samples_total 150",
-		"iothub_meter_dropped_samples_total 2",
-		"iothub_meter_cpu_cycles_total 240000",
-		"iothub_meter_flushes_total 2",
-		"iothub_meter_bytes_total 768",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Prometheus text missing %q", want)
-		}
-	}
-	var nilG *Gauges
-	nilG.MeterObserved(1, 1, 1, 1, 1) // nil-safe like every other gauge
-}

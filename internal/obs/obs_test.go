@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"iothub/internal/sim"
@@ -281,14 +282,101 @@ func TestGaugesSnapshotAndPrometheus(t *testing.T) {
 	}
 }
 
+// TestGaugesRunObserved: per-run counter values add up across runs, every
+// reported counter (zero totals included) is exported as
+// iothub_<counter>_total, and a counter no run reported has no series
+// (TestNilGaugesNoOps covers nil gauges).
+func TestGaugesRunObserved(t *testing.T) {
+	series := func(c Counter) string { return "iothub_" + c.String() + "_total" }
+	g := NewGauges()
+	empty := g.PrometheusText()
+	for _, c := range Counters() {
+		if strings.Contains(empty, series(c)) {
+			t.Fatalf("no run reported yet, but %s is exported:\n%s", series(c), empty)
+		}
+	}
+	runs := []map[Counter]uint64{
+		{MeterSamples: 100, MeterDroppedSamples: 2, MeterCPUCycles: 160_000, MeterFlushes: 1, MeterBytes: 512,
+			BatteryBrownouts: 1, BatteryBrownoutTimeNs: 40_000, BatteryHarvestedMicroJ: 2_500,
+			InterruptsRaised: 4_000, EdgeUploads: 0},
+		{MeterSamples: 50, MeterDroppedSamples: 0, MeterCPUCycles: 80_000, MeterFlushes: 1, MeterBytes: 256,
+			BatteryBrownouts: 2, BatteryBrownoutTimeNs: 60_000, BatteryHarvestedMicroJ: 1_500,
+			InterruptsRaised: 834, EdgeUploads: 0},
+	}
+	for _, run := range runs {
+		for _, c := range Counters() {
+			if v, ok := run[c]; ok {
+				g.RunObserved(c, v)
+			}
+		}
+	}
+	text := g.PrometheusText()
+	for _, want := range []string{
+		// The meter and battery series keep the names they had before the
+		// export was generic.
+		"iothub_meter_samples_total 150",
+		"iothub_meter_dropped_samples_total 2",
+		"iothub_meter_cpu_cycles_total 240000",
+		"iothub_meter_flushes_total 2",
+		"iothub_meter_bytes_total 768",
+		"iothub_battery_brownouts_total 3",
+		"iothub_battery_brownout_ns_total 100000",
+		"iothub_battery_harvested_uj_total 4000",
+		"iothub_interrupts_raised_total 4834",
+		"# TYPE iothub_interrupts_raised_total gauge",
+		"iothub_edge_uploads_total 0",
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	for _, c := range []Counter{UARTBytes, BatterySoCPermille, CPUWakes} {
+		if strings.Contains(text, series(c)) {
+			t.Errorf("unreported counter exported as %s:\n%s", series(c), text)
+		}
+	}
+}
+
+// TestGaugesRunObservedConcurrent: pool workers report runs while a scrape
+// renders the page, and the totals still add up (run it under -race).
+func TestGaugesRunObservedConcurrent(t *testing.T) {
+	g := NewGauges()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				g.RunObserved(InterruptsRaised, 3)
+			}
+		}()
+	}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for range 20 {
+			_ = g.PrometheusText()
+		}
+	}()
+	wg.Wait()
+	<-scraped
+	if text := g.PrometheusText(); !strings.Contains(text, "iothub_interrupts_raised_total 1200\n") {
+		t.Errorf("4 workers x 100 runs x 3 interrupts not summed to 1200:\n%s", text)
+	}
+}
+
 func TestNilGaugesNoOps(t *testing.T) {
 	var g *Gauges
 	g.StartSweep(1, 1)
 	g.ScenarioDone(false)
 	g.WorkerBusy(+1)
 	g.SetFingerprint("x")
+	g.RunObserved(MeterSamples, 1)
 	if s := g.Read(); s != (Snapshot{}) {
 		t.Fatalf("nil gauges snapshot = %+v", s)
+	}
+	if text := g.PrometheusText(); strings.Contains(text, "iothub_meter_samples_total") {
+		t.Fatalf("nil gauges export a run total:\n%s", text)
 	}
 }
 

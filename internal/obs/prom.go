@@ -32,21 +32,11 @@ type Gauges struct {
 	degradeLevel  atomic.Int64 // coordinator degradation-ladder level
 	workersLive   atomic.Int64 // workers heard from within the liveness window
 
-	// In-situ meter totals across the sweep's runs (zero when no scenario
-	// arms a MeterModel) — observer cost on /metrics, per the self-metering
-	// mandate: the measurement layer reports what measuring costs.
-	meterSamples atomic.Int64
-	meterDropped atomic.Int64
-	meterCycles  atomic.Int64
-	meterFlushes atomic.Int64
-	meterBytes   atomic.Int64
-
-	// Battery ledger totals across the sweep's runs (zero when no scenario
-	// arms a power.Supply): brownout count, gated virtual time, and harvest
-	// energy credited.
-	battBrownouts atomic.Int64
-	battDownNs    atomic.Int64
-	battHarvestUJ atomic.Int64
+	// Per-counter totals over the sweep's runs, and which counters some run
+	// reported — only those are exported, so a service whose workers report
+	// nothing shows no run totals rather than zeros.
+	runTotals   [numCounters]atomic.Uint64
+	runReported [numCounters]atomic.Bool
 
 	mu          sync.Mutex
 	start       time.Time
@@ -161,28 +151,16 @@ func (g *Gauges) SetWorkersLive(n int) {
 	g.workersLive.Store(int64(n))
 }
 
-// MeterObserved folds one completed run's in-situ meter accounting into the
-// sweep totals (all-zero calls from unobserved runs are free no-ops).
-func (g *Gauges) MeterObserved(samples, dropped, cycles, flushes, bytes int64) {
-	if g == nil || samples|dropped|cycles|flushes|bytes == 0 {
+// RunObserved adds one completed run's value of counter c to the sweep
+// total and marks c reported; the fleet pool feeds it hub.RunResult.Counters.
+func (g *Gauges) RunObserved(c Counter, v uint64) {
+	if g == nil {
 		return
 	}
-	g.meterSamples.Add(samples)
-	g.meterDropped.Add(dropped)
-	g.meterCycles.Add(cycles)
-	g.meterFlushes.Add(flushes)
-	g.meterBytes.Add(bytes)
-}
-
-// PowerObserved folds one completed run's battery ledger accounting into the
-// sweep totals (all-zero calls from mains-powered runs are free no-ops).
-func (g *Gauges) PowerObserved(brownouts, downNs, harvestMicroJ int64) {
-	if g == nil || brownouts|downNs|harvestMicroJ == 0 {
-		return
+	g.runTotals[c].Add(v)
+	if !g.runReported[c].Load() {
+		g.runReported[c].Store(true)
 	}
-	g.battBrownouts.Add(brownouts)
-	g.battDownNs.Add(downNs)
-	g.battHarvestUJ.Add(harvestMicroJ)
 }
 
 // Snapshot is one consistent read of the gauges.
@@ -202,11 +180,6 @@ type Snapshot struct {
 	LeaseExpiries             int64
 	SubmitDuplicates          int64
 	DegradeLevel, WorkersLive int64
-	// In-situ meter totals (zero when no scenario armed a MeterModel).
-	MeterSamples, MeterDropped            int64
-	MeterCycles, MeterFlushes, MeterBytes int64
-	// Battery ledger totals (zero when no scenario armed a power.Supply).
-	BatteryBrownouts, BatteryDownNs, BatteryHarvestUJ int64
 }
 
 // Read takes a snapshot.
@@ -231,14 +204,6 @@ func (g *Gauges) Read() Snapshot {
 		SubmitDuplicates: g.submitDupes.Load(),
 		DegradeLevel:     g.degradeLevel.Load(),
 		WorkersLive:      g.workersLive.Load(),
-		MeterSamples:     g.meterSamples.Load(),
-		MeterDropped:     g.meterDropped.Load(),
-		MeterCycles:      g.meterCycles.Load(),
-		MeterFlushes:     g.meterFlushes.Load(),
-		MeterBytes:       g.meterBytes.Load(),
-		BatteryBrownouts: g.battBrownouts.Load(),
-		BatteryDownNs:    g.battDownNs.Load(),
-		BatteryHarvestUJ: g.battHarvestUJ.Load(),
 	}
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 && s.Done > 0 {
@@ -277,17 +242,19 @@ func (g *Gauges) WritePrometheus(w io.Writer) error {
 		{"iothub_fleetd_submit_duplicates_total", "Submissions ignored by the idempotency check.", float64(s.SubmitDuplicates)},
 		{"iothub_fleetd_degrade_level", "Coordinator degradation-ladder level.", float64(s.DegradeLevel)},
 		{"iothub_fleetd_workers_live", "Workers heard from within the liveness window.", float64(s.WorkersLive)},
-		{"iothub_meter_samples_total", "In-situ meter samples taken across the sweep's runs.", float64(s.MeterSamples)},
-		{"iothub_meter_dropped_samples_total", "In-situ meter samples lost to RAM pressure or MCU reboots.", float64(s.MeterDropped)},
-		{"iothub_meter_cpu_cycles_total", "MCU cycles the in-situ meters consumed.", float64(s.MeterCycles)},
-		{"iothub_meter_flushes_total", "In-situ meter buffer flushes.", float64(s.MeterFlushes)},
-		{"iothub_meter_bytes_total", "Record bytes the in-situ meters persisted.", float64(s.MeterBytes)},
-		{"iothub_battery_brownouts_total", "SoC-zero power gates across the sweep's runs.", float64(s.BatteryBrownouts)},
-		{"iothub_battery_brownout_ns_total", "Virtual nanoseconds spent power-gated.", float64(s.BatteryDownNs)},
-		{"iothub_battery_harvested_uj_total", "Harvest energy credited to batteries, in microjoules.", float64(s.BatteryHarvestUJ)},
 	}
 	for _, sr := range series {
 		if err := promGauge(w, sr.name, sr.help, sr.value); err != nil {
+			return err
+		}
+	}
+	for c := range Counter(numCounters) {
+		if g == nil || !g.runReported[c].Load() {
+			continue
+		}
+		name := "iothub_" + c.String() + "_total"
+		help := "Sum of the " + c.String() + " counter over the sweep's runs."
+		if err := promGauge(w, name, help, float64(g.runTotals[c].Load())); err != nil {
 			return err
 		}
 	}
