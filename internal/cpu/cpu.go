@@ -159,57 +159,49 @@ func isIO(r energy.Routine) bool {
 	return r == energy.Interrupt || r == energy.DataTransfer
 }
 
-func validateParams(params Params) error {
-	if params.MIPS <= 0 {
-		return fmt.Errorf("cpu: MIPS = %v, want > 0", params.MIPS)
+// Validate checks the calibration.
+func (p Params) Validate() error {
+	if p.MIPS <= 0 {
+		return fmt.Errorf("cpu: MIPS = %v, want > 0", p.MIPS)
 	}
-	if params.Cores < 1 {
-		return fmt.Errorf("cpu: Cores = %d, want >= 1", params.Cores)
+	if p.Cores < 1 {
+		return fmt.Errorf("cpu: Cores = %d, want >= 1", p.Cores)
 	}
 	return nil
 }
 
 // New returns an idle (WFI) processor metered on the named track.
 func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) (*CPU, error) {
-	if err := validateParams(params); err != nil {
+	c := &CPU{sched: sched, meter: meter, name: name}
+	if err := c.Reset(params); err != nil {
 		return nil, err
 	}
-	c := &CPU{
-		sched:  sched,
-		meter:  meter,
-		name:   name,
-		track:  meter.Track(name),
-		params: params,
-		state:  WFI,
-	}
-	c.track.Set(params.WFIW, energy.Idle)
 	return c, nil
 }
 
-// Reset reinitializes the processor in place for a new run, exactly as New
-// would construct it: the scheduler and meter must have been reset first,
-// and the track is re-requested so it registers at this call's position in
-// the meter's component order. Queue and slot capacity is kept.
+// Reset readies the processor for a new run: idle in WFI, with only its
+// identity and its queue and slot capacity kept. The scheduler and meter must
+// have been reset first; the track is re-requested so it registers at this
+// call's position in the meter's component order.
 func (c *CPU) Reset(params Params) error {
-	if err := validateParams(params); err != nil {
+	if err := params.Validate(); err != nil {
 		return err
 	}
-	c.track = c.meter.Track(c.name)
-	c.params = params
-	c.state = WFI
 	clear(c.items)
-	c.items = c.items[:0]
-	c.itemsFree = c.itemsFree[:0]
 	c.queueIO.Reset()
 	c.queueCompute.Reset()
-	c.ioBusy = false
-	c.ioRoutine = 0
-	c.computeBusy = 0
-	c.busy = energy.RoutineTimes{}
-	c.wakes = 0
-	c.obs = nil
-	c.resid = [Waking + 1]time.Duration{}
-	c.lastTrans = 0
+	*c = CPU{
+		sched:        c.sched,
+		meter:        c.meter,
+		name:         c.name,
+		track:        c.meter.Track(c.name),
+		params:       params,
+		state:        WFI,
+		items:        c.items[:0],
+		itemsFree:    c.itemsFree[:0],
+		queueIO:      c.queueIO,
+		queueCompute: c.queueCompute,
+	}
 	c.track.Set(params.WFIW, energy.Idle)
 	return nil
 }

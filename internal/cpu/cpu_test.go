@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -344,5 +345,78 @@ func TestStateString(t *testing.T) {
 		if got := st.String(); got != want {
 			t.Errorf("State(%d) = %q, want %q", int(st), got, want)
 		}
+	}
+}
+
+// cpuReading is every exported reading of a processor after a run.
+type cpuReading struct {
+	Busy   map[energy.Routine]time.Duration
+	Resid  map[State]time.Duration
+	Wakes  int
+	State  State
+	Ends   []sim.Time
+	Energy energy.Breakdown
+}
+
+// probeCPU runs one fixed workload on c — work on both lanes, a deep sleep,
+// and a wake — and returns the readings.
+func probeCPU(t *testing.T, c *CPU, s *sim.Scheduler) cpuReading {
+	t.Helper()
+	var ends []sim.Time
+	done := func() { ends = append(ends, s.Now()) }
+	for _, r := range []energy.Routine{energy.Interrupt, energy.AppCompute, energy.DataTransfer, energy.AppCompute} {
+		if err := exec(c, 2*time.Millisecond, r, done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := after(s, 20*time.Millisecond, func() {
+		if err := c.Idle(time.Second, energy.AppCompute, true); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := after(s, 100*time.Millisecond, func() {
+		if err := exec(c, time.Millisecond, energy.Interrupt, done); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	run(t, s)
+	return cpuReading{c.BusyByRoutine(), c.Residency(), c.Wakes(), c.State(), ends, c.Track().Breakdown()}
+}
+
+// TestResetMidRunMatchesFresh resets a processor caught mid-run — woken from
+// deep sleep, both lanes busy, more work queued — and checks that it then
+// reads exactly like a freshly built one.
+func TestResetMidRunMatchesFresh(t *testing.T) {
+	c, s, m := newCPU(t)
+	if err := c.Idle(time.Second, energy.AppCompute, true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := exec(c, 10*time.Millisecond, energy.AppCompute, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := exec(c, time.Millisecond, energy.Interrupt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RunUntil(sim.Time(8 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Busy() || c.Wakes() != 1 {
+		t.Fatalf("setup: busy %v, wakes %d; want a woken processor with work left", c.Busy(), c.Wakes())
+	}
+	s.Reset()
+	m.Reset()
+	if err := c.Reset(DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	got := probeCPU(t, c, s)
+	fresh, fs, _ := newCPU(t)
+	if want := probeCPU(t, fresh, fs); !reflect.DeepEqual(got, want) {
+		t.Errorf("reset processor reads %+v\nfresh processor reads %+v", got, want)
 	}
 }

@@ -142,36 +142,30 @@ type Edge struct {
 
 // New binds an edge executor to the scheduler and a named meter track.
 func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) (*Edge, error) {
-	if err := params.Validate(); err != nil {
+	e := &Edge{sched: sched, meter: meter, name: name}
+	if err := e.Reset(params); err != nil {
 		return nil, err
 	}
-	e := &Edge{
-		params: params,
-		sched:  sched,
-		meter:  meter,
-		name:   name,
-		track:  meter.Track(name),
-		warm:   make(map[string]bool),
-	}
-	e.track.Set(params.IdleW, energy.Idle)
 	return e, nil
 }
 
-// Reset reinitializes the executor in place for a new run, exactly as New
-// would construct it: the scheduler and meter must have been reset first,
-// and the track is re-requested so it registers at this call's position in
-// the meter's component order. Warm-container map capacity is kept.
+// Reset readies the executor for a new run: idle, every container cold,
+// keeping only its identity and its warm-container map. The scheduler and
+// meter must have been reset first; the track is re-requested so it
+// registers at this call's position in the meter's component order.
 func (e *Edge) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	e.params = params
-	e.track = e.meter.Track(e.name)
-	e.rec = nil
 	clear(e.warm)
-	e.active = 0
-	e.jobs = 0
-	e.coldStarts = 0
+	*e = Edge{
+		params: params,
+		sched:  e.sched,
+		meter:  e.meter,
+		name:   e.name,
+		track:  e.meter.Track(e.name),
+		warm:   e.warm,
+	}
 	e.track.Set(params.IdleW, energy.Idle)
 	return nil
 }
@@ -204,6 +198,9 @@ func (e *Edge) Submit(app string, footprintBytes int, mi float64, done sim.Done)
 	if !e.warm[app] {
 		// The hub submits an app's windows in order, so the container's
 		// warm/cold state at submission equals its state at arrival.
+		if e.warm == nil {
+			e.warm = make(map[string]bool)
+		}
 		e.warm[app] = true
 		e.coldStarts++
 		init = e.params.InitTime(footprintBytes)

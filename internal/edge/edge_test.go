@@ -2,6 +2,7 @@ package edge
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -169,5 +170,66 @@ func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
 	jobs()
 	if got := testing.AllocsPerRun(100, jobs); got != 0 {
 		t.Errorf("warmed Submit allocates %v per run, want 0", got)
+	}
+}
+
+// edgeReading is every exported reading of an executor after a run.
+type edgeReading struct {
+	Jobs, ColdStarts int
+	Done             []sim.Time
+	Energy           energy.Breakdown
+}
+
+// probeEdge runs one fixed workload on e — two cold containers, one reused
+// warm, with jobs overlapping — and returns the readings.
+func probeEdge(t *testing.T, e *Edge, s *sim.Scheduler) edgeReading {
+	t.Helper()
+	var done []sim.Time
+	note := call(func() { done = append(done, s.Now()) })
+	for _, app := range []string{"A", "B", "A"} {
+		if err := e.Submit(app, 1<<20, 100, note); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return edgeReading{e.Jobs(), e.ColdStarts(), done, e.track.Breakdown()}
+}
+
+// TestResetMidRunMatchesFresh resets an executor caught mid-run — two
+// containers warm and both computing — and checks that it then reads exactly
+// like a freshly built one.
+func TestResetMidRunMatchesFresh(t *testing.T) {
+	s := sim.NewScheduler()
+	m := energy.NewMeter(s)
+	e, err := New(s, m, "edge", testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range []string{"A", "B"} {
+		if err := e.Submit(app, 1<<20, 100, sim.Done{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RunUntil(sim.Time(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if e.track.Watts() != 2*testParams().ActiveW {
+		t.Fatalf("setup: edge draws %v W, want both jobs running", e.track.Watts())
+	}
+	s.Reset()
+	m.Reset()
+	if err := e.Reset(testParams()); err != nil {
+		t.Fatal(err)
+	}
+	got := probeEdge(t, e, s)
+	fs := sim.NewScheduler()
+	fresh, err := New(fs, energy.NewMeter(fs), "edge", testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := probeEdge(t, fresh, fs); !reflect.DeepEqual(got, want) {
+		t.Errorf("reset executor reads %+v\nfresh executor reads %+v", got, want)
 	}
 }

@@ -139,13 +139,8 @@ func (m *Meter) Track(name string) *Track {
 		}
 		return tr
 	}
-	tr := &Track{
-		name:    name,
-		clock:   m.clock,
-		lastAt:  m.clock.Now(),
-		routine: Idle,
-		gen:     m.gen,
-	}
+	tr := &Track{name: name, clock: m.clock}
+	tr.revive(m.gen, m.clock.Now())
 	m.tracks[name] = tr
 	m.register(tr)
 	return tr
@@ -163,19 +158,11 @@ func (m *Meter) register(tr *Track) {
 	m.sorted[i] = tr
 }
 
-// revive reinitializes a pooled track to the fresh-construction state,
-// retaining only the trace buffer's capacity.
+// revive readies a track for generation gen: at zero watts, routine Idle,
+// with nothing accrued or traced, keeping only its identity and the trace
+// buffer's capacity.
 func (tr *Track) revive(gen uint32, now sim.Time) {
-	tr.gen = gen
-	tr.lastAt = now
-	tr.watts = 0
-	tr.routine = Idle
-	tr.joules = [routineSlots]float64{}
-	tr.touched = 0
-	if tr.trace != nil {
-		tr.trace = tr.trace[:0]
-	}
-	tr.tracing = false
+	*tr = Track{name: tr.name, clock: tr.clock, lastAt: now, routine: Idle, trace: tr.trace[:0], gen: gen}
 }
 
 // Reset prepares the meter for a new run on the (also reset) clock: the live
@@ -183,12 +170,8 @@ func (tr *Track) revive(gen uint32, now sim.Time) {
 // every outstanding *Track. Tracks stay pooled — re-requesting the same
 // names in the same order reproduces a fresh meter without allocating.
 func (m *Meter) Reset() {
-	m.gen++
-	m.order = m.order[:0]
-	for i := range m.sorted {
-		m.sorted[i] = nil
-	}
-	m.sorted = m.sorted[:0]
+	clear(m.sorted)
+	*m = Meter{clock: m.clock, tracks: m.tracks, order: m.order[:0], sorted: m.sorted[:0], gen: m.gen + 1}
 }
 
 // Components lists track names in creation order.

@@ -75,7 +75,7 @@ func RunScenario(s hub.Scenario) (*hub.RunResult, error) {
 // fleet workers run, one arena per worker, so back-to-back scenarios reuse
 // the scheduler, meter, and device stack instead of reconstructing them. The
 // returned result is only valid until the arena's next run (see the
-// retention contract in hub's arena); callers that keep it must Clone it.
+// retention contract in hub's arena); callers copy what they keep.
 func RunScenarioIn(a *hub.Arena, s hub.Scenario) (*hub.RunResult, error) {
 	cfg, err := s.Config()
 	if err != nil {

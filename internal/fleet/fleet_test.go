@@ -79,6 +79,27 @@ func TestExpandOrderAndSeeds(t *testing.T) {
 	}
 }
 
+// TestExpandRejects pins that Expand refuses, with a fleet: error, a spec no
+// worker could run: an explicit scenario with no scheme is named by its index
+// in the list, as a bad grid scheme is by its axis.
+func TestExpandRejects(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{`{"seed":1,"scenarios":[{"apps":["A2"],"windows":1}]}`, "fleet: scenario 0: "},
+		{`{"seed":1,"scenarios":[{"apps":["A2"],"scheme":"com","windows":1},{"apps":["A2"],"windows":1}]}`, "fleet: scenario 1: "},
+		{`{"seed":1,"grid":{"apps":[["A2"]],"schemes":["turbo"],"windows":[1]}}`, "fleet: grid: "},
+		{`{"seed":1,"grid":{"apps":[["A2"]],"schemes":["baseline"],"windows":[0]}}`, "fleet: grid: windows 0"},
+		{`{"seed":1}`, "fleet: spec expands to no scenarios"},
+	} {
+		spec, err := ParseSpec(strings.NewReader(tc.spec))
+		if err != nil {
+			t.Fatalf("ParseSpec(%s): %v", tc.spec, err)
+		}
+		if _, err := spec.Expand(); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Expand(%s) err = %v, want prefix %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
 // TestExpandMeterAxis pins the meters grid axis: it nests innermost, the
 // zero model expands to a meter-free scenario (so old grids are unchanged),
 // and an armed model lands in the label and survives spec JSON.

@@ -30,6 +30,7 @@ import (
 	"iothub/internal/hub"
 	"iothub/internal/obs"
 	"iothub/internal/power"
+	"iothub/internal/scheme"
 )
 
 // Grid declares a cartesian sweep: every combination of app mix, scheme,
@@ -163,6 +164,13 @@ func (s Spec) Expand() ([]hub.Scenario, error) {
 					}
 				}
 			}
+		}
+	}
+	// An explicit scenario needs a registered scheme, like a grid one: the
+	// zero Scheme would marshal as "Scheme(0)", which no worker can parse.
+	for i, sc := range s.Scenarios {
+		if _, err := scheme.Lookup(sc.Scheme); err != nil {
+			return nil, fmt.Errorf("fleet: scenario %d: %w", i, err)
 		}
 	}
 	out = append(out, s.Scenarios...)

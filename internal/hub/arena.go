@@ -4,19 +4,20 @@ package hub
 // runs thousands of scenarios back to back, and constructing a fresh
 // scheduler + meter + device stack + bookkeeping maps for every one of them
 // dominated the sweep's allocation profile. An Arena owns one of everything
-// and a renew path that reinitializes it in place: the first Run constructs
-// exactly what the package-level Run always constructed; every later Run
-// revives the same objects — scheduler event arena, meter tracks, device
-// state, appState/stream maps, the RunResult — with their container capacity
-// intact. Results are byte-identical either way; the golden corpus is
-// replayed through a reused arena in golden_scheme_test.go to prove it.
+// and renews it in place: the first Run builds the device stack, and every
+// later Run resets the same objects — scheduler event arena, meter tracks,
+// device state, appState/stream maps, the RunResult — with their container
+// capacity intact. Each device's New only binds its identity and calls its
+// Reset, so a built stack and a reset one start from the same state, and
+// results are byte-identical either way; the golden corpus is replayed
+// through a reused arena in arena_test.go to prove it.
 //
 // Retention contract: the *RunResult returned by an Arena's Run — and
 // everything reachable from it (Outputs slices, PerComponent map, ...) — is
 // only valid until the next Run on the same arena, because the backing
-// storage is recycled. Callers that keep results across runs must Clone()
-// first. The package-level Run and RunScenario construct a throwaway arena
-// per call, so their results remain immortal as always.
+// storage is recycled. Callers copy what they keep. The package-level Run and
+// RunScenario construct a throwaway arena per call, so their results remain
+// immortal as always.
 //
 // An Arena is not safe for concurrent use; fleet gives each worker its own.
 
@@ -37,14 +38,10 @@ import (
 // The zero value is ready to use; NewArena is the conventional spelling.
 type Arena struct {
 	r runner
-	// used marks a successfully renewed arena; a renew error clears it so
-	// the next Run rebuilds the stack from scratch instead of reusing a
-	// half-reset one.
-	used bool
 }
 
-// NewArena returns an empty arena. Its first Run performs ordinary
-// construction; subsequent Runs reuse everything.
+// NewArena returns an empty arena. Its first Run builds the device stack;
+// subsequent Runs reset it.
 func NewArena() *Arena { return &Arena{} }
 
 // Run executes one configured scenario in the arena. See the package-level
@@ -86,11 +83,9 @@ func (a *Arena) prepare(cfg Config) (*runner, error) {
 		return nil, err
 	}
 	r := &a.r
-	if err := r.renew(cfg, params, a.used); err != nil {
-		a.used = false
+	if err := r.renew(cfg, params); err != nil {
 		return nil, err
 	}
-	a.used = true
 	r.renewResult(pols)
 	if err := r.build(pols); err != nil {
 		return nil, err
@@ -126,86 +121,50 @@ func (a *Arena) RunScenario(s Scenario) (*RunResult, error) {
 	return a.Run(cfg)
 }
 
-// renew readies the runner for a run: first use constructs the device stack
-// exactly as the pre-arena Run did; reuse resets every component in the
-// original construction order, so the meter re-registers tracks in the same
-// component order and results stay byte-identical.
-func (r *runner) renew(cfg Config, params Params, reuse bool) error {
+// renew readies the runner for a run. Everything a run fills starts at its
+// zero value; what survives is the device stack, the arena pools, the
+// RunResult, the storage of the per-run lists, and the compiled harvest
+// trace with its key and horizon (armPower revalidates the key).
+func (r *runner) renew(cfg Config, params Params) error {
 	// Recycle the previous run's per-run objects into the pools (no-ops on
 	// first use). This also scrubs state left behind by an errored run.
 	for _, st := range r.states {
 		r.putState(st)
 	}
-	r.states = r.states[:0]
 	for _, s := range r.streams {
 		r.putStream(s)
 	}
-	r.streams = r.streams[:0]
-	r.xfers = r.xfers[:0]
-	r.xferFree = r.xferFree[:0]
-	r.engine = nil
-	r.pol = nil
-	r.linkFaulty = false
-	r.horizon = 0
-	r.offloadNeed = 0
-	r.lastDegradedCrash = 0
-	r.crashRedo = r.crashRedo[:0]
-	r.gapHint = 0
-	r.allowDeep = false
-	r.edge = nil
-	r.insitu = meterState{}
-	// The compiled harvest trace and its key survive (armPower revalidates
-	// the key), and so does the redo list's storage.
-	r.supply = supplyState{steps: r.supply.steps, traceSrc: r.supply.traceSrc,
-		traceHzn: r.supply.traceHzn, redo: r.supply.redo[:0]}
-	r.runErr = nil
+	*r = runner{
+		cfg:    cfg,
+		params: params,
+		window: cfg.Apps[0].Spec().Window,
 
-	r.cfg = cfg
-	r.params = params
-	r.window = cfg.Apps[0].Spec().Window
+		sched:     r.sched,
+		meter:     r.meter,
+		cpu:       r.cpu,
+		mcu:       r.mcu,
+		link:      r.link,
+		mainRadio: r.mainRadio,
+		mcuRadio:  r.mcuRadio,
+		obs:       params.Obs,
 
-	if !reuse {
-		r.sched = sim.NewScheduler()
-		r.meter = energy.NewMeter(r.sched)
-		// A previously pooled edge executor is bound to the old scheduler and
-		// meter; drop it so build() constructs a fresh one if needed.
-		r.edgePool = nil
-		var err error
-		if r.cpu, err = cpu.New(r.sched, r.meter, "cpu", params.CPU); err != nil {
-			return err
-		}
-		if r.mcu, err = mcu.New(r.sched, r.meter, "mcu", params.MCU); err != nil {
-			return err
-		}
-		if r.link, err = link.New(r.sched, r.meter, "link", params.Link); err != nil {
-			return err
-		}
-		if r.mainRadio, err = radio.New(r.sched, r.meter, "radio:main", params.MainRadio); err != nil {
-			return err
-		}
-		if r.mcuRadio, err = radio.New(r.sched, r.meter, "radio:mcu", params.MCURadio); err != nil {
-			return err
-		}
-	} else {
-		r.sched.Reset()
-		r.meter.Reset()
-		if err := r.cpu.Reset(params.CPU); err != nil {
-			return err
-		}
-		if err := r.mcu.Reset(params.MCU); err != nil {
-			return err
-		}
-		if err := r.link.Reset(params.Link); err != nil {
-			return err
-		}
-		if err := r.mainRadio.Reset(params.MainRadio); err != nil {
-			return err
-		}
-		if err := r.mcuRadio.Reset(params.MCURadio); err != nil {
-			return err
-		}
+		states:    r.states[:0],
+		streams:   r.streams[:0],
+		crashRedo: r.crashRedo[:0],
+		xfers:     r.xfers[:0],
+		xferFree:  r.xferFree[:0],
+		supply: supplyState{steps: r.supply.steps, traceSrc: r.supply.traceSrc,
+			traceHzn: r.supply.traceHzn, redo: r.supply.redo[:0]},
+
+		statePool:  r.statePool,
+		streamPool: r.streamPool,
+		uploadPool: r.uploadPool,
+		edgePool:   r.edgePool,
+		res:        r.res,
 	}
-	r.obs = params.Obs
+	if err := r.renewStack(); err != nil {
+		return err
+	}
 	r.obs.Bind(r.sched)
 	r.cpu.Observe(r.obs)
 	r.mcu.Observe(r.obs)
@@ -219,23 +178,65 @@ func (r *runner) renew(cfg Config, params Params, reuse bool) error {
 	return nil
 }
 
-// renewResult readies the reused RunResult: the two long-lived maps are
-// cleared in place, everything else returns to the zero value. WindowFaults,
-// Degradations, and Traces must come back as nil, not emptied containers —
-// fault-free runs serialize them as null and tests assert it.
+// renewStack resets the device stack in construction order, so the meter
+// re-registers tracks in the same component order and results stay
+// byte-identical. An arena without a stack builds one; the MCU radio, built
+// last, marks a stack as complete, so a build that failed part-way is redone
+// in full.
+func (r *runner) renewStack() error {
+	p := r.params
+	if r.mcuRadio == nil {
+		r.sched = sim.NewScheduler()
+		r.meter = energy.NewMeter(r.sched)
+		var err error
+		if r.cpu, err = cpu.New(r.sched, r.meter, "cpu", p.CPU); err != nil {
+			return err
+		}
+		if r.mcu, err = mcu.New(r.sched, r.meter, "mcu", p.MCU); err != nil {
+			return err
+		}
+		if r.link, err = link.New(r.sched, r.meter, "link", p.Link); err != nil {
+			return err
+		}
+		if r.mainRadio, err = radio.New(r.sched, r.meter, "radio:main", p.MainRadio); err != nil {
+			return err
+		}
+		r.mcuRadio, err = radio.New(r.sched, r.meter, "radio:mcu", p.MCURadio)
+		return err
+	}
+	r.sched.Reset()
+	r.meter.Reset()
+	if err := r.cpu.Reset(p.CPU); err != nil {
+		return err
+	}
+	if err := r.mcu.Reset(p.MCU); err != nil {
+		return err
+	}
+	if err := r.link.Reset(p.Link); err != nil {
+		return err
+	}
+	if err := r.mainRadio.Reset(p.MainRadio); err != nil {
+		return err
+	}
+	return r.mcuRadio.Reset(p.MCURadio)
+}
+
+// renewResult readies the RunResult, building it on first use: the two
+// long-lived maps are cleared in place, everything else returns to the zero
+// value. WindowFaults, Degradations, and Traces must come back as nil, not
+// emptied containers — fault-free runs serialize them as null and tests
+// assert it.
 func (r *runner) renewResult(pols map[apps.ID]scheme.Policy) {
 	if r.res == nil {
 		r.res = &RunResult{
 			Outputs:      make(map[apps.ID][]WindowResult, len(r.cfg.Apps)),
 			PerComponent: make(map[string]energy.Breakdown),
 		}
-	} else {
-		clear(r.res.Outputs)
-		clear(r.res.PerComponent)
-		*r.res = RunResult{Outputs: r.res.Outputs, PerComponent: r.res.PerComponent}
 	}
-	r.res.Scheme = r.cfg.Scheme
-	r.res.Modes = scheme.ModesOf(pols)
+	clear(r.res.Outputs)
+	clear(r.res.PerComponent)
+	*r.res = RunResult{Scheme: r.cfg.Scheme, Modes: scheme.ModesOf(pols),
+		Outputs: r.res.Outputs, PerComponent: r.res.PerComponent}
 }
 
 // getState pops a scrubbed app state from the pool or constructs one.
@@ -248,26 +249,28 @@ func (r *runner) getState() *appState {
 	return &appState{}
 }
 
-// putState scrubs one app state back to its just-constructed shape and pools
-// it. uploadBytes is stashed separately: a nil map is behavior-bearing (the
-// transfer chain only stages upload bytes for OnEdge apps), so pooled states
-// always carry nil and build() re-attaches a map only to OnEdge placements.
-// The per-window slices keep their contents; build() resizes and refills
-// them (sizeWindows) before the state is used again.
+// putState pools one app state at its zero value, keeping only the storage
+// of its lists. uploadBytes goes back to its own pool: a nil map is
+// behavior-bearing (the transfer chain only stages upload bytes for OnEdge
+// apps), so pooled states always carry nil and build() re-attaches a map only
+// to OnEdge placements. The per-window slices keep their contents; build()
+// resizes and refills them (sizeWindows) before the state is used again.
 func (r *runner) putState(st *appState) {
-	st.app = nil
-	st.spec = apps.Spec{}
-	st.modeChanges = st.modeChanges[:0]
-	st.batchRefs = st.batchRefs[:0]
-	st.batchFill = 0
-	st.batchAllocd = 0
 	if st.uploadBytes != nil {
 		clear(st.uploadBytes)
 		r.uploadPool = append(r.uploadPool, st.uploadBytes)
-		st.uploadBytes = nil
 	}
-	st.edgeMI = 0
-	st.results = st.results[:0]
+	*st = appState{
+		modeChanges:     st.modeChanges[:0],
+		batchRefs:       st.batchRefs[:0],
+		offloadInFlight: st.offloadInFlight,
+		readsDone:       st.readsDone,
+		delivered:       st.delivered,
+		expected:        st.expected,
+		fired:           st.fired,
+		pendingFlushes:  st.pendingFlushes,
+		results:         st.results[:0],
+	}
 	r.statePool = append(r.statePool, st)
 }
 
@@ -291,14 +294,13 @@ func (r *runner) getStream() *stream {
 	return &stream{}
 }
 
-// putStream scrubs one stream and pools it. The retry maps stay allocated
-// (cleared): noteRetry lazily creates them on nil, so a pooled pair behaves
-// identically to a fresh nil pair.
+// putStream pools one stream at its zero value, keeping only the storage of
+// its consumer list and retry maps. The maps stay allocated (cleared):
+// noteRetry lazily creates them on nil, so a pooled pair behaves identically
+// to a fresh nil pair.
 func (r *runner) putStream(s *stream) {
-	s.track = nil
-	s.consumers = s.consumers[:0]
-	s.attempts = 0
 	clear(s.retriesInWindow)
 	clear(s.downshifted)
+	*s = stream{consumers: s.consumers[:0], retriesInWindow: s.retriesInWindow, downshifted: s.downshifted}
 	r.streamPool = append(r.streamPool, s)
 }

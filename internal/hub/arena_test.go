@@ -60,39 +60,6 @@ func TestArenaReuseMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestArenaCloneSurvivesRecycling proves Clone detaches a result from the
-// arena's pooled storage: the clone's bytes stay intact while the arena runs
-// a different scenario over the recycled backing arrays.
-func TestArenaCloneSurvivesRecycling(t *testing.T) {
-	arena := hub.NewArena()
-	cfg := obsConfig(t, []apps.ID{apps.StepCounter}, hub.Batching, 2, nil)
-	res, err := arena.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := res.Clone()
-	before, err := json.Marshal(clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recycle the storage under a different scheme and app mix.
-	other := obsConfig(t, []apps.ID{apps.CoAPServer}, hub.COM, 2, nil)
-	if _, err := arena.Run(other); err != nil {
-		t.Fatal(err)
-	}
-	after, err := json.Marshal(clone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("clone mutated by arena reuse:\nbefore: %.300s\nafter:  %.300s", before, after)
-	}
-	want, err := json.Marshal(res)
-	if err == nil && bytes.Equal(before, want) {
-		t.Log("recycled result coincidentally matches; clone still independent")
-	}
-}
-
 // arenaAllocBudget is the pinned steady-state allocation ceiling for one
 // Arena.RunScenario of each benchmark-shaped scenario below (1 window,
 // SkipAppCompute). The residual allocations are per-run by design — scenario

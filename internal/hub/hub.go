@@ -24,7 +24,6 @@ package hub
 
 import (
 	"fmt"
-	"maps"
 	"time"
 
 	"iothub/internal/apps"
@@ -339,47 +338,6 @@ func (r *RunResult) Counters(emit func(obs.Counter, uint64)) {
 	emit(obs.BatteryBrownouts, uint64(r.Brownouts))
 	emit(obs.BatteryBrownoutTimeNs, uint64(r.BrownoutTime))
 	emit(obs.BatteryHarvestedMicroJ, uint64(r.BatteryHarvestJ*1e6))
-}
-
-// Clone deep-copies every container an Arena recycles, so the copy stays
-// valid after the arena's next Run (see the retention contract in arena.go).
-// App Result payloads inside Outputs are allocated fresh each run and never
-// pooled; the clone shares them.
-func (r *RunResult) Clone() *RunResult {
-	c := *r
-	c.Modes = maps.Clone(r.Modes)
-	c.Energy = append(energy.Breakdown(nil), r.Energy...)
-	if r.PerComponent != nil {
-		c.PerComponent = make(map[string]energy.Breakdown, len(r.PerComponent))
-		for k, v := range r.PerComponent {
-			c.PerComponent[k] = append(energy.Breakdown(nil), v...)
-		}
-	}
-	c.CPUBusy = maps.Clone(r.CPUBusy)
-	c.MCUBusy = maps.Clone(r.MCUBusy)
-	if r.Degradations != nil {
-		c.Degradations = append([]Degradation(nil), r.Degradations...)
-	}
-	if r.WindowFaults != nil {
-		c.WindowFaults = make(map[int]*WindowFaults, len(r.WindowFaults))
-		for k, v := range r.WindowFaults {
-			w := *v
-			c.WindowFaults[k] = &w
-		}
-	}
-	if r.Outputs != nil {
-		c.Outputs = make(map[apps.ID][]WindowResult, len(r.Outputs))
-		for k, v := range r.Outputs {
-			c.Outputs[k] = append([]WindowResult(nil), v...)
-		}
-	}
-	if r.Traces != nil {
-		c.Traces = make(map[string][]energy.Sample, len(r.Traces))
-		for k, v := range r.Traces {
-			c.Traces[k] = append([]energy.Sample(nil), v...)
-		}
-	}
-	return &c
 }
 
 // RoutineLatency is the per-routine processing time of the run, the metric

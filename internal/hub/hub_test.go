@@ -34,6 +34,12 @@ func mustRun(t *testing.T, cfg Config) *RunResult {
 
 func TestConfigValidation(t *testing.T) {
 	sc := newApps(t, apps.StepCounter)
+	// A bad device calibration is refused before the arena builds a device.
+	params := func(edit func(*Params)) *Params {
+		p := DefaultParams()
+		edit(&p)
+		return &p
+	}
 	cases := map[string]Config{
 		"no apps":        {Scheme: Baseline, Windows: 1},
 		"zero windows":   {Apps: sc, Scheme: Baseline},
@@ -48,6 +54,16 @@ func TestConfigValidation(t *testing.T) {
 			Apps:   append(newApps(t, apps.StepCounter), newApps(t, apps.StepCounter)...),
 			Scheme: Baseline, Windows: 1,
 		},
+		"cpu cores": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.CPU.Cores = 0 })},
+		"mcu ram": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.MCU.RAMBytes = 0 })},
+		"mcu reboot time": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.MCU.RebootTime = -time.Millisecond })},
+		"link crc bytes": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.Link.CRCBytes = -1 })},
+		"link frame overhead": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.Link.FrameOverhead = -time.Microsecond })},
 	}
 	for name, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrConfig) {

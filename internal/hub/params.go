@@ -75,8 +75,14 @@ func (p Params) Validate() error {
 	if p.ResultBytes <= 0 {
 		return fmt.Errorf("hub: ResultBytes %d", p.ResultBytes)
 	}
-	if p.CPU.MIPS <= 0 || p.MCU.BaseSlowdown <= 0 || p.Link.BytesPerSec <= 0 {
-		return fmt.Errorf("hub: incomplete hardware params")
+	if err := p.CPU.Validate(); err != nil {
+		return fmt.Errorf("hub: %w", err)
+	}
+	if err := p.MCU.Validate(); err != nil {
+		return fmt.Errorf("hub: %w", err)
+	}
+	if err := p.Link.Validate(); err != nil {
+		return fmt.Errorf("hub: %w", err)
 	}
 	if err := p.MainRadio.Validate(); err != nil {
 		return fmt.Errorf("hub: main radio: %w", err)

@@ -79,41 +79,40 @@ func (l *Link) OnEvent(a sim.Arg) {
 // attempt.
 func (l *Link) Observe(r *obs.Recorder) { l.obs = r }
 
-func validateParams(params Params) error {
-	if params.BytesPerSec <= 0 {
-		return fmt.Errorf("link: BytesPerSec = %v, want > 0", params.BytesPerSec)
+// Validate checks the calibration.
+func (p Params) Validate() error {
+	if p.BytesPerSec <= 0 {
+		return fmt.Errorf("link: BytesPerSec = %v, want > 0", p.BytesPerSec)
 	}
-	if params.FrameOverhead < 0 {
-		return fmt.Errorf("link: negative FrameOverhead %v", params.FrameOverhead)
+	if p.FrameOverhead < 0 {
+		return fmt.Errorf("link: negative FrameOverhead %v", p.FrameOverhead)
 	}
-	if params.CRCBytes < 0 {
-		return fmt.Errorf("link: negative CRCBytes %d", params.CRCBytes)
+	if p.CRCBytes < 0 {
+		return fmt.Errorf("link: negative CRCBytes %d", p.CRCBytes)
 	}
-	if params.LossTimeout < 0 {
-		return fmt.Errorf("link: negative LossTimeout %v", params.LossTimeout)
+	if p.LossTimeout < 0 {
+		return fmt.Errorf("link: negative LossTimeout %v", p.LossTimeout)
 	}
 	return nil
 }
 
 // New returns a link using the given meter track.
 func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) (*Link, error) {
-	if err := validateParams(params); err != nil {
+	l := &Link{sched: sched, meter: meter, name: name}
+	if err := l.Reset(params); err != nil {
 		return nil, err
 	}
-	return &Link{params: params, sched: sched, meter: meter, name: name, track: meter.Track(name)}, nil
+	return l, nil
 }
 
-// Reset reinitializes the link in place for a new run, exactly as New would
-// construct it: the scheduler and meter must have been reset first, and the
-// track is re-requested so it registers at this call's position in the
-// meter's component order.
+// Reset readies the link for a new run, keeping only its identity. The
+// scheduler and meter must have been reset first; the track is re-requested
+// so it registers at this call's position in the meter's component order.
 func (l *Link) Reset(params Params) error {
-	if err := validateParams(params); err != nil {
+	if err := params.Validate(); err != nil {
 		return err
 	}
-	l.params = params
-	l.track = l.meter.Track(l.name)
-	l.obs = nil
+	*l = Link{params: params, sched: l.sched, meter: l.meter, name: l.name, track: l.meter.Track(l.name)}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package link
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -183,5 +184,60 @@ func TestPropertyTransferMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// linkReading is every exported reading of a link after a run.
+type linkReading struct {
+	Plain    time.Duration
+	Reliable TxReport
+	Energy   energy.Breakdown
+}
+
+// probeLink runs one fixed workload on l — a plain frame, then a reliable
+// one that is corrupted, lost, and delivered — and returns the readings.
+func probeLink(t *testing.T, l *Link, s *sim.Scheduler) linkReading {
+	t.Helper()
+	plain, err := l.Transmit(1200, energy.DataTransfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fates := []Outcome{TxCorrupt, TxLost, TxOK}
+	rep, err := l.TransmitReliable(600, energy.DataTransfer,
+		RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond, Factor: 2},
+		func(attempt int) Outcome { return fates[attempt-1] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return linkReading{plain, rep, l.track.Breakdown()}
+}
+
+// TestResetMidRunMatchesFresh resets a link caught mid-run — wire powered,
+// retransmissions still queued — and checks that it then reads exactly like
+// a freshly built one.
+func TestResetMidRunMatchesFresh(t *testing.T) {
+	l, s, m := newLink(t)
+	if _, err := l.TransmitReliable(4000, energy.DataTransfer, RetryPolicy{MaxRetries: 3},
+		func(int) Outcome { return TxLost }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(sim.Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if l.track.Watts() == 0 || s.Pending() == 0 {
+		t.Fatalf("setup: wire at %v W with %d events pending; want a frame on the wire", l.track.Watts(), s.Pending())
+	}
+	s.Reset()
+	m.Reset()
+	if err := l.Reset(DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	got := probeLink(t, l, s)
+	fresh, fs, _ := newLink(t)
+	if want := probeLink(t, fresh, fs); !reflect.DeepEqual(got, want) {
+		t.Errorf("reset link reads %+v\nfresh link reads %+v", got, want)
 	}
 }

@@ -113,58 +113,49 @@ type MCU struct {
 	highWater int // peak RAM allocation, for the buffer high-water counter
 }
 
-func validateParams(params Params) error {
-	if params.UsableRAM() <= 0 {
-		return fmt.Errorf("mcu: usable RAM %d bytes, want > 0", params.UsableRAM())
+// Validate checks the calibration.
+func (p Params) Validate() error {
+	if p.UsableRAM() <= 0 {
+		return fmt.Errorf("mcu: usable RAM %d bytes, want > 0", p.UsableRAM())
 	}
-	if params.BaseSlowdown <= 0 {
-		return fmt.Errorf("mcu: BaseSlowdown = %v, want > 0", params.BaseSlowdown)
+	if p.BaseSlowdown <= 0 {
+		return fmt.Errorf("mcu: BaseSlowdown = %v, want > 0", p.BaseSlowdown)
 	}
-	if params.RebootTime < 0 || params.RebootW < 0 {
-		return fmt.Errorf("mcu: negative reboot calibration (%v, %v W)", params.RebootTime, params.RebootW)
+	if p.RebootTime < 0 || p.RebootW < 0 {
+		return fmt.Errorf("mcu: negative reboot calibration (%v, %v W)", p.RebootTime, p.RebootW)
 	}
 	return nil
 }
 
 // New returns an idle MCU metered on the named track.
 func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) (*MCU, error) {
-	if err := validateParams(params); err != nil {
+	m := &MCU{sched: sched, meter: meter, name: name}
+	if err := m.Reset(params); err != nil {
 		return nil, err
 	}
-	m := &MCU{
-		sched:  sched,
-		meter:  meter,
-		name:   name,
-		track:  meter.Track(name),
-		params: params,
-	}
-	m.track.Set(params.IdleW, energy.Idle)
 	return m, nil
 }
 
-// Reset reinitializes the board in place for a new run, exactly as New would
-// construct it: the scheduler and meter must have been reset first, and the
-// track is re-requested so it registers at this call's position in the
-// meter's component order. Queue capacity is kept.
+// Reset readies the board for a new run: idle, up, with no RAM allocated,
+// keeping only its identity and its queue and notification-list capacity.
+// The scheduler and meter must have been reset first; the track is
+// re-requested so it registers at this call's position in the meter's
+// component order.
 func (m *MCU) Reset(params Params) error {
-	if err := validateParams(params); err != nil {
+	if err := params.Validate(); err != nil {
 		return err
 	}
-	m.track = m.meter.Track(m.name)
-	m.params = params
 	m.queue.Reset()
-	m.running = false
-	m.ramUsed = 0
-	m.busy = energy.RoutineTimes{}
-	m.rebooting = false
-	m.gated = false
-	m.crashes = 0
-	m.endEv = sim.EventID{}
-	m.rebootEv = sim.EventID{}
-	m.downAt = 0
-	m.pendAlive = m.pendAlive[:0]
-	m.obs = nil
-	m.highWater = 0
+	clear(m.pendAlive)
+	*m = MCU{
+		sched:     m.sched,
+		meter:     m.meter,
+		name:      m.name,
+		track:     m.meter.Track(m.name),
+		params:    params,
+		queue:     m.queue,
+		pendAlive: m.pendAlive[:0],
+	}
 	m.track.Set(params.IdleW, energy.Idle)
 	return nil
 }

@@ -3,6 +3,7 @@ package mcu
 import (
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -570,5 +571,86 @@ func mustAfter(t *testing.T, s *sim.Scheduler, d time.Duration, fn func()) {
 	t.Helper()
 	if _, err := after(s, d, fn); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mcuReading is every exported reading of a board after a run.
+type mcuReading struct {
+	Busy                        map[energy.Routine]time.Duration
+	Crashes, RAMUsed, HighWater int
+	Alive, Gated, Pending       bool
+	Notified                    []int
+	NotifiedAt                  []sim.Time
+	Energy                      energy.Breakdown
+}
+
+// probeMCU runs one fixed workload on mc — queued work, an allocation, a
+// crash, and a power gate with its restore — and returns the readings; log
+// collects the alive notifications.
+func probeMCU(t *testing.T, mc *MCU, s *sim.Scheduler, log *aliveLog) mcuReading {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		if err := exec(mc, 5*time.Millisecond, energy.DataCollection, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mc.Alloc(4096); err != nil {
+		t.Fatal(err)
+	}
+	notify := func(op int) sim.Done { return sim.Done{CB: log, Arg: sim.Arg{Op: op}} }
+	mustAfter(t, s, 7*time.Millisecond, func() {
+		if err := mc.Crash(0, notify(1)); err != nil {
+			t.Error(err)
+		}
+	})
+	mustAfter(t, s, 300*time.Millisecond, func() {
+		if err := mc.PowerGate(); err != nil {
+			t.Error(err)
+		}
+	})
+	mustAfter(t, s, 400*time.Millisecond, func() {
+		if err := mc.PowerRestore(notify(2)); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return mcuReading{mc.BusyByRoutine(), mc.Crashes(), mc.RAMUsed(), mc.RAMHighWater(),
+		mc.Alive(), mc.Gated(), mc.Busy(), log.ops, log.ats, mc.Track().Breakdown()}
+}
+
+// TestResetMidRunMatchesFresh resets a board caught mid-run — work queued, a
+// crash's reboot absorbed into a power gate with its alive notification held
+// — and checks that it then reads exactly like a freshly built one.
+func TestResetMidRunMatchesFresh(t *testing.T) {
+	mc, s, m := newMCU(t)
+	log := &aliveLog{s: s}
+	for i := 0; i < 4; i++ {
+		if err := exec(mc, 10*time.Millisecond, energy.AppCompute, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mc.Alloc(20000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntil(sim.Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.Crash(time.Second, sim.Done{CB: log, Arg: sim.Arg{Op: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.PowerGate(); err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	m.Reset()
+	if err := mc.Reset(DefaultParams()); err != nil {
+		t.Fatal(err)
+	}
+	got := probeMCU(t, mc, s, log)
+	fresh, fs, _ := newMCU(t)
+	if want := probeMCU(t, fresh, fs, &aliveLog{s: fs}); !reflect.DeepEqual(got, want) {
+		t.Errorf("reset board reads %+v\nfresh board reads %+v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,17 +113,16 @@ func TestSearchDeterministicAndBeatsBuiltins(t *testing.T) {
 	}
 }
 
-// TestECOMMatchesSearchedHybrid pins the satellite guarantee of registering
-// the winner: executing the searched composition through the Hybrid vehicle
-// and through the registered ECOM derivation yields byte-identical fleet
-// aggregates — the registry path adds nothing and loses nothing.
+// TestECOMMatchesSearchedHybrid pins that a scheme derived from a uniform or
+// searched composition adds nothing and loses nothing: executing the
+// composition through the Hybrid vehicle yields fleet aggregates
+// byte-identical to the registered scheme's. The searched one is ECOM; the
+// uniform ones map every app to PerSample, Batched or Offloaded, and must
+// reproduce Baseline, Batching and COM on a one-app and a two-app mix, clean
+// and under the golden fault schedule.
 func TestECOMMatchesSearchedHybrid(t *testing.T) {
-	mix := []apps.ID{apps.SpeechToTxt, apps.StepCounter}
-	assign := map[apps.ID]scheme.Mode{
-		apps.SpeechToTxt: scheme.Uploaded,
-		apps.StepCounter: scheme.Offloaded,
-	}
-	run := func(s hub.Scenario) []byte {
+	const chaos = "seed=7; link-corrupt:prob=0.05; mcu-crash:at=700ms,for=80ms"
+	run := func(t *testing.T, s hub.Scenario) []byte {
 		t.Helper()
 		res, err := fleet.Run(fleet.Spec{Seed: 3, Scenarios: []hub.Scenario{s}},
 			fleet.Options{Workers: 1})
@@ -134,14 +134,49 @@ func TestECOMMatchesSearchedHybrid(t *testing.T) {
 		}
 		return res.Agg.JSON()
 	}
-	// Same Tag on both so the aggregate keys coincide; same derived seed
-	// because both sit at index 0 of a seed-3 fleet.
-	viaECOM := run(hub.Scenario{Apps: mix, Scheme: hub.ECOM, Windows: 2,
-		SkipAppCompute: true, Tag: "pin"})
-	viaHybrid := run(hub.Scenario{Apps: mix, Scheme: hub.Hybrid, Windows: 2,
-		SkipAppCompute: true, Tag: "pin", Assign: assign})
-	if !bytes.Equal(viaECOM, viaHybrid) {
-		t.Errorf("ECOM and searched Hybrid diverge:\necom:   %s\nhybrid: %s", viaECOM, viaHybrid)
+	type relation struct {
+		name   string
+		mix    []apps.ID
+		scheme hub.Scheme
+		assign map[apps.ID]scheme.Mode
+		faults string
+	}
+	cases := []relation{{
+		name:   "ecom",
+		mix:    []apps.ID{apps.SpeechToTxt, apps.StepCounter},
+		scheme: hub.ECOM,
+		assign: map[apps.ID]scheme.Mode{apps.SpeechToTxt: scheme.Uploaded, apps.StepCounter: scheme.Offloaded},
+	}}
+	for _, uniform := range []struct {
+		scheme hub.Scheme
+		mode   scheme.Mode
+	}{{hub.Baseline, scheme.PerSample}, {hub.Batching, scheme.Batched}, {hub.COM, scheme.Offloaded}} {
+		for _, mix := range [][]apps.ID{{apps.StepCounter}, {apps.StepCounter, apps.DropboxMgr}} {
+			for _, faults := range []string{"", chaos} {
+				assign := make(map[apps.ID]scheme.Mode, len(mix))
+				for _, id := range mix {
+					assign[id] = uniform.mode
+				}
+				name := fmt.Sprintf("%v/%d-app", uniform.scheme, len(mix))
+				if faults != "" {
+					name += "/chaos"
+				}
+				cases = append(cases, relation{name, mix, uniform.scheme, assign, faults})
+			}
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Same Tag on both so the aggregate keys coincide; same derived
+			// seed because both sit at index 0 of a seed-3 fleet.
+			derived := run(t, hub.Scenario{Apps: tc.mix, Scheme: tc.scheme, Windows: 2,
+				Faults: tc.faults, SkipAppCompute: true, Tag: "pin"})
+			hybrid := run(t, hub.Scenario{Apps: tc.mix, Scheme: hub.Hybrid, Windows: 2,
+				Faults: tc.faults, SkipAppCompute: true, Tag: "pin", Assign: tc.assign})
+			if !bytes.Equal(derived, hybrid) {
+				t.Errorf("%v and Hybrid %v diverge:\n%v:\t%s\nhybrid:\t%s", tc.scheme, tc.assign, tc.scheme, derived, hybrid)
+			}
+		})
 	}
 }
 

@@ -105,33 +105,32 @@ type Radio struct {
 
 // New returns an idle radio metered on the named track.
 func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) (*Radio, error) {
-	if err := params.Validate(); err != nil {
+	r := &Radio{sched: sched, meter: meter, name: name}
+	if err := r.Reset(params); err != nil {
 		return nil, err
 	}
-	r := &Radio{params: params, sched: sched, meter: meter, track: meter.Track(name), name: name}
-	r.track.Set(params.IdleW, energy.Idle)
 	return r, nil
 }
 
-// Reset reinitializes the radio in place for a new run, exactly as New would
-// construct it: the scheduler and meter must have been reset first, and the
-// track is re-requested so it registers at this call's position in the
-// meter's component order. Outage-list capacity is kept.
+// Reset readies the radio for a new run: idle, on the air, with nothing
+// queued, keeping only its identity and its burst-ring and outage-list
+// capacity. The scheduler and meter must have been reset first; the track is
+// re-requested so it registers at this call's position in the meter's
+// component order.
 func (r *Radio) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	r.params = params
-	r.track = r.meter.Track(r.name)
-	r.obs = nil
-	r.busyUntil = 0
 	r.dones.Reset()
-	r.outages = r.outages[:0]
-	r.queueLimit = 0
-	r.queuedBytes = 0
-	r.deferred = 0
-	r.droppedBursts = 0
-	r.droppedBytes = 0
+	*r = Radio{
+		params:  params,
+		sched:   r.sched,
+		meter:   r.meter,
+		track:   r.meter.Track(r.name),
+		name:    r.name,
+		dones:   r.dones,
+		outages: r.outages[:0],
+	}
 	r.track.Set(params.IdleW, energy.Idle)
 	return nil
 }

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -268,5 +269,78 @@ func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 	burst()
 	if got := testing.AllocsPerRun(100, burst); got != 0 {
 		t.Errorf("warmed Transmit allocates %v per run, want 0", got)
+	}
+}
+
+// thunk adapts a plain func to sim.Callback.
+type thunk func()
+
+func (f thunk) OnEvent(sim.Arg) { f() }
+
+// radioReading is every exported reading of a radio after a run.
+type radioReading struct {
+	Deferred, DroppedBursts, DroppedBytes int
+	Done                                  []sim.Time
+	Energy                                energy.Breakdown
+}
+
+// probeRadio runs one fixed workload on r — back-to-back bursts, one pushed
+// past an outage and one dropped at the bounded queue — and returns the
+// readings.
+func probeRadio(t *testing.T, r *Radio, s *sim.Scheduler) radioReading {
+	t.Helper()
+	var done []sim.Time
+	note := func() { done = append(done, s.Now()) }
+	r.SetQueueLimit(30000)
+	if err := r.AddOutage(sim.Time(20*time.Millisecond), sim.Time(40*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{25000, 10000, 25000} {
+		if err := r.Transmit(n, energy.AppCompute, note); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AfterCall(25*time.Millisecond, thunk(func() {
+		if err := r.Transmit(25000, energy.AppCompute, note); err != nil {
+			t.Error(err)
+		}
+	}), sim.Arg{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return radioReading{r.Deferred(), r.DroppedBursts(), r.DroppedBytes(), done, r.Track().Breakdown()}
+}
+
+// TestResetMidRunMatchesFresh resets a radio caught mid-run — off the air
+// with a burst waiting out the outage and one dropped — and checks that it
+// then reads exactly like a freshly built one.
+func TestResetMidRunMatchesFresh(t *testing.T) {
+	r, s, m := newRadio(t, DefaultMainParams())
+	r.SetQueueLimit(1000)
+	if err := r.AddOutage(0, sim.Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.Transmit(800, energy.AppCompute, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RunUntil(sim.Time(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if r.Deferred() != 1 || r.DroppedBursts() != 1 {
+		t.Fatalf("setup: %d deferred, %d dropped; want 1 each", r.Deferred(), r.DroppedBursts())
+	}
+	s.Reset()
+	m.Reset()
+	if err := r.Reset(DefaultMainParams()); err != nil {
+		t.Fatal(err)
+	}
+	got := probeRadio(t, r, s)
+	fresh, fs, _ := newRadio(t, DefaultMainParams())
+	if want := probeRadio(t, fresh, fs); !reflect.DeepEqual(got, want) {
+		t.Errorf("reset radio reads %+v\nfresh radio reads %+v", got, want)
 	}
 }

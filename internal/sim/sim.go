@@ -293,16 +293,8 @@ func (s *Scheduler) release(idx int32) {
 // with a new occupancy (holders reset alongside the scheduler, so none
 // survive in practice). Must not be called from inside Run.
 func (s *Scheduler) Reset() {
-	s.now = 0
-	s.seq = 0
-	s.arena = s.arena[:0]
-	s.free = s.free[:0]
-	s.lo = len(s.q) / 2
-	s.hi = s.lo
-	s.stopped = false
-	s.running = false
-	s.scheduled = 0
-	s.cancelled = 0
+	mid := len(s.q) / 2
+	*s = Scheduler{arena: s.arena[:0], free: s.free[:0], q: s.q, lo: mid, hi: mid}
 }
 
 // Stop halts the simulation: the currently executing event finishes and Run
