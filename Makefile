@@ -166,12 +166,18 @@ experiments:
 ablations:
 	$(GO) run ./cmd/experiments -ablations
 
+# examples runs the five examples and fails unless their combined output
+# matches examples/testdata/output.txt byte for byte. After a deliberate
+# change to an example's output, re-record it with
+#   for e in quickstart smarthome healthcare smartcity custom; do go run ./examples/$e; done > examples/testdata/output.txt
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/smarthome
-	$(GO) run ./examples/healthcare
-	$(GO) run ./examples/smartcity
-	$(GO) run ./examples/custom
+	@got=$$(mktemp) && trap 'rm -f "$$got"' EXIT && \
+	for e in quickstart smarthome healthcare smartcity custom; do \
+	  $(GO) run ./examples/$$e >> "$$got" || exit 1; \
+	done && cat "$$got" && \
+	if ! diff -u examples/testdata/output.txt "$$got"; then \
+	  echo "examples: output differs from examples/testdata/output.txt"; exit 1; \
+	fi; echo "examples: output matches examples/testdata/output.txt"
 
 clean:
 	$(GO) clean -testcache

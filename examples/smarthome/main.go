@@ -19,6 +19,9 @@ import (
 
 const windows = 3
 
+// home is the building's app mix, in the order the example reports it.
+var home = []apps.ID{apps.CoAPServer, apps.M2X, apps.Blynk}
+
 func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
@@ -27,7 +30,7 @@ func main() {
 
 func newMix() ([]apps.App, error) {
 	var mix []apps.App
-	for _, id := range []apps.ID{apps.CoAPServer, apps.M2X, apps.Blynk} {
+	for _, id := range home {
 		a, err := catalog.New(id, 7)
 		if err != nil {
 			return nil, err
@@ -65,7 +68,8 @@ func run() error {
 		return err
 	}
 	fmt.Println("planner decisions:")
-	for id, cls := range plan.Classifications {
+	for _, id := range home {
+		cls := plan.Classifications[id]
 		fmt.Printf("  %-4s offloadable=%-5v mcuBusy=%v mem=%dB\n",
 			id, cls.Offloadable, cls.MCUBusyPerWindow, cls.MemoryNeedBytes)
 	}
@@ -85,7 +89,7 @@ func run() error {
 		100*(1-planned.TotalJoules()/base.TotalJoules()))
 
 	// What the home actually reported upstream in the last window.
-	for _, id := range []apps.ID{apps.CoAPServer, apps.M2X, apps.Blynk} {
+	for _, id := range home {
 		outs := planned.Outputs[id]
 		last := outs[len(outs)-1]
 		fmt.Printf("%s: %s\n", id, last.Result.Summary)

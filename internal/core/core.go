@@ -15,7 +15,6 @@ import (
 
 	"iothub/internal/apps"
 	"iothub/internal/hub"
-	"iothub/internal/scheme"
 	"iothub/internal/sensor"
 )
 
@@ -118,17 +117,6 @@ type Plan struct {
 	Assign map[apps.ID]hub.Mode
 	// Classifications records the per-app gate analysis.
 	Classifications map[apps.ID]Classification
-}
-
-// Policies materializes the plan's partition as executable policy objects —
-// the same decision seam the hub conductor consults, so a caller can inspect
-// (or override) exactly what each app will do per routine before running.
-func (p *Plan) Policies() map[apps.ID]scheme.Policy {
-	out := make(map[apps.ID]scheme.Policy, len(p.Assign))
-	for id, m := range p.Assign {
-		out[id] = scheme.ForMode(m)
-	}
-	return out
 }
 
 // PlanBCOM partitions a concurrent mix: offloadable apps go to the MCU as

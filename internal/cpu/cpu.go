@@ -167,6 +167,10 @@ func (p Params) Validate() error {
 	if p.Cores < 1 {
 		return fmt.Errorf("cpu: Cores = %d, want >= 1", p.Cores)
 	}
+	if p.ActiveW < 0 || p.WFIW < 0 || p.SleepW < 0 || p.DeepSleepW < 0 || p.TransitionW < 0 {
+		return fmt.Errorf("cpu: negative power draw (active %v, WFI %v, sleep %v, deep sleep %v, transition %v W)",
+			p.ActiveW, p.WFIW, p.SleepW, p.DeepSleepW, p.TransitionW)
+	}
 	return nil
 }
 

@@ -63,7 +63,7 @@ type Result struct {
 }
 
 // RunScenario materializes and executes one scenario, planning the partition
-// when the scheme's registry entry calls for one — BCOM today, any future
+// when the scheme's table row calls for one — BCOM today, any future
 // partitioned scheme without changes here (this is the planner-aware sibling
 // of hub.RunScenario). It runs in a throwaway arena, so the result owns its
 // storage outright.

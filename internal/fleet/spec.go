@@ -41,8 +41,8 @@ type Grid struct {
 	// concurrently on one hub.
 	Apps [][]apps.ID `json:"apps"`
 	// Schemes names the execution schemes, parsed against the scheme
-	// registry via hub.ParseScheme ("baseline", "batching", "com",
-	// "bcom", "beam").
+	// table via hub.ParseScheme ("baseline", "batching", "com", "bcom",
+	// "beam", "hybrid", "ecom").
 	Schemes []string `json:"schemes"`
 	// Windows lists QoS-window counts per run.
 	Windows []int `json:"windows"`
@@ -166,7 +166,7 @@ func (s Spec) Expand() ([]hub.Scenario, error) {
 			}
 		}
 	}
-	// An explicit scenario needs a registered scheme, like a grid one: the
+	// An explicit scenario needs a scheme of the table, like a grid one: the
 	// zero Scheme would marshal as "Scheme(0)", which no worker can parse.
 	for i, sc := range s.Scenarios {
 		if _, err := scheme.Lookup(sc.Scheme); err != nil {

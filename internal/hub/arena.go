@@ -74,11 +74,7 @@ func (a *Arena) Run(cfg Config) (*RunResult, error) {
 // device stack renewed, stream topology built, fault/meter/power subsystems
 // armed, and the CPU's idle policy primed.
 func (a *Arena) prepare(cfg Config) (*runner, error) {
-	params, err := cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	pols, err := cfg.policies()
+	params, modes, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -86,8 +82,8 @@ func (a *Arena) prepare(cfg Config) (*runner, error) {
 	if err := r.renew(cfg, params); err != nil {
 		return nil, err
 	}
-	r.renewResult(pols)
-	if err := r.build(pols); err != nil {
+	r.renewResult(modes)
+	if err := r.build(modes); err != nil {
 		return nil, err
 	}
 	if err := r.armFaults(); err != nil {
@@ -226,7 +222,7 @@ func (r *runner) renewStack() error {
 // value. WindowFaults, Degradations, and Traces must come back as nil, not
 // emptied containers — fault-free runs serialize them as null and tests
 // assert it.
-func (r *runner) renewResult(pols map[apps.ID]scheme.Policy) {
+func (r *runner) renewResult(modes map[apps.ID]Mode) {
 	if r.res == nil {
 		r.res = &RunResult{
 			Outputs:      make(map[apps.ID][]WindowResult, len(r.cfg.Apps)),
@@ -235,7 +231,7 @@ func (r *runner) renewResult(pols map[apps.ID]scheme.Policy) {
 	}
 	clear(r.res.Outputs)
 	clear(r.res.PerComponent)
-	*r.res = RunResult{Scheme: r.cfg.Scheme, Modes: scheme.ModesOf(pols),
+	*r.res = RunResult{Scheme: r.cfg.Scheme, Modes: modes,
 		Outputs: r.res.Outputs, PerComponent: r.res.PerComponent}
 }
 

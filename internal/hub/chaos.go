@@ -176,7 +176,7 @@ func (r *runner) anyOffloadedAhead() bool {
 	from := r.windowAt(r.sched.Now())
 	for _, st := range r.states {
 		for w := from; w < r.cfg.Windows; w++ {
-			if st.policyFor(w).PlaceCompute() == scheme.OnMCU {
+			if st.policyFor(w).Place == scheme.OnMCU {
 				return true
 			}
 		}
@@ -243,13 +243,13 @@ func (r *runner) retuneGovernor(w int) {
 	allOffloaded := true
 	minGap := r.window
 	for _, st := range r.states {
-		if st.policyFor(w).PlaceCompute() != scheme.OnMCU {
+		if st.policyFor(w).Place != scheme.OnMCU {
 			allOffloaded = false
 		}
 	}
 	for _, s := range r.streams {
 		for _, l := range s.consumers {
-			if l.st.policyFor(w).OnSampleReady() == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
+			if l.st.policyFor(w).Sample == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
 				minGap = s.period
 			}
 		}

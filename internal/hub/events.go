@@ -224,7 +224,7 @@ func (r *runner) xferDone(slot int) {
 		// the window's expectation — the window completes with fewer samples,
 		// exactly like a collection-stage drop.
 		for _, l := range x.s.consumers {
-			if l.st.policyFor(x.w).OnSampleReady() != scheme.Interrupt || !l.wants(x.k) {
+			if l.st.policyFor(x.w).Sample != scheme.Interrupt || !l.wants(x.k) {
 				continue
 			}
 			if x.delivered {

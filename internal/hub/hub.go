@@ -38,8 +38,8 @@ import (
 
 // Scheme selects the execution scheme for a run. The type (with its String,
 // Parse, and text-marshaling behavior) lives in internal/scheme, where every
-// scheme is a registered composition of per-app policies; the aliases here
-// keep hub.Baseline etc. as the stable public spelling.
+// scheme is a row of the scheme table naming its per-app modes; the aliases
+// here keep hub.Baseline etc. as the stable public spelling.
 type Scheme = scheme.Scheme
 
 // Execution schemes (§III, §IV).
@@ -53,13 +53,14 @@ const (
 	ECOM     = scheme.ECOM
 )
 
-// ParseScheme resolves a case-insensitive scheme name against the registry
-// ("baseline", "batching", "com", "bcom", "beam") — the CLI-facing inverse
-// of Scheme.String.
+// ParseScheme resolves a case-insensitive scheme name against the scheme
+// table ("baseline", "batching", "com", "bcom", "beam", "hybrid", "ecom") —
+// the CLI-facing inverse of Scheme.String.
 func ParseScheme(name string) (Scheme, error) { return scheme.Parse(name) }
 
-// Mode is the per-app execution decision inside a scheme (see
-// internal/scheme: every Mode maps to one built-in Policy).
+// Mode is the per-app execution decision inside a scheme: a row of
+// internal/scheme's policy table, whose Policy holds one verdict per routine
+// (Mode.Policy).
 type Mode = scheme.Mode
 
 // Per-app modes.
@@ -79,9 +80,10 @@ const (
 type Config struct {
 	// Apps execute concurrently for the whole run.
 	Apps []apps.App
-	// Scheme picks the execution scheme. BCOM requires Assign (the planner
-	// in internal/core produces it); for the other schemes Assign is
-	// derived automatically and must be nil.
+	// Scheme picks the execution scheme. BCOM and Hybrid require Assign
+	// (the internal/core planner or the internal/optimizer plan produces
+	// it); for the other schemes Assign is derived from the scheme's table
+	// row and must be nil.
 	Scheme Scheme
 	// Assign overrides the per-app mode (BCOM and Hybrid require it).
 	Assign map[apps.ID]Mode
@@ -406,60 +408,62 @@ var (
 	ErrUnoffloadable = scheme.ErrUnoffloadable
 )
 
-// validate normalizes and checks the configuration.
-func (c *Config) validate() (Params, error) {
+// validate normalizes and checks the configuration, and resolves each app's
+// mode through the scheme table.
+func (c *Config) validate() (Params, map[apps.ID]Mode, error) {
 	if len(c.Apps) == 0 {
-		return Params{}, fmt.Errorf("%w: no apps", ErrConfig)
+		return Params{}, nil, fmt.Errorf("%w: no apps", ErrConfig)
 	}
 	if c.Windows < 1 {
-		return Params{}, fmt.Errorf("%w: windows %d", ErrConfig, c.Windows)
+		return Params{}, nil, fmt.Errorf("%w: windows %d", ErrConfig, c.Windows)
 	}
 	params := DefaultParams()
 	if c.Params != nil {
 		params = *c.Params
 	}
 	if err := params.Validate(); err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrConfig, err)
+		return Params{}, nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	if c.Meter != nil {
 		if err := c.Meter.Validate(); err != nil {
-			return Params{}, fmt.Errorf("%w: hub: meter: %v", ErrConfig, err)
+			return Params{}, nil, fmt.Errorf("%w: hub: meter: %v", ErrConfig, err)
 		}
 	}
 	if err := c.Power.Validate(); err != nil {
-		return Params{}, fmt.Errorf("%w: hub: power: %v", ErrConfig, err)
+		return Params{}, nil, fmt.Errorf("%w: hub: power: %v", ErrConfig, err)
 	}
 	if err := c.FaultSchedule.Validate(); err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrConfig, err)
+		return Params{}, nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	if err := c.Resilience.Validate(); err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrConfig, err)
+		return Params{}, nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	def, err := scheme.Lookup(c.Scheme)
 	if err != nil {
-		return Params{}, err
-	}
-	if err := def.Validate(c.schemeView()); err != nil {
-		return Params{}, err
+		return Params{}, nil, err
 	}
 	seen := make(map[apps.ID]bool, len(c.Apps))
 	window := time.Duration(0)
 	for _, a := range c.Apps {
 		sp := a.Spec()
 		if err := sp.Validate(); err != nil {
-			return Params{}, fmt.Errorf("%w: %v", ErrConfig, err)
+			return Params{}, nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 		if seen[sp.ID] {
-			return Params{}, fmt.Errorf("%w: app %s listed twice", ErrConfig, sp.ID)
+			return Params{}, nil, fmt.Errorf("%w: app %s listed twice", ErrConfig, sp.ID)
 		}
 		seen[sp.ID] = true
 		if window == 0 {
 			window = sp.Window
 		} else if sp.Window != window {
-			return Params{}, fmt.Errorf("%w: mixed window lengths (%v vs %v)", ErrConfig, window, sp.Window)
+			return Params{}, nil, fmt.Errorf("%w: mixed window lengths (%v vs %v)", ErrConfig, window, sp.Window)
 		}
 	}
-	return params, nil
+	modes, err := def.Modes(c.schemeView())
+	if err != nil {
+		return Params{}, nil, err
+	}
+	return params, modes, nil
 }
 
 // schemeView projects the config onto the slice a scheme definition is
@@ -470,13 +474,4 @@ func (c *Config) schemeView() scheme.ConfigView {
 		specs[i] = a.Spec()
 	}
 	return scheme.ConfigView{Specs: specs, Assign: c.Assign, Window: specs[0].Window}
-}
-
-// policies resolves each app's execution policy through the scheme registry.
-func (c *Config) policies() (map[apps.ID]scheme.Policy, error) {
-	def, err := scheme.Lookup(c.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	return def.Policies(c.schemeView())
 }

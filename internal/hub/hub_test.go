@@ -64,6 +64,23 @@ func TestConfigValidation(t *testing.T) {
 			Params: params(func(p *Params) { p.Link.CRCBytes = -1 })},
 		"link frame overhead": {Apps: sc, Scheme: Baseline, Windows: 1,
 			Params: params(func(p *Params) { p.Link.FrameOverhead = -time.Microsecond })},
+		// A negative power draw is refused up front, not left to the
+		// post-run invariant (or, for an unvisited state, to nothing).
+		"cpu active draw": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.CPU.ActiveW = -5 })},
+		"cpu deep sleep draw": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.CPU.DeepSleepW = -1 })},
+		"mcu idle draw": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.MCU.IdleW = -1 })},
+		"link wire draw": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.Link.WireW = -1 })},
+		"radio idle draw": {Apps: sc, Scheme: Baseline, Windows: 1,
+			Params: params(func(p *Params) { p.MainRadio.IdleW = -1 })},
+		// An explicit partition names modes of the policy table only.
+		"bcom mode 0": {Apps: sc, Scheme: BCOM, Windows: 1,
+			Assign: map[apps.ID]Mode{apps.StepCounter: 0}},
+		"bcom mode 9": {Apps: sc, Scheme: BCOM, Windows: 1,
+			Assign: map[apps.ID]Mode{apps.StepCounter: 9}},
 	}
 	for name, cfg := range cases {
 		if _, err := Run(cfg); !errors.Is(err, ErrConfig) {

@@ -3,7 +3,7 @@ package hub
 // The runner is a scheme-agnostic event conductor. Every scheme-dependent
 // decision — interrupt vs buffer vs hold on a fresh sample, per-sample vs
 // coalesced vs result-only transfer, CPU vs MCU computation, which progress
-// gate closes a window — is delegated to the active per-app scheme.Policy;
+// gate closes a window — is a verdict of the app's active scheme.Policy row;
 // the conductor only executes the verdicts against the hardware models, so
 // run timing and energy depend on the policies' decisions, never on how a
 // scheme happens to be spelled. Fault injection and resilience live in
@@ -119,7 +119,7 @@ func (r *runner) fail(err error) {
 func (r *runner) windowAt(t sim.Time) int { return int(t / sim.Time(r.window)) }
 
 // build constructs app states and materializes the scheme's stream topology.
-func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
+func (r *runner) build(modes map[apps.ID]Mode) error {
 	allOffloaded := true
 	minGap := r.window
 
@@ -128,7 +128,7 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 		st := r.getState()
 		st.app = a
 		st.spec = sp
-		st.mode = pols[sp.ID].Mode()
+		st.mode = modes[sp.ID]
 		ct, err := sp.CPUComputeTime(r.params.CPU.MIPS)
 		if err != nil {
 			return err
@@ -145,10 +145,10 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 		}
 		st.samplesPerWindow = n
 		st.sizeWindows(r.cfg.Windows)
-		if st.policy().PlaceCompute() != scheme.OnMCU {
+		if st.policy().Place != scheme.OnMCU {
 			allOffloaded = false
 		}
-		if st.policy().PlaceCompute() == scheme.OnEdge {
+		if st.policy().Place == scheme.OnEdge {
 			st.uploadBytes = r.getUploadMap()
 			// The edge container is server-class: no EffectiveMIPS cap, the
 			// app's full per-window instruction demand is the workload.
@@ -156,7 +156,7 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 		}
 		r.states = append(r.states, st)
 
-		if st.policy().PlaceCompute() == scheme.OnMCU {
+		if st.policy().Place == scheme.OnMCU {
 			for _, u := range sp.Sensors {
 				sspec, err := sensor.Lookup(u.Sensor)
 				if err != nil {
@@ -175,7 +175,7 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 	offloadNeed := 0
 	offloadID := apps.ID("")
 	for _, st := range r.states {
-		if st.policy().PlaceCompute() != scheme.OnMCU {
+		if st.policy().Place != scheme.OnMCU {
 			continue
 		}
 		need := st.spec.MemoryBytes()
@@ -206,7 +206,7 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 	// reused arena revives its pooled executor at the same point, keeping the
 	// "edge" track's position in the meter's component order.
 	for _, st := range r.states {
-		if st.policy().PlaceCompute() != scheme.OnEdge {
+		if st.policy().Place != scheme.OnEdge {
 			continue
 		}
 		if r.edgePool != nil {
@@ -254,7 +254,7 @@ func (r *runner) build(pols map[apps.ID]scheme.Policy) error {
 	}
 	for _, s := range r.streams {
 		for _, l := range s.consumers {
-			if l.st.policy().OnSampleReady() == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
+			if l.st.policy().Sample == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
 				minGap = s.period
 			}
 		}
@@ -403,7 +403,7 @@ func (r *runner) maybeComplete(st *appState, w int) {
 	}
 	pol := st.policyFor(w)
 	progress := st.delivered[w]
-	if pol.OnWindowClose() == scheme.AwaitCollection {
+	if pol.Gate == scheme.AwaitCollection {
 		progress = st.readsDone[w]
 	}
 	if progress < st.expected[w] {
@@ -417,7 +417,7 @@ func (r *runner) maybeComplete(st *appState, w int) {
 // coalesced plan still owes its final bulk flush; per-sample and result-only
 // plans go straight to the computation placement.
 func (r *runner) closeWindow(st *appState, w int, pol scheme.Policy) {
-	if pol.PlanTransfer() == scheme.CoalescedTransfer {
+	if pol.Transfer == scheme.CoalescedTransfer {
 		r.flushBatch(st, w, true)
 		return
 	}
@@ -427,11 +427,11 @@ func (r *runner) closeWindow(st *appState, w int, pol scheme.Policy) {
 // placeCompute dispatches the window's app-specific computation to the
 // processor the policy chose.
 func (r *runner) placeCompute(st *appState, w int, pol scheme.Policy) {
-	if pol.PlaceCompute() == scheme.OnMCU {
+	if pol.Place == scheme.OnMCU {
 		r.offloadCompute(st, w)
 		return
 	}
-	if pol.PlaceCompute() == scheme.OnEdge {
+	if pol.Place == scheme.OnEdge {
 		r.edgeCompute(st, w)
 		return
 	}
@@ -452,7 +452,7 @@ func (r *runner) sampleReady(s *stream, k int) {
 		}
 		st := l.st
 		st.readsDone[w]++
-		switch st.policyFor(w).OnSampleReady() {
+		switch st.policyFor(w).Sample {
 		case scheme.Interrupt:
 			interrupting++
 		case scheme.Buffer:
@@ -538,13 +538,13 @@ func (r *runner) uplink(st *appState, w int, payload []byte) {
 		return
 	}
 	r.res.UpstreamBytes += len(payload)
-	if st.policyFor(w).PlaceCompute() == scheme.OnEdge {
+	if st.policyFor(w).Place == scheme.OnEdge {
 		// The result already lives in the edge container; it egresses from
 		// the edge's own network, costing the hub nothing.
 		r.res.EdgeUpstreamBytes += len(payload)
 		return
 	}
-	if st.policyFor(w).PlaceCompute() == scheme.OnMCU {
+	if st.policyFor(w).Place == scheme.OnMCU {
 		if err := r.mcu.ExecCall(r.params.UplinkDriverCPU, energy.AppCompute, sim.Done{}); err != nil {
 			r.fail(err)
 			return

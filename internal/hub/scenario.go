@@ -89,8 +89,9 @@ func (s Scenario) Label() string {
 // Config materializes the scenario: apps are instantiated from the catalog
 // with the scenario seed, rates are scaled, and the fault schedule is
 // compiled. BCOM scenarios come back with a nil Assign — the caller supplies
-// the planner's partition (fleet.RunScenario does). An unregistered scheme
-// is refused here, since it could not be written back as scenario JSON.
+// the planner's partition (fleet.RunScenario does). A scheme with no row in
+// the scheme table is refused here, since it could not be written back as
+// scenario JSON.
 func (s Scenario) Config() (Config, error) {
 	if len(s.Apps) == 0 {
 		return Config{}, fmt.Errorf("%w: scenario lists no apps", ErrConfig)

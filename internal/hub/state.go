@@ -144,9 +144,9 @@ func (st *appState) modeFor(w int) Mode {
 }
 
 // policy is the app's base policy (window 0, before any degradation).
-func (st *appState) policy() scheme.Policy { return scheme.ForMode(st.mode) }
+func (st *appState) policy() scheme.Policy { return st.mode.Policy() }
 
 // policyFor resolves the app's active policy for window w, honoring the
-// degradation ladder. ForMode is an array lookup, so this is as cheap as the
-// mode switch it replaced.
-func (st *appState) policyFor(w int) scheme.Policy { return scheme.ForMode(st.modeFor(w)) }
+// degradation ladder. Mode.Policy is an array lookup, so this is as cheap as
+// a mode switch.
+func (st *appState) policyFor(w int) scheme.Policy { return st.modeFor(w).Policy() }

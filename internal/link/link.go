@@ -93,6 +93,9 @@ func (p Params) Validate() error {
 	if p.LossTimeout < 0 {
 		return fmt.Errorf("link: negative LossTimeout %v", p.LossTimeout)
 	}
+	if p.WireW < 0 {
+		return fmt.Errorf("link: negative WireW %v", p.WireW)
+	}
 	return nil
 }
 

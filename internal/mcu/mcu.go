@@ -124,6 +124,9 @@ func (p Params) Validate() error {
 	if p.RebootTime < 0 || p.RebootW < 0 {
 		return fmt.Errorf("mcu: negative reboot calibration (%v, %v W)", p.RebootTime, p.RebootW)
 	}
+	if p.ActiveW < 0 || p.IdleW < 0 {
+		return fmt.Errorf("mcu: negative power draw (active %v, idle %v W)", p.ActiveW, p.IdleW)
+	}
 	return nil
 }
 

@@ -1,8 +1,8 @@
 // Package optimizer searches the scheme-composition space for an app mix: it
 // enumerates per-app mode assignments (local per-sample, batched, offloaded,
-// edge-uploaded), evaluates every candidate — alongside the registered fixed
-// schemes — through the fleet engine with deterministic seeding, and emits
-// the minimum-energy feasible plan plus the latency/energy Pareto front.
+// edge-uploaded), evaluates every candidate — alongside the scheme table's
+// fixed schemes — through the fleet engine with deterministic seeding, and
+// emits the minimum-energy feasible plan plus the latency/energy Pareto front.
 //
 // Where internal/core's planner runs BCOM's fixed admission test (offload
 // what fits the MCU, batch the rest), the optimizer treats composition as a
@@ -10,7 +10,7 @@
 // the evaluator, and feasibility is judged on observed QoS, not a static
 // budget. The winning composition can be executed two ways that are provably
 // identical: as a Hybrid scenario carrying the plan's Assign, or — once a
-// search result is promoted to a registered scheme, as ECOM was — by name.
+// search result becomes a row of the scheme table, as ECOM did — by name.
 //
 // Determinism is end to end: candidate enumeration order is a pure function
 // of the spec, every scenario's seed derives from the spec seed and its
@@ -95,7 +95,7 @@ type Plan struct {
 	Spec Spec `json:"spec"`
 	// Winner is the minimum-energy feasible composition.
 	Winner Evaluated `json:"winner"`
-	// Builtins are the registered fixed schemes' scores under the same
+	// Builtins are the scheme table's fixed schemes' scores under the same
 	// conditions (infeasible ones included, marked).
 	Builtins []Evaluated `json:"builtins"`
 	// Pareto is the latency/energy front over feasible compositions, sorted
@@ -117,7 +117,7 @@ type Plan struct {
 }
 
 // paperSchemes are the five hand-coded schemes the winner must beat for
-// BeatsBuiltins (ECOM is excluded: it IS a registered search result).
+// BeatsBuiltins (ECOM is excluded: it IS a promoted search result).
 var paperSchemes = map[scheme.Scheme]bool{
 	scheme.Baseline: true, scheme.Batching: true, scheme.COM: true,
 	scheme.BCOM: true, scheme.BEAM: true,
@@ -227,16 +227,16 @@ func Run(spec Spec) (*Plan, error) {
 		heavy[id] = a.Spec().Heavy
 	}
 
-	// The evaluation sweep: every registered fixed scheme (Hybrid excluded —
+	// The evaluation sweep: every fixed scheme of the table (Hybrid excluded —
 	// it has no derivation of its own) first, then every candidate, each
 	// under every fault variant. Order is part of the plan's identity: seeds
 	// derive from scenario index.
 	var builtinsOrder []scheme.Scheme
-	for _, d := range scheme.All() {
-		if d.Scheme() == scheme.Hybrid {
+	for _, s := range scheme.All() {
+		if s == scheme.Hybrid {
 			continue
 		}
-		builtinsOrder = append(builtinsOrder, d.Scheme())
+		builtinsOrder = append(builtinsOrder, s)
 	}
 	cands, skipped := enumerate(spec.Apps, heavy, spec.MaxCandidates)
 	faults := spec.faultVariants()

@@ -62,6 +62,9 @@ func (p Params) Validate() error {
 	if p.PerTxOverhead < 0 {
 		return fmt.Errorf("radio: negative overhead %v", p.PerTxOverhead)
 	}
+	if p.IdleW < 0 {
+		return fmt.Errorf("radio: negative IdleW %v", p.IdleW)
+	}
 	if p.TxW < p.IdleW {
 		return fmt.Errorf("radio: TxW %v below IdleW %v", p.TxW, p.IdleW)
 	}

@@ -1,34 +1,31 @@
 package scheme
 
-// Policy is one app's execution behavior, expressed as one decision hook per
-// routine of the paper's Table II. Policies are pure decision objects: the
-// hub's event conductor consults them and executes the verdicts against the
-// hardware models, so a policy never touches the scheduler and cannot
-// perturb timing by itself.
+// Policy is one app's execution behavior: one verdict per routine of the
+// paper's Table II. Policies are plain rows of the policy table (one per
+// Mode): the hub's event conductor reads the verdicts and executes them
+// against the hardware models, so a policy never touches the scheduler and
+// cannot perturb timing by itself.
 //
-//	Routine                   Hook            decides
-//	------------------------  --------------  ------------------------------
-//	Data Collection/Interrupt OnSampleReady   interrupt now, buffer, or hold
-//	Data Transfer             PlanTransfer    per-sample vs coalesced vs result-only
-//	App-specific Computation  PlaceCompute    CPU vs MCU offload
-//	(window completion)       OnWindowClose   which progress gate closes a window
-type Policy interface {
-	// Mode names the scheme-table row this policy realizes; results and the
-	// degradation ladder are recorded in terms of it.
-	Mode() Mode
-	// OnSampleReady decides what the MCU does with one freshly formatted
-	// sample for this app.
-	OnSampleReady() SampleAction
-	// PlanTransfer decides how the app's window data crosses the link.
-	PlanTransfer() TransferPlan
-	// PlaceCompute decides which processor runs the app-specific computation.
-	PlaceCompute() Placement
-	// OnWindowClose decides which per-window progress counter must fill
-	// before the window's downstream step fires.
-	OnWindowClose() CloseGate
+//	Routine                   Field     decides
+//	------------------------  --------  -------------------------------------
+//	Data Collection/Interrupt Sample    interrupt now, buffer, or hold
+//	Data Transfer             Transfer  per-sample vs coalesced vs result-only
+//	App-specific Computation  Place     CPU vs MCU offload vs edge upload
+//	(window completion)       Gate      which progress gate closes a window
+type Policy struct {
+	// Sample decides what the MCU does with one freshly formatted sample
+	// for this app.
+	Sample SampleAction
+	// Transfer decides how the app's window data crosses the link.
+	Transfer TransferPlan
+	// Place decides which processor runs the app-specific computation.
+	Place Placement
+	// Gate decides which per-window progress counter must fill before the
+	// window's downstream step fires.
+	Gate CloseGate
 }
 
-// SampleAction is OnSampleReady's verdict.
+// SampleAction is the Sample verdict.
 type SampleAction int
 
 const (
@@ -43,7 +40,7 @@ const (
 	Hold
 )
 
-// TransferPlan is PlanTransfer's verdict.
+// TransferPlan is the Transfer verdict.
 type TransferPlan int
 
 const (
@@ -58,7 +55,7 @@ const (
 	ResultOnlyTransfer
 )
 
-// Placement is PlaceCompute's verdict.
+// Placement is the Place verdict.
 type Placement int
 
 const (
@@ -71,8 +68,8 @@ const (
 	OnEdge
 )
 
-// CloseGate is OnWindowClose's verdict: the progress counter whose
-// exhaustion completes a window.
+// CloseGate is the Gate verdict: the progress counter whose exhaustion
+// completes a window.
 type CloseGate int
 
 const (
@@ -84,62 +81,33 @@ const (
 	AwaitCollection
 )
 
-// perSamplePolicy is Baseline/BEAM's row: every sample interrupts the CPU.
-type perSamplePolicy struct{}
-
-func (perSamplePolicy) Mode() Mode                  { return PerSample }
-func (perSamplePolicy) OnSampleReady() SampleAction { return Interrupt }
-func (perSamplePolicy) PlanTransfer() TransferPlan  { return PerSampleTransfer }
-func (perSamplePolicy) PlaceCompute() Placement     { return OnCPU }
-func (perSamplePolicy) OnWindowClose() CloseGate    { return AwaitDelivery }
-
-// batchedPolicy is Batching's row: the MCU buffers a window, one bulk flush.
-type batchedPolicy struct{}
-
-func (batchedPolicy) Mode() Mode                  { return Batched }
-func (batchedPolicy) OnSampleReady() SampleAction { return Buffer }
-func (batchedPolicy) PlanTransfer() TransferPlan  { return CoalescedTransfer }
-func (batchedPolicy) PlaceCompute() Placement     { return OnCPU }
-func (batchedPolicy) OnWindowClose() CloseGate    { return AwaitCollection }
-
-// offloadedPolicy is COM's row: the MCU computes, only the result crosses.
-type offloadedPolicy struct{}
-
-func (offloadedPolicy) Mode() Mode                  { return Offloaded }
-func (offloadedPolicy) OnSampleReady() SampleAction { return Hold }
-func (offloadedPolicy) PlanTransfer() TransferPlan  { return ResultOnlyTransfer }
-func (offloadedPolicy) PlaceCompute() Placement     { return OnMCU }
-func (offloadedPolicy) OnWindowClose() CloseGate    { return AwaitCollection }
-
-// uploadedPolicy is the edge tier's row: the MCU buffers a window exactly
-// like Batching, but the bulk flush continues past the CPU onto the uplink
-// radio, and the computation runs in the app's edge container.
-type uploadedPolicy struct{}
-
-func (uploadedPolicy) Mode() Mode                  { return Uploaded }
-func (uploadedPolicy) OnSampleReady() SampleAction { return Buffer }
-func (uploadedPolicy) PlanTransfer() TransferPlan  { return CoalescedTransfer }
-func (uploadedPolicy) PlaceCompute() Placement     { return OnEdge }
-func (uploadedPolicy) OnWindowClose() CloseGate    { return AwaitCollection }
-
-// byMode indexes the built-in policy singletons; ForMode is on the
-// conductor's per-sample path and must stay allocation-free.
-var byMode = [...]Policy{
-	PerSample: perSamplePolicy{},
-	Batched:   batchedPolicy{},
-	Offloaded: offloadedPolicy{},
-	Uploaded:  uploadedPolicy{},
+// policies is the policy table, indexed by Mode.
+var policies = [...]Policy{
+	// Baseline/BEAM: every sample interrupts the CPU.
+	PerSample: {Interrupt, PerSampleTransfer, OnCPU, AwaitDelivery},
+	// Batching: the MCU buffers a window, one bulk flush.
+	Batched: {Buffer, CoalescedTransfer, OnCPU, AwaitCollection},
+	// COM: the MCU computes, only the result crosses.
+	Offloaded: {Hold, ResultOnlyTransfer, OnMCU, AwaitCollection},
+	// The edge tier: the MCU buffers a window exactly like Batched, but the
+	// bulk flush continues past the CPU onto the uplink radio, and the
+	// computation runs in the app's edge container.
+	Uploaded: {Buffer, CoalescedTransfer, OnEdge, AwaitCollection},
 }
 
-// ForMode returns the built-in policy realizing a mode. It panics on an
-// unknown mode: modes reach the conductor only through validated configs and
-// the ladder, so an out-of-range value is a programming error.
-func ForMode(m Mode) Policy {
-	if m < PerSample || m > Uploaded {
+// Policy returns the mode's row of the policy table. It is on the
+// conductor's per-sample path and stays allocation-free. It panics on a mode
+// outside the table: modes reach the conductor only through Def.Modes and
+// Degrade, so an out-of-range value is a programming error.
+func (m Mode) Policy() Policy {
+	if !m.valid() {
 		panic("scheme: no policy for " + m.String())
 	}
-	return byMode[m]
+	return policies[m]
 }
+
+// valid reports whether the mode has a row in the policy table.
+func (m Mode) valid() bool { return m >= PerSample && int(m) < len(policies) }
 
 // Degrade is the resilience ladder (§ fault handling): one step down in
 // remote-dependence — Uploaded and Offloaded both fall back to Batched (a

@@ -1,19 +1,19 @@
 // Package scheme makes the paper's execution schemes first-class values: a
-// scheme is a registered composition of per-app policies (which processor
-// computes, how samples cross the link, when the CPU is interrupted) plus a
-// stream topology (whether concurrent apps share physical sensor streams).
+// scheme is a row of per-app modes (which processor computes, how samples
+// cross the link, when the CPU is interrupted) plus a stream topology
+// (whether concurrent apps share physical sensor streams).
 //
 // The paper (Table II, §III–§IV) defines every scheme as a distinct
 // composition of the same four routines — Data Collection, Interrupt, Data
-// Transfer, and App-specific Computation. This package mirrors that shape:
+// Transfer, and App-specific Computation. This package keeps that shape as
+// two tables:
 //
-//   - Policy exposes one hook per routine (OnSampleReady, PlanTransfer,
-//     PlaceCompute, OnWindowClose); the hub runner is a scheme-agnostic event
-//     conductor that executes whatever the active policy decides.
-//   - Def bundles a scheme's config validation, per-app policy assignment,
-//     and stream planning; Register/Lookup make the set open-ended, so a new
-//     hybrid (adaptive batching, alternative partitioners) is a new ~100-line
-//     file here, not surgery on the runner.
+//   - the policy table: each Mode's Policy is one verdict per routine
+//     (Sample, Transfer, Place, Gate); the hub runner is a scheme-agnostic
+//     event conductor that executes whatever verdicts the app's mode holds;
+//   - the scheme table: each Scheme's Def names the mode its light and heavy
+//     apps run (or takes an explicit partition) and its stream topology, so
+//     a new composition is one row here, not surgery on the runner.
 //
 // All Scheme/Mode-dependent control flow lives in this package — enforced by
 // `make lint-scheme`.
@@ -31,8 +31,8 @@ type Scheme int
 // Execution schemes. Baseline..BEAM are the paper's five (§III, §IV);
 // Hybrid and ECOM extend the table with the edge tier: Hybrid executes an
 // arbitrary per-app mode partition (the optimizer's emission vehicle), ECOM
-// is the registered composition the scheme-space search converges on —
-// heavy apps upload to the edge, everything else offloads to the MCU.
+// is the composition the scheme-space search converges on — heavy apps
+// upload to the edge, everything else offloads to the MCU.
 const (
 	Baseline Scheme = iota + 1
 	Batching
@@ -74,14 +74,13 @@ func (s Scheme) String() string {
 }
 
 // Parse resolves a case-insensitive scheme name ("baseline", "batching",
-// "com", "bcom", "beam", "hybrid", "ecom") against the registry — the
-// CLI-facing inverse of String. Only registered schemes parse, so an
-// unplugged experimental scheme disappears from every CLI at once.
+// "com", "bcom", "beam", "hybrid", "ecom") against the scheme table — the
+// CLI-facing inverse of String. Only schemes with a row parse.
 func Parse(name string) (Scheme, error) {
 	want := strings.TrimSpace(name)
-	for _, d := range All() {
-		if strings.EqualFold(d.Scheme().String(), want) {
-			return d.Scheme(), nil
+	for _, d := range defs {
+		if strings.EqualFold(d.scheme.String(), want) {
+			return d.scheme, nil
 		}
 	}
 	return 0, fmt.Errorf("%w: unknown scheme %q", ErrConfig, name)
@@ -103,8 +102,8 @@ func (s *Scheme) UnmarshalText(text []byte) error {
 }
 
 // Mode is the per-app execution decision inside a scheme — the row of the
-// scheme table one app actually runs. Every Mode maps to one built-in Policy
-// (ForMode); schemes are compositions of modes across apps.
+// policy table one app actually runs (Mode.Policy); schemes are compositions
+// of modes across apps.
 type Mode int
 
 // Per-app modes.
@@ -141,7 +140,7 @@ func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
 // UnmarshalText is the inverse of MarshalText.
 func (m *Mode) UnmarshalText(text []byte) error {
-	for _, known := range []Mode{PerSample, Batched, Offloaded, Uploaded} {
+	for known := PerSample; known.valid(); known++ {
 		if known.String() == string(text) {
 			*m = known
 			return nil

@@ -8,16 +8,15 @@ import (
 	"iothub/internal/apps"
 )
 
-// TestSchemeTextRoundTrip drives every registered scheme through the full
+// TestSchemeTextRoundTrip drives every scheme of the table through the full
 // text codec: String → Parse (in several casings, since Parse is the
 // CLI-facing entry point) and MarshalText → UnmarshalText.
 func TestSchemeTextRoundTrip(t *testing.T) {
-	defs := All()
-	if len(defs) != 7 {
-		t.Fatalf("registered schemes = %d, want the paper's 5 plus Hybrid and ECOM", len(defs))
+	all := All()
+	if len(all) != 7 {
+		t.Fatalf("schemes = %d, want the paper's 5 plus Hybrid and ECOM", len(all))
 	}
-	for _, d := range defs {
-		s := d.Scheme()
+	for _, s := range all {
 		name := s.String()
 		for _, spelling := range []string{
 			name,
@@ -114,12 +113,12 @@ func TestModeTextInvalid(t *testing.T) {
 }
 
 // FuzzParseScheme asserts the codec's core property over arbitrary input:
-// Parse either rejects with ErrConfig, or returns a registered scheme whose
+// Parse either rejects with ErrConfig, or returns a scheme of the table whose
 // canonical name re-parses to the same value.
 func FuzzParseScheme(f *testing.F) {
-	for _, d := range All() {
-		f.Add(d.Scheme().String())
-		f.Add(strings.ToLower(d.Scheme().String()))
+	for _, s := range All() {
+		f.Add(s.String())
+		f.Add(strings.ToLower(s.String()))
 	}
 	f.Add("")
 	f.Add("warp")
@@ -133,7 +132,7 @@ func FuzzParseScheme(f *testing.F) {
 			return
 		}
 		if _, err := Lookup(s); err != nil {
-			t.Fatalf("Parse(%q) = %v, which is not registered: %v", name, s, err)
+			t.Fatalf("Parse(%q) = %v, which has no row: %v", name, s, err)
 		}
 		again, err := Parse(s.String())
 		if err != nil || again != s {
@@ -165,20 +164,93 @@ func FuzzModeUnmarshalText(f *testing.F) {
 	})
 }
 
-// TestRegistry covers Lookup (known and unknown), the table ordering of
-// All/Names, and the duplicate-registration panic.
-func TestRegistry(t *testing.T) {
-	for _, s := range []Scheme{Baseline, Batching, COM, BCOM, BEAM, Hybrid, ECOM} {
-		d, err := Lookup(s)
+// TestSchemeTable pins each scheme's row through Def.Modes and
+// RequiresAssign, over one light app (A2) and one heavy app (A11), plus the
+// table order of All/Names and Lookup's refusal of an unknown scheme.
+func TestSchemeTable(t *testing.T) {
+	light := apps.Spec{ID: apps.StepCounter}
+	heavy := apps.Spec{ID: apps.SpeechToTxt, Heavy: true}
+	// A zero mode marks a refusal, whose error is the matching err field.
+	rows := []struct {
+		s                  Scheme
+		assign             bool
+		light, heavy       Mode
+		lightErr, heavyErr error
+	}{
+		{s: Baseline, light: PerSample, heavy: PerSample},
+		{s: Batching, light: Batched, heavy: Batched},
+		{s: COM, light: Offloaded, heavyErr: ErrUnoffloadable},
+		{s: BCOM, assign: true, lightErr: ErrConfig, heavyErr: ErrConfig},
+		{s: BEAM, lightErr: ErrConfig, heavyErr: ErrConfig}, // a single app shares nothing
+		{s: Hybrid, assign: true, lightErr: ErrConfig, heavyErr: ErrConfig},
+		{s: ECOM, light: Offloaded, heavy: Uploaded},
+	}
+	if got := All(); len(got) != len(rows) {
+		t.Fatalf("All() = %v, want %d schemes", got, len(rows))
+	}
+	for i, row := range rows {
+		if got := All()[i]; got != row.s {
+			t.Errorf("All()[%d] = %v, want %v", i, got, row.s)
+		}
+		d, err := Lookup(row.s)
 		if err != nil {
-			t.Fatalf("Lookup(%v): %v", s, err)
+			t.Fatalf("Lookup(%v): %v", row.s, err)
 		}
-		if d.Scheme() != s {
-			t.Errorf("Lookup(%v).Scheme() = %v", s, d.Scheme())
+		if d.scheme != row.s || d.RequiresAssign() != row.assign {
+			t.Errorf("Lookup(%v) = %v with RequiresAssign %v, want RequiresAssign %v",
+				row.s, d.scheme, d.RequiresAssign(), row.assign)
 		}
-		if want := s == BCOM || s == Hybrid; d.RequiresAssign() != want {
-			t.Errorf("%v.RequiresAssign() = %v, want %v", s, d.RequiresAssign(), want)
+		for _, app := range []struct {
+			sp   apps.Spec
+			want Mode
+			err  error
+		}{{light, row.light, row.lightErr}, {heavy, row.heavy, row.heavyErr}} {
+			modes, err := d.Modes(ConfigView{Specs: []apps.Spec{app.sp}})
+			if app.err != nil {
+				if !errors.Is(err, app.err) {
+					t.Errorf("%v: Modes(%s) err = %v, want %v", row.s, app.sp.ID, err, app.err)
+				}
+				continue
+			}
+			if err != nil || len(modes) != 1 || modes[app.sp.ID] != app.want {
+				t.Errorf("%v: Modes(%s) = %v, %v, want %v", row.s, app.sp.ID, modes, err, app.want)
+			}
 		}
+		// A partitioned scheme runs exactly its Assign; every other scheme
+		// refuses one.
+		both := []apps.Spec{light, heavy}
+		modes, err := d.Modes(ConfigView{Specs: both, Assign: map[apps.ID]Mode{
+			apps.StepCounter: Offloaded, apps.SpeechToTxt: Uploaded}})
+		if !row.assign {
+			if !errors.Is(err, ErrConfig) {
+				t.Errorf("%v: Modes with Assign err = %v, want ErrConfig", row.s, err)
+			}
+			continue
+		}
+		if err != nil || modes[apps.StepCounter] != Offloaded || modes[apps.SpeechToTxt] != Uploaded {
+			t.Errorf("%v: Modes with Assign = %v, %v", row.s, modes, err)
+		}
+		refusals := []struct {
+			name   string
+			assign map[apps.ID]Mode
+			want   error
+		}{
+			{"missing app", map[apps.ID]Mode{apps.StepCounter: Batched}, ErrConfig},
+			{"Mode(0)", map[apps.ID]Mode{apps.StepCounter: 0, apps.SpeechToTxt: Batched}, ErrConfig},
+			{"Mode(9)", map[apps.ID]Mode{apps.StepCounter: 9, apps.SpeechToTxt: Batched}, ErrConfig},
+			{"heavy offloaded", map[apps.ID]Mode{apps.StepCounter: Batched, apps.SpeechToTxt: Offloaded}, ErrUnoffloadable},
+		}
+		for _, r := range refusals {
+			if _, err := d.Modes(ConfigView{Specs: both, Assign: r.assign}); !errors.Is(err, r.want) {
+				t.Errorf("%v: Modes(%s) err = %v, want %v", row.s, r.name, err, r.want)
+			}
+		}
+	}
+	// BEAM shares streams between two or more apps, each on PerSample.
+	beam, _ := Lookup(BEAM)
+	modes, err := beam.Modes(ConfigView{Specs: []apps.Spec{light, heavy}})
+	if err != nil || modes[apps.StepCounter] != PerSample || modes[apps.SpeechToTxt] != PerSample {
+		t.Errorf("BEAM: Modes(A2, A11) = %v, %v, want PerSample for both", modes, err)
 	}
 	if _, err := Lookup(Scheme(42)); !errors.Is(err, ErrConfig) {
 		t.Errorf("Lookup(Scheme(42)) err = %v, want ErrConfig", err)
@@ -186,41 +258,13 @@ func TestRegistry(t *testing.T) {
 
 	names := Names()
 	want := []string{"baseline", "batching", "com", "bcom", "beam", "hybrid", "ecom"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("Names() = %v, want %v", names, want)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register(baselineDef{})
 }
 
-// TestForModeAndDegrade pins the mode→policy index and the resilience ladder.
-func TestForModeAndDegrade(t *testing.T) {
-	for _, m := range []Mode{PerSample, Batched, Offloaded, Uploaded} {
-		if got := ForMode(m).Mode(); got != m {
-			t.Errorf("ForMode(%v).Mode() = %v", m, got)
-		}
-	}
-	for _, bad := range []Mode{0, 5, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ForMode(%v) did not panic", bad)
-				}
-			}()
-			ForMode(bad)
-		}()
-	}
-
+// TestDegrade pins the resilience ladder.
+func TestDegrade(t *testing.T) {
 	steps := []struct {
 		from, to Mode
 		ok       bool
@@ -238,42 +282,32 @@ func TestForModeAndDegrade(t *testing.T) {
 	}
 }
 
-// TestPolicyTable pins each built-in policy's verdict tuple to its Table II
-// row — the semantic contract the golden corpus depends on.
+// TestPolicyTable pins each mode's verdict row to its Table II row — the
+// semantic contract the golden corpus depends on — and the panic on a mode
+// outside the table.
 func TestPolicyTable(t *testing.T) {
 	rows := []struct {
-		mode     Mode
-		sample   SampleAction
-		transfer TransferPlan
-		place    Placement
-		gate     CloseGate
+		mode Mode
+		want Policy
 	}{
-		{PerSample, Interrupt, PerSampleTransfer, OnCPU, AwaitDelivery},
-		{Batched, Buffer, CoalescedTransfer, OnCPU, AwaitCollection},
-		{Offloaded, Hold, ResultOnlyTransfer, OnMCU, AwaitCollection},
-		{Uploaded, Buffer, CoalescedTransfer, OnEdge, AwaitCollection},
+		{PerSample, Policy{Sample: Interrupt, Transfer: PerSampleTransfer, Place: OnCPU, Gate: AwaitDelivery}},
+		{Batched, Policy{Sample: Buffer, Transfer: CoalescedTransfer, Place: OnCPU, Gate: AwaitCollection}},
+		{Offloaded, Policy{Sample: Hold, Transfer: ResultOnlyTransfer, Place: OnMCU, Gate: AwaitCollection}},
+		{Uploaded, Policy{Sample: Buffer, Transfer: CoalescedTransfer, Place: OnEdge, Gate: AwaitCollection}},
 	}
 	for _, r := range rows {
-		p := ForMode(r.mode)
-		if p.OnSampleReady() != r.sample || p.PlanTransfer() != r.transfer ||
-			p.PlaceCompute() != r.place || p.OnWindowClose() != r.gate {
-			t.Errorf("%v policy = (%v %v %v %v), want (%v %v %v %v)", r.mode,
-				p.OnSampleReady(), p.PlanTransfer(), p.PlaceCompute(), p.OnWindowClose(),
-				r.sample, r.transfer, r.place, r.gate)
+		if got := r.mode.Policy(); got != r.want {
+			t.Errorf("%v.Policy() = %+v, want %+v", r.mode, got, r.want)
 		}
 	}
-}
-
-// TestModesOf projects a mixed assignment back to modes.
-func TestModesOf(t *testing.T) {
-	pols := map[apps.ID]Policy{
-		"A1": ForMode(PerSample),
-		"A2": ForMode(Batched),
-		"A3": ForMode(Offloaded),
-	}
-	modes := ModesOf(pols)
-	if len(modes) != 3 ||
-		modes["A1"] != PerSample || modes["A2"] != Batched || modes["A3"] != Offloaded {
-		t.Errorf("ModesOf = %v", modes)
+	for _, bad := range []Mode{0, 5, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v.Policy() did not panic", bad)
+				}
+			}()
+			bad.Policy()
+		}()
 	}
 }
