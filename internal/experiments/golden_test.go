@@ -1,7 +1,8 @@
-// Golden paper artifacts: every table and figure of All() is pinned as text
-// — its ID, its ASCII table, and its named values sorted by name at full
-// precision — so a change to any number behind the paper's evaluation fails
-// go test. Regenerate (only for a deliberate semantic change) with:
+// Golden paper artifacts: every table and figure of All(), and every
+// ablation but abl-profile, is pinned as text — its ID, its ASCII table, and
+// its named values sorted by name at full precision — so a change to any
+// number behind the paper's evaluation or an ablation fails go test.
+// Regenerate (only for a deliberate semantic change) with:
 //
 //	go test ./internal/experiments -run ArtifactsGolden -update
 package experiments
@@ -30,10 +31,23 @@ func artifactText(res *Result) []byte {
 	return b.Bytes()
 }
 
-// TestArtifactsGolden compares every paper artifact with its committed
+// goldenArtifacts lists what the goldens pin: the paper artifacts, then the
+// ablations except abl-profile, whose columns are the host's measured
+// allocations and wall-clock timings.
+func goldenArtifacts() []Experiment {
+	out := All()
+	for _, e := range Ablations() {
+		if e.ID != "abl-profile" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestArtifactsGolden compares every pinned artifact with its committed
 // golden, rewriting the golden under -update.
 func TestArtifactsGolden(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range goldenArtifacts() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			res, err := e.Run()
