@@ -8,6 +8,7 @@
 //	iotsim -apps A11,A6 -scheme bcom          # partitioned by the planner
 //	iotsim -apps A2 -scheme batching -timeline
 //	iotsim -apps A6 -scheme com -check -chaos "seed=7; mcu-crash:at=1100ms,for=150ms"
+//	iotsim -apps A2 -chaos "sensor-fail:every=10"   # every 10th read of each sensor fails
 package main
 
 import (
@@ -31,7 +32,6 @@ import (
 	"iothub/internal/profiling"
 	"iothub/internal/report"
 	"iothub/internal/scheme"
-	"iothub/internal/sensor"
 	"iothub/internal/sim"
 	"iothub/internal/trace"
 )
@@ -51,8 +51,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	seed := fs.Int64("seed", 1, "synthetic signal seed")
 	timeline := fs.Bool("timeline", false, "print the CPU power timeline (Fig. 5 style)")
 	showOutputs := fs.Bool("outputs", true, "print per-window app outputs")
-	failEvery := fs.Int("fail-every", 0, "inject a sensor read failure every Nth attempt (0 = none)")
-	chaos := fs.String("chaos", "", `fault schedule, e.g. "seed=7; link-corrupt:prob=0.05; mcu-crash:at=700ms,for=80ms"`)
+	chaos := fs.String("chaos", "", `fault schedule, e.g. "seed=7; link-corrupt:prob=0.05; mcu-crash:at=700ms,for=80ms", or "sensor-fail:every=10" to fail every 10th read of each sensor`)
 	check := fs.Bool("check", false, "run the post-simulation invariant checker verbosely and print the fault/resilience summary")
 	jsonOut := fs.Bool("json", false, "emit the full run result as machine-readable JSON instead of tables")
 	traceOut := fs.String("trace", "", "write a Perfetto-loadable Chrome trace-event JSON of the run's routine spans to this file")
@@ -131,15 +130,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			Harvest: harvestTrace,
 		}
 	}
-	if *failEvery > 0 {
-		plan := &hub.FaultPlan{ReadFailEvery: map[sensor.ID]int{}, MaxRetries: 1}
-		for _, a := range list {
-			for _, u := range a.Spec().Sensors {
-				plan.ReadFailEvery[u.Sensor] = *failEvery
-			}
-		}
-		cfg.Faults = plan
-	}
 	if *chaos != "" {
 		schedule, err := faults.ParseSchedule(*chaos)
 		if err != nil {
@@ -147,7 +137,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 		cfg.FaultSchedule = schedule
 	}
-	if def.RequiresAssign() {
+	if def.Planned() {
 		plan, err := core.PlanBCOM(list, hub.DefaultParams())
 		if err != nil {
 			return err

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"iothub/internal/hub"
 	"iothub/internal/scheme"
 )
 
@@ -72,18 +74,26 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-apps", "A11", "-scheme", "com"}, &out); err == nil {
 		t.Error("offloading the heavy app accepted")
 	}
+	// The planner fills in BCOM's partition only. Hybrid has no flag to take
+	// an Assign from, so it is refused instead of running BCOM's split under
+	// the Hybrid label.
+	if err := run([]string{"-apps", "A2,A11", "-scheme", "hybrid", "-windows", "1"}, &out); !errors.Is(err, hub.ErrConfig) {
+		t.Errorf("hybrid without Assign: err = %v, want ErrConfig", err)
+	}
 	if err := run([]string{"-bogusflag"}, &out); err == nil {
 		t.Error("bogus flag accepted")
 	}
 }
 
+// TestRunFaultInjectionFlag: a sensor-fail schedule with no on= fails every
+// 10th read of each sensor, and the run reports the retries it cost.
 func TestRunFaultInjectionFlag(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-apps", "A2", "-windows", "1", "-outputs=false", "-fail-every", "10"}, &out)
+	err := run([]string{"-apps", "A2", "-windows", "1", "-outputs=false", "-chaos", "sensor-fail:every=10"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out.String(), "retries") {
+	if !strings.Contains(out.String(), "faults: 111 retries, 0 dropped samples") {
 		t.Errorf("faults line missing:\n%s", out.String())
 	}
 }

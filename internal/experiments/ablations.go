@@ -260,10 +260,10 @@ func AblFaults() (*Result, error) {
 			Apps: list, Scheme: hub.Baseline, Windows: Windows, SkipAppCompute: true,
 		}
 		if n > 0 {
-			cfg.Faults = &hub.FaultPlan{
-				ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: n},
-				MaxRetries:    1,
-			}
+			cfg.FaultSchedule = &faults.Schedule{Rules: []faults.Rule{{
+				Kind: faults.SensorFail, Target: string(sensor.Accelerometer),
+				Trigger: faults.Trigger{EveryNth: n},
+			}}}
 		}
 		res, err := hub.Run(cfg)
 		if err != nil {

@@ -99,7 +99,7 @@ func TestAblFaultsOverheadGrows(t *testing.T) {
 	}
 	// Persistent failure (every attempt) drops the whole window.
 	if res.Values["dropped:1"] != 1000 {
-		t.Errorf("dropped at fail-every-1 = %v, want 1000", res.Values["dropped:1"])
+		t.Errorf("dropped at every=1 = %v, want 1000", res.Values["dropped:1"])
 	}
 }
 

@@ -113,9 +113,9 @@ var fuzzTargets = []string{"link", "mcu", "radio:mcu", "S4", "S7", "S9"}
 
 // FuzzFaultEngine checks Engine.Fires against the brute-force reference.
 // The schedule text goes through ParseSchedule (a user-shaped input); the
-// script bytes become probes of three bytes each — kind (0 and 7 lie
-// outside the enumeration), target, and a step of 0–25.5 ms that keeps now
-// non-decreasing. At every probe the engine must report the same rule (or
+// script bytes become probes of three bytes each — kind (every kind, plus 0
+// and lastKind+1 outside the enumeration), target, and a step of 0–25.5 ms
+// that keeps now non-decreasing. At every probe the engine must report the same rule (or
 // none) as the reference and the same Activations and HasKind.
 func FuzzFaultEngine(f *testing.F) {
 	// sparse mixes every kind and target at uneven steps; dense probes the
@@ -126,6 +126,7 @@ func FuzzFaultEngine(f *testing.F) {
 		1, 0, 10, 2, 0, 10, 4, 3, 40, 5, 3, 0, 4, 4, 200, 5, 4, 1,
 		3, 1, 255, 6, 2, 7, 0, 0, 0, 7, 5, 3, 4, 5, 90, 5, 5, 90,
 		1, 0, 255, 2, 0, 255, 1, 0, 255, 2, 0, 255, 1, 0, 0, 2, 0, 0,
+		7, 3, 10, 8, 3, 10, 7, 4, 0, 7, 3, 20,
 	}
 	var dense []byte
 	for i := 0; i < 64; i++ {
@@ -135,6 +136,8 @@ func FuzzFaultEngine(f *testing.F) {
 		"seed=7; link-corrupt:prob=0.05; mcu-crash:at=700ms,for=80ms",
 		// Empty-target sensor rules, and two rules of one kind competing.
 		"sensor-stuck:every=3; sensor-slow:on=S4,every=2,factor=3; sensor-slow:prob=0.5,factor=2",
+		// Failed reads on every sensor, and a narrowed rule behind them.
+		"seed=5; sensor-fail:every=2; sensor-fail:on=S4,prob=0.5; sensor-stuck:every=3",
 		// Period and At triggers on the link, with a count rule behind them.
 		"seed=3; link-loss:period=10ms; link-corrupt:at=10ms,at=30ms,at=500ms; link-loss:every=4",
 		// Only self-firing kinds: every probed kind has no rules.
@@ -164,7 +167,7 @@ func FuzzFaultEngine(f *testing.F) {
 		const maxProbes = 512
 		var now sim.Time
 		for n := 0; len(script) >= 3 && n < maxProbes; n++ {
-			kind := Kind(script[0] % 8)
+			kind := Kind(script[0] % byte(lastKind+2))
 			target := fuzzTargets[int(script[1])%len(fuzzTargets)]
 			now = now.Add(time.Duration(script[2]) * 100 * time.Microsecond)
 			script = script[3:]

@@ -1,19 +1,21 @@
 // Package faults is a deterministic, seedable fault-schedule engine for the
 // simulated hub. A Schedule is a list of Rules; each Rule injects one Kind of
-// hardware fault (link frame corruption/loss, MCU crash, sensor stuck/slow,
-// radio outage) on a Trigger that is count-, interval-, time-, or
-// probability-based. Every run of the same Schedule with the same Seed
-// produces the identical fault sequence: the engine keeps per-(rule, target)
-// counters and PRNG streams whose evolution depends only on the order of
-// probes, and the simulator's event order is itself deterministic.
+// hardware fault (link frame corruption/loss, MCU crash, sensor
+// stuck/slow/failed read, radio outage) on a Trigger that is count-,
+// interval-, time-, or probability-based. Every run of the same Schedule
+// with the same Seed produces the identical fault sequence: the engine keeps
+// per-(rule, target) counters and PRNG streams whose evolution depends only
+// on the order of probes, and the simulator's event order is itself
+// deterministic.
 //
 // Two consumption styles exist:
 //
-//   - Probe-based faults (link corruption/loss, sensor stuck/slow) are asked
-//     about at the moment the hardware operation happens: Fires(kind, target,
-//     now) evaluates each matching rule's trigger and reports the first that
-//     fires. Each probe advances the matching rules' counters exactly once,
-//     so the fault pattern is a pure function of the probe sequence.
+//   - Probe-based faults (link corruption/loss, sensor stuck/slow/fail) are
+//     asked about at the moment the hardware operation happens:
+//     Fires(kind, target, now) evaluates each matching rule's trigger and
+//     reports the first that fires. Each probe advances the matching rules'
+//     counters exactly once, so the fault pattern is a pure function of the
+//     probe sequence.
 //   - Self-firing faults (MCU crash, radio outage) happen at wall-clock
 //     instants independent of hub activity: TimedEvents expands their At and
 //     Period triggers into concrete instants up to a horizon, which the hub
@@ -52,6 +54,13 @@ const (
 	// RadioOutage takes an uplink radio off the air for Duration; bursts
 	// queue (bounded) until it returns.
 	RadioOutage
+	// SensorFail fails a read's availability check (§II-B Task I): the
+	// attempt still costs the full bus transaction and MCU check, and the
+	// MCU re-reads once, dropping the sample if the re-read fails too.
+	SensorFail
+
+	// lastKind bounds the enumeration.
+	lastKind = SensorFail
 )
 
 // String names the kind as ParseSchedule spells it.
@@ -69,6 +78,8 @@ func (k Kind) String() string {
 		return "sensor-slow"
 	case RadioOutage:
 		return "radio-outage"
+	case SensorFail:
+		return "sensor-fail"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -112,9 +123,7 @@ type Rule struct {
 
 // Validate rejects rules that could never fire or are malformed.
 func (r Rule) Validate() error {
-	switch r.Kind {
-	case LinkCorrupt, LinkLoss, MCUCrash, SensorStuck, SensorSlow, RadioOutage:
-	default:
+	if r.Kind < LinkCorrupt || r.Kind > lastKind {
 		return fmt.Errorf("unknown kind %d", int(r.Kind))
 	}
 	if r.Trigger.empty() {
@@ -213,7 +222,7 @@ type Engine struct {
 	rules []Rule // the engine's own copy of the schedule's rules
 	// byKind lists each kind's rule indices in rule order, so a probe walks
 	// only the rules that can match it.
-	byKind [RadioOutage + 1][]int
+	byKind [lastKind + 1][]int
 	states []map[string]*ruleState // per rule, per probed target
 	// activations counts probe hits — rules Fires reported as firing. Timed
 	// (self-firing) events are counted by the hub as it runs them.

@@ -210,6 +210,8 @@ func TestTimedEventsExpansion(t *testing.T) {
 func TestValidateRejectsBadRules(t *testing.T) {
 	bad := []Schedule{
 		{Rules: []Rule{{Kind: Kind(99), Trigger: Trigger{EveryNth: 1}}}},
+		{Rules: []Rule{{Kind: 0, Trigger: Trigger{EveryNth: 1}}}},
+		{Rules: []Rule{{Kind: lastKind + 1, Trigger: Trigger{EveryNth: 1}}}},
 		{Rules: []Rule{{Kind: LinkCorrupt}}}, // no trigger
 		{Rules: []Rule{{Kind: LinkCorrupt, Trigger: Trigger{Prob: 1.5}}}},
 		{Rules: []Rule{{Kind: MCUCrash, Trigger: Trigger{At: []time.Duration{-1}}}}},
@@ -228,15 +230,15 @@ func TestValidateRejectsBadRules(t *testing.T) {
 }
 
 func TestParseSchedule(t *testing.T) {
-	s, err := ParseSchedule("seed=7; link-corrupt:every=50; sensor-slow:on=S4,every=100,factor=3; mcu-crash:at=1500ms,for=200ms; radio-outage:at=500ms,for=300ms")
+	s, err := ParseSchedule("seed=7; link-corrupt:every=50; sensor-slow:on=S4,every=100,factor=3; mcu-crash:at=1500ms,for=200ms; radio-outage:at=500ms,for=300ms; sensor-fail:every=10; sensor-fail:on=S9,prob=0.25")
 	if err != nil {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
 	if s.Seed != 7 {
 		t.Errorf("seed = %d, want 7", s.Seed)
 	}
-	if len(s.Rules) != 4 {
-		t.Fatalf("got %d rules, want 4", len(s.Rules))
+	if len(s.Rules) != 6 {
+		t.Fatalf("got %d rules, want 6", len(s.Rules))
 	}
 	r := s.Rules[0]
 	if r.Kind != LinkCorrupt || r.Target != "link" || r.Trigger.EveryNth != 50 {
@@ -255,6 +257,20 @@ func TestParseSchedule(t *testing.T) {
 	if r.Kind != RadioOutage || r.Target != "radio:mcu" || r.Duration != 300*time.Millisecond {
 		t.Errorf("rule 3 = %+v", r)
 	}
+	// A failed-read rule hits every sensor unless on= narrows it.
+	r = s.Rules[4]
+	if r.Kind != SensorFail || r.Target != "" || r.Trigger.EveryNth != 10 {
+		t.Errorf("rule 4 = %+v", r)
+	}
+	r = s.Rules[5]
+	if r.Kind != SensorFail || r.Target != "S9" || r.Trigger.Prob != 0.25 {
+		t.Errorf("rule 5 = %+v", r)
+	}
+	for _, r := range s.Rules {
+		if k, err := parseKind(r.Kind.String()); err != nil || k != r.Kind {
+			t.Errorf("parseKind(%q) = %v, %v, want %v", r.Kind.String(), k, err, r.Kind)
+		}
+	}
 }
 
 func TestParseScheduleErrors(t *testing.T) {
@@ -267,6 +283,9 @@ func TestParseScheduleErrors(t *testing.T) {
 		"mcu-crash:at=-5ms",    // negative instant
 		"radio-outage:every=3", // missing for=
 		"sensor-slow:factor=0,every=1",
+		"sensor-fail",             // no trigger
+		"sensor-fail:every=0",     // count below 1
+		"sensor-fail:on=,every=1", // empty target
 		"link-loss:bogus=1",
 		"link-loss:every",
 	} {

@@ -13,7 +13,7 @@ import (
 //	<kind>[:param=value[,param=value...]]
 //
 // with kinds link-corrupt, link-loss, mcu-crash, sensor-stuck, sensor-slow,
-// radio-outage, and parameters
+// sensor-fail, radio-outage, and parameters
 //
 //	every=N       count trigger: fire every Nth probe
 //	period=DUR    interval trigger: fire each DUR (Go duration syntax)
@@ -27,6 +27,7 @@ import (
 //
 //	seed=7; link-corrupt:every=50
 //	sensor-slow:on=S4,every=100,factor=3
+//	sensor-fail:every=10
 //	mcu-crash:at=1500ms,for=200ms; radio-outage:at=500ms,for=300ms
 //
 // Kinds imply default targets: link faults hit "link", mcu-crash hits "mcu",
@@ -75,6 +76,8 @@ func parseKind(name string) (Kind, error) {
 		return SensorSlow, nil
 	case "radio-outage":
 		return RadioOutage, nil
+	case "sensor-fail":
+		return SensorFail, nil
 	default:
 		return 0, fmt.Errorf("unknown kind %q", name)
 	}

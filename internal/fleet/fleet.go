@@ -85,10 +85,10 @@ func RunScenarioIn(a *hub.Arena, s hub.Scenario) (*hub.RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if def.RequiresAssign() && cfg.Assign == nil {
+	if def.Planned() && cfg.Assign == nil {
 		// A scenario carrying its own explicit partition (Hybrid plans, or a
-		// pinned BCOM split) runs it verbatim; only a nil Assign invokes the
-		// planner's admission test.
+		// pinned BCOM split) runs it verbatim; only a BCOM scenario with a nil
+		// Assign invokes the planner's admission test.
 		plan, err := core.PlanBCOM(cfg.Apps, hub.DefaultParams())
 		if err != nil {
 			return nil, err

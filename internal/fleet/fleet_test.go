@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"path/filepath"
 	"sort"
@@ -9,8 +11,11 @@ import (
 	"testing"
 
 	"iothub/internal/apps"
+	"iothub/internal/apps/catalog"
+	"iothub/internal/faults"
 	"iothub/internal/hub"
 	"iothub/internal/obs"
+	"iothub/internal/sensor"
 )
 
 // testSpec is a small sweep over light apps: 2 mixes x 2 schemes x 2 QoS
@@ -422,6 +427,57 @@ func TestFleetRunsBCOM(t *testing.T) {
 	}
 	if m := res.Agg.Metric("BCOM/total"); m == nil || m.Mean() <= 0 {
 		t.Errorf("BCOM aggregate missing or nonpositive; keys %v", res.Agg.Keys())
+	}
+}
+
+// TestHybridWithoutAssignRefused: the planner fills in only BCOM's
+// partition, so a Hybrid scenario with no Assign fails as a config error
+// instead of running BCOM's split under the Hybrid label.
+func TestHybridWithoutAssignRefused(t *testing.T) {
+	_, err := RunScenario(hub.Scenario{Apps: []apps.ID{apps.StepCounter, apps.SpeechToTxt},
+		Scheme: hub.Hybrid, Windows: 1, Seed: 1, SkipAppCompute: true})
+	if !errors.Is(err, hub.ErrConfig) {
+		t.Errorf("Hybrid without Assign: err = %v, want ErrConfig", err)
+	}
+}
+
+// TestSensorFailScenarioMatchesHub: read failures are a fault-schedule rule,
+// so a sweep scenario carries them as schedule text and runs exactly the
+// config built directly on the hub.
+func TestSensorFailScenarioMatchesHub(t *testing.T) {
+	s := hub.Scenario{Apps: []apps.ID{apps.StepCounter, apps.M2X}, Scheme: hub.Baseline,
+		Windows: 2, Seed: 3, Faults: "sensor-fail:every=10,on=S4", SkipAppCompute: true}
+	viaFleet, err := RunScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []apps.App
+	for _, id := range s.Apps {
+		a, err := catalog.New(id, s.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list = append(list, a)
+	}
+	direct, err := hub.Run(hub.Config{Apps: list, Scheme: hub.Baseline, Windows: 2, SkipAppCompute: true,
+		FaultSchedule: &faults.Schedule{Rules: []faults.Rule{{Kind: faults.SensorFail,
+			Target: string(sensor.Accelerometer), Trigger: faults.Trigger{EveryNth: 10}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.ReadRetries == 0 {
+		t.Fatal("the schedule injected no read failures")
+	}
+	a, err := json.Marshal(viaFleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("fleet scenario and direct hub run diverge:\nfleet:\t%s\nhub:\t%s", a, b)
 	}
 }
 

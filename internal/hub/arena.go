@@ -111,7 +111,7 @@ func (a *Arena) RunScenario(s Scenario) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if def.RequiresAssign() && s.Assign == nil {
+	if def.Planned() && s.Assign == nil {
 		return nil, fmt.Errorf("%w: %v scenario %s needs an assignment (use fleet.RunScenario, or set Assign)", ErrConfig, s.Scheme, s.Label())
 	}
 	return a.Run(cfg)

@@ -113,21 +113,10 @@ func (r *runner) onMCUCrash(d time.Duration) {
 	// Everything resident in batch RAM is gone: rewind the owning windows'
 	// read progress and queue re-reads for after the reboot. The MCU is
 	// down until then, so no other crash can touch crashRedo meanwhile.
+	n := len(r.crashRedo)
+	r.crashRedo = r.wipeBatches(r.crashRedo)
+	r.recollect(r.crashRedo[n:], now)
 	for _, st := range r.states {
-		for _, ref := range st.batchRefs {
-			st.readsDone[ref.k/ref.s.perWindow]--
-		}
-		r.crashRedo = append(r.crashRedo, st.batchRefs...)
-		r.res.RecollectedSamples += len(st.batchRefs)
-		if len(st.batchRefs) > 0 {
-			r.windowFault(r.windowAt(now)).Recollected += len(st.batchRefs)
-		}
-		st.batchRefs = st.batchRefs[:0]
-		// The buffer bytes evaporate with the RAM; zeroing the counters
-		// keeps flushBatch from freeing bytes that no longer exist.
-		st.batchFill = 0
-		st.batchAllocd = 0
-
 		// Offloaded windows whose computation was in flight restart from
 		// scratch after the reboot — re-enter the MCU time-budget check.
 		for w, on := range st.offloadInFlight {
@@ -150,9 +139,7 @@ func (r *runner) onMCUCrash(d time.Duration) {
 }
 
 // afterReboot re-reserves the offload footprint (the binary reloads from
-// flash) and re-issues the reads the crash destroyed, serialized so each
-// stream's bus transactions do not overlap. Each re-read is a typed event
-// whose sequence number is taken here, so dispatch order is schedule order.
+// flash) and re-issues the reads the crash destroyed.
 func (r *runner) afterReboot() {
 	if r.offloadNeed > 0 && r.anyOffloadedAhead() {
 		if err := r.mcu.Alloc(r.offloadNeed); err != nil {
@@ -160,14 +147,52 @@ func (r *runner) afterReboot() {
 			return
 		}
 	}
-	for i, ref := range r.crashRedo {
+	r.redoReads(r.crashRedo)
+	r.crashRedo = r.crashRedo[:0]
+}
+
+// wipeBatches empties every app's batch buffer, as a crash or brownout that
+// takes the MCU RAM down does, and appends the samples it held to redo. The
+// buffer bytes evaporate with the RAM; zeroing the counters keeps flushBatch
+// from freeing bytes that no longer exist.
+func (r *runner) wipeBatches(redo []redoRef) []redoRef {
+	for _, st := range r.states {
+		for _, ref := range st.batchRefs {
+			redo = append(redo, redoRef{st: st, s: ref.s, k: ref.k})
+		}
+		st.batchRefs = st.batchRefs[:0]
+		st.batchFill = 0
+		st.batchAllocd = 0
+	}
+	return redo
+}
+
+// recollect rewinds the read progress of the windows the wiped samples
+// belonged to and counts them re-collected in the window of now: a crash
+// does it when it strikes, a brownout only once the board is back.
+func (r *runner) recollect(redo []redoRef, now sim.Time) {
+	for _, ref := range redo {
+		ref.st.readsDone[ref.k/ref.s.perWindow]--
+	}
+	if n := len(redo); n > 0 {
+		r.res.RecollectedSamples += n
+		r.windowFault(r.windowAt(now)).Recollected += n
+	}
+}
+
+// redoReads issues the re-reads of wiped samples after a reboot or recharge,
+// serialized so each stream's bus transactions do not overlap: re-read i
+// waits i × its own read's ReadTime, i counting over the whole list. Each
+// re-read is a typed event whose sequence number is taken here, so dispatch
+// order is schedule order.
+func (r *runner) redoReads(redo []redoRef) {
+	for i, ref := range redo {
 		delay := time.Duration(i) * ref.s.spec.ReadTime
 		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, P0: ref.s, I0: int64(ref.k)}); err != nil {
 			r.fail(err)
 			return
 		}
 	}
-	r.crashRedo = r.crashRedo[:0]
 }
 
 // anyOffloadedAhead reports whether any app still computes on the MCU in the

@@ -352,7 +352,7 @@ func TestChaosRadioOutageDefersAndDrops(t *testing.T) {
 func TestChaosRetryBudgetDownshiftsRate(t *testing.T) {
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 2, SkipAppCompute: true,
-		Faults: &FaultPlan{ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 5}},
+		FaultSchedule: sensorFail(sensor.Accelerometer, 5),
 		Resilience: &ResiliencePolicy{
 			LinkRetry:            link.RetryPolicy{MaxRetries: 3, Backoff: 500 * time.Microsecond, Factor: 2},
 			RetryBudgetPerWindow: 10,
@@ -370,36 +370,6 @@ func TestChaosRetryBudgetDownshiftsRate(t *testing.T) {
 	}
 }
 
-// TestChaosNoRetriesSentinel: FaultPlan.MaxRetries 0 means "use the default
-// single retry"; the explicit NoRetries sentinel is how a plan disables
-// retries entirely.
-func TestChaosNoRetriesSentinel(t *testing.T) {
-	none := mustRun(t, Config{
-		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 1, SkipAppCompute: true,
-		Faults: &FaultPlan{
-			ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 1},
-			MaxRetries:    NoRetries,
-		},
-	})
-	if none.ReadRetries != 0 {
-		t.Errorf("retries = %d with NoRetries, want 0", none.ReadRetries)
-	}
-	if none.DroppedSamples != 1000 {
-		t.Errorf("dropped = %d, want 1000 (every read fails, none retried)", none.DroppedSamples)
-	}
-
-	def := mustRun(t, Config{
-		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 1, SkipAppCompute: true,
-		Faults: &FaultPlan{
-			ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 1},
-			MaxRetries:    0, // zero value still means one retry
-		},
-	})
-	if def.ReadRetries != 1000 {
-		t.Errorf("retries = %d with the zero value, want 1000 (one per sample)", def.ReadRetries)
-	}
-}
-
 // TestChaosBEAMSharedRetryCostOnce: under BEAM two apps share one physical
 // accelerometer stream; a failed read's retry must charge the re-read work
 // once, not once per subscriber. The MCU's per-read formatting time is the
@@ -409,9 +379,6 @@ func TestChaosBEAMSharedRetryCostOnce(t *testing.T) {
 	collectBusy := func(res *RunResult) time.Duration {
 		return res.MCUBusy[energy.DataCollection]
 	}
-	plan := func() *FaultPlan {
-		return &FaultPlan{ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 10}}
-	}
 	pair := func() []apps.App { return newApps(t, apps.StepCounter, apps.Earthquake) }
 
 	soloClean := mustRun(t, Config{
@@ -419,13 +386,14 @@ func TestChaosBEAMSharedRetryCostOnce(t *testing.T) {
 	})
 	soloFaulty := mustRun(t, Config{
 		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 2, SkipAppCompute: true,
-		Faults: plan(),
+		FaultSchedule: sensorFail(sensor.Accelerometer, 10),
 	})
 	beamClean := mustRun(t, Config{
 		Apps: pair(), Scheme: BEAM, Windows: 2, SkipAppCompute: true,
 	})
 	beamFaulty := mustRun(t, Config{
-		Apps: pair(), Scheme: BEAM, Windows: 2, SkipAppCompute: true, Faults: plan(),
+		Apps: pair(), Scheme: BEAM, Windows: 2, SkipAppCompute: true,
+		FaultSchedule: sensorFail(sensor.Accelerometer, 10),
 	})
 
 	// The shared stream sees the same attempt sequence as the solo one, so

@@ -72,7 +72,7 @@ func (r *runner) OnEvent(a sim.Arg) {
 		switch {
 		case !failed:
 			r.sampleReady(s, k)
-		case retriesUsed < r.cfg.Faults.maxRetries():
+		case retriesUsed < readRetries:
 			r.res.ReadRetries++
 			r.noteRetry(s, k)
 			r.attemptRead(s, k, retriesUsed+1)

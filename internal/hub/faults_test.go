@@ -6,15 +6,24 @@ import (
 
 	"iothub/internal/apps"
 	"iothub/internal/energy"
+	"iothub/internal/faults"
 	"iothub/internal/sensor"
 )
+
+// sensorFail is the schedule failing every nth read of sensor id; an empty id
+// fails every nth read of each sensor.
+func sensorFail(id sensor.ID, n int) *faults.Schedule {
+	return &faults.Schedule{Rules: []faults.Rule{{
+		Kind: faults.SensorFail, Target: string(id), Trigger: faults.Trigger{EveryNth: n},
+	}}}
+}
 
 func TestFaultsTransientRetriesSucceed(t *testing.T) {
 	// Every 10th read attempt fails; one retry recovers it (the retry is
 	// the 11th, 21st, ... attempt, which passes). No samples are lost.
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 2,
-		Faults: &FaultPlan{ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 10}},
+		FaultSchedule: sensorFail(sensor.Accelerometer, 10),
 	})
 	if res.ReadRetries == 0 {
 		t.Fatal("no retries recorded")
@@ -39,7 +48,7 @@ func TestFaultsRetriesCostEnergy(t *testing.T) {
 	})
 	faulty := mustRun(t, Config{
 		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 2, SkipAppCompute: true,
-		Faults: &FaultPlan{ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 5}},
+		FaultSchedule: sensorFail(sensor.Accelerometer, 5),
 	})
 	cleanColl := clean.Energy[energy.DataCollection]
 	faultyColl := faulty.Energy[energy.DataCollection]
@@ -50,20 +59,18 @@ func TestFaultsRetriesCostEnergy(t *testing.T) {
 }
 
 func TestFaultsPersistentFailureDropsSamples(t *testing.T) {
-	// Every attempt fails: each sample burns (1 + MaxRetries) attempts and
-	// is dropped; windows still complete with zero delivered samples.
+	// Every attempt fails: each sample burns two attempts (the read and its
+	// one re-read) and is dropped; windows still complete with zero
+	// delivered samples.
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.StepCounter), Scheme: Baseline, Windows: 1, SkipAppCompute: true,
-		Faults: &FaultPlan{
-			ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 1},
-			MaxRetries:    2,
-		},
+		FaultSchedule: sensorFail(sensor.Accelerometer, 1),
 	})
 	if res.DroppedSamples != 1000 {
 		t.Errorf("dropped = %d, want 1000", res.DroppedSamples)
 	}
-	if res.ReadRetries != 2000 {
-		t.Errorf("retries = %d, want 2000 (2 per sample)", res.ReadRetries)
+	if res.ReadRetries != 1000 {
+		t.Errorf("retries = %d, want 1000 (one per sample)", res.ReadRetries)
 	}
 	if res.Interrupts != 0 {
 		t.Errorf("interrupts = %d, want 0 (nothing delivered)", res.Interrupts)
@@ -77,10 +84,7 @@ func TestFaultsPersistentFailureDropsSamples(t *testing.T) {
 func TestFaultsBatchingCompletesWithDrops(t *testing.T) {
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.StepCounter), Scheme: Batching, Windows: 2, SkipAppCompute: true,
-		Faults: &FaultPlan{
-			ReadFailEvery: map[sensor.ID]int{sensor.Accelerometer: 7},
-			MaxRetries:    0, // normalized to 1; retry is attempt n+1 and passes
-		},
+		FaultSchedule: sensorFail(sensor.Accelerometer, 7),
 	})
 	// Retries interleave with other in-flight reads, so a retry can itself
 	// land on a failing attempt number — occasional drops are expected.
@@ -93,15 +97,9 @@ func TestFaultsBatchingCompletesWithDrops(t *testing.T) {
 }
 
 func TestFaultsOffloadedCompletesWithPersistentDrops(t *testing.T) {
-	// Drop roughly every 3rd sample permanently (attempts 3,6,9,... fail;
-	// a failing sample's retry is the next attempt, which fails again when
-	// it lands on another multiple — craft MaxRetries 0 -> 1 retry).
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.Heartbeat), Scheme: COM, Windows: 2, SkipAppCompute: true,
-		Faults: &FaultPlan{
-			ReadFailEvery: map[sensor.ID]int{sensor.Pulse: 2},
-			MaxRetries:    1,
-		},
+		FaultSchedule: sensorFail(sensor.Pulse, 2),
 	})
 	// Attempts 2,4,6... fail; a failed sample retries on the next attempt
 	// number. Some retries land on even numbers again and drop.
@@ -117,7 +115,7 @@ func TestFaultsOnlyNamedSensor(t *testing.T) {
 	// Faulting the barometer must not disturb the temperature stream.
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.ArduinoJSON), Scheme: Baseline, Windows: 2,
-		Faults: &FaultPlan{ReadFailEvery: map[sensor.ID]int{sensor.Barometer: 1}},
+		FaultSchedule: sensorFail(sensor.Barometer, 1),
 	})
 	// Barometer: 10 samples/window dropped after 1 retry each.
 	if res.DroppedSamples != 20 {
@@ -126,6 +124,27 @@ func TestFaultsOnlyNamedSensor(t *testing.T) {
 	// Temperature deliveries still interrupt: 10 per window.
 	if res.Interrupts != 20 {
 		t.Errorf("interrupts = %d, want 20", res.Interrupts)
+	}
+}
+
+// TestFaultsCountPerSensor: a sensor-fail trigger counts the reads of its
+// sensor, not of one stream. A2 and A7 each read the accelerometer 1,000
+// times a window on streams of their own, so every=1500 fires once over the
+// pair's 2,000 reads, where a per-stream count would never reach 1,500.
+func TestFaultsCountPerSensor(t *testing.T) {
+	run := func(ids ...apps.ID) *RunResult {
+		return mustRun(t, Config{
+			Apps: newApps(t, ids...), Scheme: Baseline, Windows: 1, SkipAppCompute: true,
+			FaultSchedule: sensorFail("", 1500),
+		})
+	}
+	if solo := run(apps.StepCounter); solo.ReadRetries != 0 {
+		t.Errorf("A2 alone: retries = %d, want 0 (1,000 reads never reach 1,500)", solo.ReadRetries)
+	}
+	pair := run(apps.StepCounter, apps.Earthquake)
+	if pair.ReadRetries != 1 || pair.DroppedSamples != 0 {
+		t.Errorf("A2+A7: retries = %d, dropped = %d, want 1 and 0 (the 1,500th accelerometer read fails once)",
+			pair.ReadRetries, pair.DroppedSamples)
 	}
 }
 
@@ -171,7 +190,7 @@ func TestEnergyConservation(t *testing.T) {
 func TestWorkConservation(t *testing.T) {
 	res := mustRun(t, Config{
 		Apps: newApps(t, apps.M2X), Scheme: Baseline, Windows: 3, SkipAppCompute: true,
-		Faults: &FaultPlan{ReadFailEvery: map[sensor.ID]int{sensor.Light: 4}, MaxRetries: 1},
+		FaultSchedule: sensorFail(sensor.Light, 4),
 	})
 	scheduled := 3 * 2220
 	// Light stream: attempts 4, 8, ... fail. Retries happen; some drop.

@@ -32,7 +32,6 @@ import (
 	"iothub/internal/obs"
 	"iothub/internal/power"
 	"iothub/internal/scheme"
-	"iothub/internal/sensor"
 	"iothub/internal/sim"
 )
 
@@ -96,13 +95,12 @@ type Config struct {
 	// SkipAppCompute skips executing the real user-level computations
 	// (energy/timing are still modeled). Useful for pure-energy sweeps.
 	SkipAppCompute bool
-	// Faults optionally injects sensor read failures (§II-B Task I: the
-	// availability check can fail and the MCU retries or drops the sample).
-	Faults *FaultPlan
 	// FaultSchedule optionally injects hardware-layer faults — link frame
-	// corruption/loss, MCU crashes, sensor stuck/slow modes, radio outages —
-	// from a deterministic seedable schedule (see internal/faults). A nil or
-	// empty schedule leaves the run byte-identical to a fault-free one.
+	// corruption/loss, MCU crashes, sensor stuck/slow modes, failed sensor
+	// reads (§II-B Task I: the availability check fails, and the MCU re-reads
+	// once or drops the sample), radio outages — from a deterministic
+	// seedable schedule (see internal/faults). A nil or empty schedule leaves
+	// the run byte-identical to a fault-free one.
 	FaultSchedule *faults.Schedule
 	// Resilience tunes how the hub absorbs injected faults (retry policy,
 	// watchdog, degradation ladder, buffers). Nil means DefaultResilience
@@ -120,44 +118,6 @@ type Config struct {
 	// events against the meter's demand. Nil, or a supply without a battery,
 	// is mains power — the golden-corpus asymptote.
 	Power *power.Supply
-}
-
-// NoRetries is the FaultPlan.MaxRetries sentinel for "drop on first
-// failure": zero cannot mean it because the zero value must keep the
-// default of one retry.
-const NoRetries = -1
-
-// FaultPlan describes deterministic sensor-failure injection.
-type FaultPlan struct {
-	// ReadFailEvery makes every Nth read of a sensor fail its availability
-	// check (N >= 1; 1 = every read fails). The failed attempt still costs
-	// the full bus transaction and MCU check time.
-	ReadFailEvery map[sensor.ID]int
-	// MaxRetries bounds re-reads per sample; once exhausted the sample is
-	// dropped and the window completes with fewer samples. Values below 1
-	// are floored to the default of 1 — except the NoRetries sentinel,
-	// which disables re-reads entirely.
-	MaxRetries int
-}
-
-func (f *FaultPlan) failEvery(id sensor.ID) int {
-	if f == nil {
-		return 0
-	}
-	return f.ReadFailEvery[id]
-}
-
-func (f *FaultPlan) maxRetries() int {
-	switch {
-	case f == nil:
-		return 1
-	case f.MaxRetries == NoRetries:
-		return 0
-	case f.MaxRetries < 1:
-		return 1
-	default:
-		return f.MaxRetries
-	}
 }
 
 // WindowResult is one app's output for one window.
@@ -198,10 +158,11 @@ type RunResult struct {
 	// (two window periods after the window closes).
 	QoSViolations int
 	// ReadRetries counts failed sensor read attempts that were retried
-	// (fault injection, §II-B Task I).
+	// (sensor-fail faults, §II-B Task I).
 	ReadRetries int
-	// DroppedSamples counts reads abandoned after exhausting retries; the
-	// affected windows complete with fewer samples.
+	// DroppedSamples counts reads abandoned after a failed re-read (or
+	// skipped while the board was browned out); the affected windows
+	// complete with fewer samples.
 	DroppedSamples int
 	// UpstreamBytes counts window outputs pushed to the network (main-board
 	// WiFi for on-CPU apps, the MCU's radio for offloaded ones, the edge's

@@ -31,17 +31,6 @@ import (
 	"iothub/internal/sim"
 )
 
-// battRedo identifies one batch-resident sample a brownout wiped. Unlike the
-// chaos layer's crash path, the rewind/re-collection accounting is deferred
-// to restore time: a terminal brownout (the harvest never lifts the charge
-// back) must leave the sample ledger balanced, so nothing is rewound until
-// the board actually comes back to redo the work.
-type battRedo struct {
-	st *appState
-	s  *stream
-	k  int
-}
-
 // supplyState is the supply ledger's runtime; its zero value is mains power.
 type supplyState struct {
 	on         bool    // Config.Power has a battery
@@ -63,7 +52,7 @@ type supplyState struct {
 	steps      []power.Step // compiled harvest trace (cached across runs)
 	traceSrc   string       // cache key: the Harvest spec steps compiled from
 	traceHzn   time.Duration
-	redo       []battRedo // batch refs a brownout wiped, redone at restore
+	redo       []redoRef // samples a brownout wiped, redone at restore
 }
 
 // armPower brings up the supply ledger. Called after armMeter (the "battery"
@@ -211,8 +200,9 @@ func (r *runner) powerStep(i int) {
 // onBrownout power-gates the board at SoC zero. Batch-resident samples are
 // stashed (their RAM evaporates with the gate) but NOT yet rewound or
 // counted re-collected — that accounting belongs to the restore, which may
-// never come. The in-situ meter's buffer lives in the same RAM and drops in
-// one burst, exactly as under a crash.
+// never come: a terminal brownout (the harvest never lifts the charge back)
+// must leave the sample ledger balanced. The in-situ meter's buffer lives in
+// the same RAM and drops in one burst, exactly as under a crash.
 func (r *runner) onBrownout(now sim.Time) {
 	r.supply.brownout = true
 	r.supply.brownoutAt = now
@@ -223,14 +213,7 @@ func (r *runner) onBrownout(now sim.Time) {
 	if r.obs.Enabled() {
 		r.obs.Note("brownout", fmt.Sprintf("SoC zero in window %d", r.windowAt(now)))
 	}
-	for _, st := range r.states {
-		for _, ref := range st.batchRefs {
-			r.supply.redo = append(r.supply.redo, battRedo{st: st, s: ref.s, k: ref.k})
-		}
-		st.batchRefs = st.batchRefs[:0]
-		st.batchFill = 0
-		st.batchAllocd = 0
-	}
+	r.supply.redo = r.wipeBatches(r.supply.redo)
 	r.meterOnCrash()
 	if err := r.mcu.PowerGate(); err != nil {
 		r.fail(err)
@@ -265,13 +248,7 @@ func (r *runner) onRecharge(now sim.Time) {
 // time-budget check.
 func (r *runner) afterRecharge() {
 	now := r.sched.Now()
-	if n := len(r.supply.redo); n > 0 {
-		for _, ref := range r.supply.redo {
-			ref.st.readsDone[ref.k/ref.s.perWindow]--
-		}
-		r.res.RecollectedSamples += n
-		r.windowFault(r.windowAt(now)).Recollected += n
-	}
+	r.recollect(r.supply.redo, now)
 	// RAMUsed < offloadNeed means the footprint is not resident: the held
 	// crash notification (if any) ran a moment ago in this same instant, so
 	// no other allocation can have landed in between.
@@ -288,13 +265,7 @@ func (r *runner) afterRecharge() {
 			}
 		}
 	}
-	for i, ref := range r.supply.redo {
-		delay := time.Duration(i) * ref.s.spec.ReadTime
-		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, P0: ref.s, I0: int64(ref.k)}); err != nil {
-			r.fail(err)
-			return
-		}
-	}
+	r.redoReads(r.supply.redo)
 	r.supply.redo = r.supply.redo[:0]
 }
 

@@ -74,9 +74,9 @@ type runner struct {
 	// lastDegradedCrash ensures the watchdog takes one ladder step per
 	// crash, however many probes see the same dead MCU.
 	lastDegradedCrash int
-	// crashRedo holds the batch refs a crash wiped until the reboot
-	// re-issues their reads.
-	crashRedo []batchRef
+	// crashRedo holds the samples a crash wiped until the reboot re-issues
+	// their reads.
+	crashRedo []redoRef
 
 	// xfers is the slot pool of in-flight Interrupt + Data Transfer chains
 	// (events.go); events carry slot indices instead of closures.
@@ -305,12 +305,16 @@ func (r *runner) queueRead(s *stream, k int, base uint64) error {
 	return err
 }
 
+// readRetries is how many times the MCU re-reads a sample whose availability
+// check failed before it drops the sample.
+const readRetries = 1
+
 // startRead powers the sensor for its bus transaction, then has the MCU
-// check/format the sample (DataCollection). A failed availability check
-// (fault injection) costs the full attempt and is retried; exhausted retries
-// drop the sample. A stream that blew its window's retry budget has been
-// rate-downshifted: every other remaining read is skipped so the deadline
-// survives.
+// check/format the sample (DataCollection). A failed availability check (a
+// sensor-fail fault) costs the full attempt and is re-read readRetries times
+// before the sample is dropped. A stream that blew its window's retry budget
+// has been rate-downshifted: every other remaining read is skipped so the
+// deadline survives.
 func (r *runner) startRead(s *stream, k int) {
 	if r.supply.brownout {
 		// The board is power-gated: the sensor is unpowered, the read never
@@ -335,12 +339,8 @@ func (r *runner) startRead(s *stream, k int) {
 }
 
 func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
-	s.attempts++
 	r.obs.Inc(obs.SensorReads)
 	failed := false
-	if n := r.cfg.Faults.failEvery(s.id); n > 0 && s.attempts%n == 0 {
-		failed = true
-	}
 	readTime := s.spec.ReadTime
 	if r.engine != nil {
 		now := r.sched.Now()
@@ -358,6 +358,7 @@ func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
 			// inputs come from synthetic sources; see the package note.)
 			r.res.StuckSamples++
 		}
+		failed = r.engine.Fires(faults.SensorFail, string(s.id), now) != nil
 	}
 	s.track.Set(s.spec.PowerTyp, energy.DataCollection)
 	// The bus-done and formatted steps are typed events (events.go): the

@@ -130,9 +130,9 @@ func (s Scenario) Config() (Config, error) {
 }
 
 // RunScenario materializes and executes the scenario. Schemes that require
-// an explicit partition (BCOM, Hybrid) must carry one in Assign to run here;
-// without it they need the internal/core planner, which sits above this
-// package — use fleet.RunScenario for those.
+// an explicit partition (BCOM, Hybrid) must carry one in Assign to run here.
+// A BCOM scenario without one needs the internal/core planner, which sits
+// above this package — use fleet.RunScenario for it.
 func RunScenario(s Scenario) (*RunResult, error) {
 	return NewArena().RunScenario(s)
 }

@@ -27,6 +27,14 @@ type batchRef struct {
 	k int
 }
 
+// redoRef is one sample a crash or brownout wiped from its owning app's
+// batch buffer, held until the rebooted MCU re-reads it.
+type redoRef struct {
+	st *appState
+	s  *stream
+	k  int
+}
+
 // appState is one app's runtime bookkeeping.
 type appState struct {
 	app  apps.App
@@ -96,8 +104,6 @@ type stream struct {
 	period    time.Duration
 	track     *energy.Track
 	consumers []consumerLink
-	// attempts counts read attempts for deterministic fault injection.
-	attempts int
 	// retriesInWindow / downshifted drive the resilience layer's
 	// rate-downshift: once a window's retries blow the budget, every other
 	// remaining read of the stream is skipped.

@@ -41,6 +41,9 @@ type Def struct {
 	// assignedBy names where a partitioned scheme's Assign comes from; the
 	// refusal of a missing Assign quotes it.
 	assignedBy string
+	// planned marks the one partitioned row whose missing Assign callers
+	// fill from the internal/core planner (Planned).
+	planned bool
 }
 
 // defs is the scheme table in Scheme order: the paper's five rows (§III,
@@ -57,7 +60,7 @@ var defs = [...]Def{
 	{scheme: COM, light: Offloaded},
 	// COM for the apps the internal/core planner admits to the MCU within
 	// its time and RAM budgets, Batching for the rest (§IV-E3).
-	{scheme: BCOM, assignedBy: "see internal/core planner"},
+	{scheme: BCOM, assignedBy: "see internal/core planner", planned: true},
 	// The prior work: Baseline's per-sample policy, but apps that use the
 	// same sensor share one read, interrupt and transfer per sample, slower
 	// consumers taking strided samples.
@@ -105,6 +108,12 @@ func Names() []string {
 // partition: it names no light mode of its own. Callers above the hub —
 // fleet workers, CLIs — consult this instead of naming schemes.
 func (d Def) RequiresAssign() bool { return d.light == 0 }
+
+// Planned reports whether callers fill a missing Assign from the
+// internal/core planner (BCOM). Any other partitioned scheme without an
+// Assign is refused by Modes, so a Hybrid never runs BCOM's split under its
+// own label.
+func (d Def) Planned() bool { return d.planned }
 
 // Modes checks the scheme-specific config rules (Assign shape, app count)
 // and resolves each app's mode: the row's light or heavy mode, or the app's

@@ -164,8 +164,8 @@ func FuzzModeUnmarshalText(f *testing.F) {
 	})
 }
 
-// TestSchemeTable pins each scheme's row through Def.Modes and
-// RequiresAssign, over one light app (A2) and one heavy app (A11), plus the
+// TestSchemeTable pins each scheme's row through Def.Modes, RequiresAssign
+// and Planned, over one light app (A2) and one heavy app (A11), plus the
 // table order of All/Names and Lookup's refusal of an unknown scheme.
 func TestSchemeTable(t *testing.T) {
 	light := apps.Spec{ID: apps.StepCounter}
@@ -173,14 +173,14 @@ func TestSchemeTable(t *testing.T) {
 	// A zero mode marks a refusal, whose error is the matching err field.
 	rows := []struct {
 		s                  Scheme
-		assign             bool
+		assign, planned    bool
 		light, heavy       Mode
 		lightErr, heavyErr error
 	}{
 		{s: Baseline, light: PerSample, heavy: PerSample},
 		{s: Batching, light: Batched, heavy: Batched},
 		{s: COM, light: Offloaded, heavyErr: ErrUnoffloadable},
-		{s: BCOM, assign: true, lightErr: ErrConfig, heavyErr: ErrConfig},
+		{s: BCOM, assign: true, planned: true, lightErr: ErrConfig, heavyErr: ErrConfig},
 		{s: BEAM, lightErr: ErrConfig, heavyErr: ErrConfig}, // a single app shares nothing
 		{s: Hybrid, assign: true, lightErr: ErrConfig, heavyErr: ErrConfig},
 		{s: ECOM, light: Offloaded, heavy: Uploaded},
@@ -196,9 +196,9 @@ func TestSchemeTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Lookup(%v): %v", row.s, err)
 		}
-		if d.scheme != row.s || d.RequiresAssign() != row.assign {
-			t.Errorf("Lookup(%v) = %v with RequiresAssign %v, want RequiresAssign %v",
-				row.s, d.scheme, d.RequiresAssign(), row.assign)
+		if d.scheme != row.s || d.RequiresAssign() != row.assign || d.Planned() != row.planned {
+			t.Errorf("Lookup(%v) = %v with RequiresAssign %v, Planned %v, want %v, %v",
+				row.s, d.scheme, d.RequiresAssign(), d.Planned(), row.assign, row.planned)
 		}
 		for _, app := range []struct {
 			sp   apps.Spec
