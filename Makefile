@@ -65,8 +65,9 @@ fuzz:
 # Tiny end-to-end fleet sweep (8 scenarios) under the race detector: exercises
 # the worker pool, reorder-buffer aggregation, the Prometheus endpoint (the
 # sweep self-scrapes its own /metrics at the end), and the CLI in one shot.
-# The scrape must count all 8 scenarios done and export a nonzero run total
-# from the runs' counters.
+# The scrape must count all 8 scenarios done, export a nonzero run total
+# from the runs' counters, and carry no iothub_fleetd_* series: those belong
+# to the coordinator's page alone.
 fleet-smoke:
 	@out=$$($(GO) run -race ./cmd/iotfleet -spec internal/fleet/testdata/smoke.json \
 		-workers 4 -progress -metrics-addr 127.0.0.1:0 2>&1); status=$$?; \
@@ -76,6 +77,8 @@ fleet-smoke:
 	  { echo "fleet-smoke: scrape lacks iothub_fleet_scenarios_done 8"; exit 1; }; \
 	printf '%s\n' "$$out" | grep -Eq '^iothub_interrupts_raised_total [1-9]' || \
 	  { echo "fleet-smoke: scrape lacks a nonzero iothub_interrupts_raised_total"; exit 1; }; \
+	if printf '%s\n' "$$out" | grep -q '^iothub_fleetd_'; then \
+	  echo "fleet-smoke: in-process scrape exports iothub_fleetd_* series"; exit 1; fi; \
 	echo "fleet-smoke: ok"
 
 # Service-mode fault-tolerance smoke: coordinator + two worker processes

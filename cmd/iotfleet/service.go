@@ -12,7 +12,6 @@ import (
 
 	"iothub/internal/fleet"
 	"iothub/internal/fleetd"
-	"iothub/internal/obs"
 )
 
 // runServe is the coordinator process: it owns the sweep, the journal, and
@@ -40,8 +39,7 @@ func runServe(args []string, out io.Writer) error {
 	}
 	cfg := fleetd.Config{
 		Spec: spec, Journal: *journal, Resume: *resume,
-		ShardSize: *shardSize, LeaseTTL: *leaseTTL,
-		Gauges: obs.NewGauges(), Warn: os.Stderr,
+		ShardSize: *shardSize, LeaseTTL: *leaseTTL, Warn: os.Stderr,
 	}
 	if *progress {
 		cfg.Progress = os.Stderr

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +18,7 @@ import (
 	"iothub/internal/faults"
 	"iothub/internal/hub"
 	"iothub/internal/obs"
+	"iothub/internal/power"
 	"iothub/internal/sensor"
 )
 
@@ -211,21 +215,24 @@ func TestStandaloneReplayMatchesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := newJournalHeader(spec, scens)
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = Tag(s)
-	}
-	replay, err := readJournal(journal, header, tags)
+	written, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := replay.Done
-	if len(done) != len(scens) {
-		t.Fatalf("journal holds %d scenarios, want %d", len(done), len(scens))
+	replay, err := replayOnly(t, journal)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(replay.Warnings) != 0 || replay.Truncated() {
-		t.Fatalf("clean journal read produced warnings %v (truncated %v)", replay.Warnings, replay.Truncated())
+	done := journalRecords(t, journal)
+	if len(done) != len(scens) || replay.Resumed != len(scens) {
+		t.Fatalf("journal holds %d scenarios (%d replayed), want %d", len(done), replay.Resumed, len(scens))
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replay.Warnings) != 0 || !bytes.Equal(after, written) {
+		t.Fatalf("clean journal read produced warnings %v (truncated %v)", replay.Warnings, !bytes.Equal(after, written))
 	}
 	for _, i := range []int{0, 3, 7} {
 		res, err := RunScenario(scens[i])
@@ -529,4 +536,98 @@ func TestMetricsPerWindowNormalization(t *testing.T) {
 	if math.Abs(sum-m["total"]) > 1e-9*m["total"] {
 		t.Errorf("routine metrics sum %v != total %v", sum, m["total"])
 	}
+}
+
+// A battery with no leakage, no harvest and capacity far above demand is
+// mains power: every field of the run but the battery's own matches the
+// mains run. Floats agree within 1e-12 relative rather than bit for bit,
+// because every ledger tick settles the meter's tracks at an extra instant.
+func TestBatteryMatchesMains(t *testing.T) {
+	battery := &power.Supply{Battery: power.Battery{CapacityMAh: 1e6, Volts: 5}}
+	light := []apps.ID{apps.StepCounter, apps.M2X}
+	heavy := []apps.ID{apps.SpeechToTxt, apps.StepCounter}
+	for _, mix := range []struct {
+		scheme hub.Scheme
+		ids    []apps.ID
+	}{
+		{hub.Baseline, light}, {hub.Batching, light}, {hub.COM, light}, {hub.BEAM, light},
+		{hub.BCOM, heavy}, {hub.ECOM, heavy},
+	} {
+		for _, chaos := range []string{"", "seed=7; link-corrupt:prob=0.05; mcu-crash:at=700ms,for=80ms"} {
+			s := hub.Scenario{Apps: mix.ids, Scheme: mix.scheme, Windows: 3, Seed: 5, Faults: chaos, SkipAppCompute: true}
+			mains, err := RunScenario(s)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", s.Label(), s.Seed, err)
+			}
+			s.Power = battery
+			got, err := RunScenario(s)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", s.Label(), s.Seed, err)
+			}
+			if got.BatteryCapacityJ <= 0 {
+				t.Fatalf("%s seed %d: the supply is not armed", s.Label(), s.Seed)
+			}
+			got.BatteryCapacityJ, got.BatterySoCJ, got.BatteryMinSoCJ, got.BatteryHarvestJ = 0, 0, 0, 0
+			got.BatterySurvival = 0
+			delete(got.PerComponent, "battery")
+			if diff := closeEqual("RunResult", reflect.ValueOf(*mains), reflect.ValueOf(*got)); diff != "" {
+				t.Errorf("%s seed %d (faults %q): battery run differs from mains at %s", s.Label(), s.Seed, chaos, diff)
+			}
+		}
+	}
+}
+
+// closeEqual compares two values of one type field by field: floats within
+// 1e-12 relative, everything else exactly. It names the first difference,
+// or returns "".
+func closeEqual(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Float64:
+		x, y := a.Float(), b.Float()
+		if math.Abs(x-y) > 1e-12*math.Max(math.Abs(x), math.Abs(y)) {
+			return fmt.Sprintf("%s: %v vs %v", path, x, y)
+		}
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if d := closeEqual(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: length %d vs %d", path, a.Len(), b.Len())
+		}
+		for i := range a.Len() {
+			if d := closeEqual(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d entries vs %d", path, a.Len(), b.Len())
+		}
+		for _, k := range a.MapKeys() {
+			at := fmt.Sprintf("%s[%v]", path, k)
+			if !b.MapIndex(k).IsValid() {
+				return at + ": missing"
+			}
+			if d := closeEqual(at, a.MapIndex(k), b.MapIndex(k)); d != "" {
+				return d
+			}
+		}
+	case reflect.Pointer:
+		if a.IsNil() != b.IsNil() {
+			return fmt.Sprintf("%s: nil %v vs %v", path, a.IsNil(), b.IsNil())
+		}
+		if !a.IsNil() {
+			return closeEqual(path, a.Elem(), b.Elem())
+		}
+	case reflect.Int, reflect.Int64, reflect.Uint8, reflect.Bool, reflect.String:
+		if x, y := fmt.Sprint(a), fmt.Sprint(b); x != y {
+			return fmt.Sprintf("%s: %s vs %s", path, x, y)
+		}
+	default:
+		return fmt.Sprintf("%s: cannot compare a %v", path, a.Kind())
+	}
+	return ""
 }

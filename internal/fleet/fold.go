@@ -31,10 +31,10 @@ type Fold struct {
 }
 
 // OpenFold starts folding scens, the expansion of spec, under opt's Journal,
-// Resume, MaxScenarios, Gauges and Progress. Resuming replays the journal
-// prefix, after dropping a partial final record that a crash mid-write left
-// behind; otherwise an existing journal is truncated and the sweep starts
-// over. opt.Workers only sizes the worker gauge.
+// Resume, MaxScenarios, Gauges and Progress. Resuming folds the journal's
+// records as it reads them, then drops a partial final record that a crash
+// mid-write left behind; otherwise an existing journal is truncated and the
+// sweep starts over. opt.Workers only sizes the worker gauge.
 func OpenFold(spec Spec, scens []hub.Scenario, opt Options) (*Fold, error) {
 	f := &Fold{
 		res:      &Result{Agg: NewAggregator(), Scenarios: len(scens)},
@@ -60,18 +60,10 @@ func OpenFold(spec Spec, scens []hub.Scenario, opt Options) (*Fold, error) {
 		if opt.Journal == "" {
 			return nil, fmt.Errorf("fleet: resume requested without a journal path")
 		}
-		replay, err := readJournal(opt.Journal, f.header, f.tags)
-		if err != nil {
+		if err := f.replay(opt.Journal); err != nil {
 			return nil, err
 		}
-		if err := replay.dropPartialTail(opt.Journal); err != nil {
-			return nil, err
-		}
-		f.res.Warnings = replay.Warnings
-		for _, d := range replay.Done {
-			f.apply(d)
-		}
-		f.res.Resumed = len(replay.Done)
+		f.res.Resumed = f.res.Completed
 	}
 	if opt.Journal != "" {
 		jw, err := newJournalWriter(opt.Journal, f.header, !opt.Resume)

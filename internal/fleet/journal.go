@@ -121,129 +121,99 @@ func (jw *journalWriter) close() error {
 	return jw.f.Close()
 }
 
-// journalReplay is the validated content of an existing journal.
-type journalReplay struct {
-	// Done holds the completed records in index order.
-	Done []DoneRecord
-	// Warnings lists non-fatal conditions tolerated during the read — today
-	// only a truncated final record (writer crashed mid-write).
-	Warnings []string
-	// ValidBytes is the offset just past the last complete, newline-terminated
-	// record; TotalBytes is the file size. They differ exactly when a partial
-	// final record was skipped.
-	ValidBytes int64
-	TotalBytes int64
-}
-
-// Truncated reports whether the journal carries a partial final record.
-func (r *journalReplay) Truncated() bool { return r.ValidBytes < r.TotalBytes }
-
-// dropPartialTail truncates the journal file back to the last complete
-// record, making it safe to append to. A no-op when nothing was truncated.
-func (r *journalReplay) dropPartialTail(path string) error {
-	if !r.Truncated() {
-		return nil
-	}
-	if err := os.Truncate(path, r.ValidBytes); err != nil {
-		return fmt.Errorf("fleet: journal: drop partial tail: %w", err)
-	}
-	r.TotalBytes = r.ValidBytes
-	return nil
-}
-
-// readJournal parses an existing journal and validates it against the
-// current fleet identity: the header must match the expanded spec, done
-// lines must be sequential from zero, and every snapshot fingerprint must
-// agree with replaying the done lines up to it (tags[i] is scenario i's
-// aggregation tag).
+// replay folds the existing journal at path into f, validating it against
+// the sweep as it reads: the header must match the expanded spec, done lines
+// must be sequential from zero, and every snapshot fingerprint must agree
+// with the aggregates folded up to it. Each done line is applied as it is
+// read and none is kept, so a resume holds O(metrics), not O(scenarios).
 //
 // A partial final record — the signature of a crash mid-write — is skipped
 // with a warning rather than an error: the journal flushes line-atomically,
 // so an unterminated tail can only be the record that was being written when
-// the process died, and the sweep simply re-runs that scenario. Anything
-// malformed before the final record is real corruption and still fails.
-func readJournal(path string, want journalHeader, tags []string) (*journalReplay, error) {
-	f, err := os.Open(path)
+// the process died, and the sweep simply re-runs that scenario. Once the
+// whole file has validated, the tail is truncated away so the journal is safe
+// to append to. Anything malformed before the final record is real
+// corruption and still fails, after its valid prefix has been folded.
+func (f *Fold) replay(path string) error {
+	file, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: journal: %w", err)
+		return fmt.Errorf("fleet: journal: %w", err)
 	}
-	defer f.Close()
+	defer file.Close()
 
-	replay := &journalReplay{}
 	var (
-		sawHead  bool
-		replayed = NewAggregator()
+		sawHead bool
+		valid   int64 // offset just past the last complete record
+		tail    int   // bytes of an unterminated final record
 	)
-	r := bufio.NewReaderSize(f, 1<<16)
+	r := bufio.NewReaderSize(file, 1<<16)
 	lineNo := 0
 	for {
 		line, err := r.ReadString('\n')
 		if err == io.EOF {
-			replay.TotalBytes = replay.ValidBytes + int64(len(line))
-			if len(line) > 0 {
-				replay.Warnings = append(replay.Warnings,
-					fmt.Sprintf("journal line %d: skipping %d-byte partial record (crash mid-write?); resuming from the last complete record",
-						lineNo+1, len(line)))
-			}
+			tail = len(line)
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("fleet: journal: %w", err)
+			return fmt.Errorf("fleet: journal: %w", err)
 		}
 		lineNo++
 		if len(line) > maxJournalLine {
-			return nil, fmt.Errorf("fleet: journal line %d: record of %d bytes", lineNo, len(line))
+			return fmt.Errorf("fleet: journal line %d: record of %d bytes", lineNo, len(line))
 		}
 		var rec journalLine
 		if jerr := json.Unmarshal([]byte(strings.TrimSuffix(line, "\n")), &rec); jerr != nil {
-			return nil, fmt.Errorf("fleet: journal line %d: %w", lineNo, jerr)
+			return fmt.Errorf("fleet: journal line %d: %w", lineNo, jerr)
 		}
 		switch {
 		case rec.Fleet != nil:
 			if sawHead {
-				return nil, fmt.Errorf("fleet: journal line %d: duplicate header", lineNo)
+				return fmt.Errorf("fleet: journal line %d: duplicate header", lineNo)
 			}
 			sawHead = true
-			if *rec.Fleet != want {
-				return nil, fmt.Errorf("fleet: journal is for a different sweep (header %+v, want %+v)", *rec.Fleet, want)
+			if *rec.Fleet != f.header {
+				return fmt.Errorf("fleet: journal is for a different sweep (header %+v, want %+v)", *rec.Fleet, f.header)
 			}
 		case rec.Done != nil:
 			if !sawHead {
-				return nil, fmt.Errorf("fleet: journal line %d: done before header", lineNo)
+				return fmt.Errorf("fleet: journal line %d: done before header", lineNo)
 			}
 			d := *rec.Done
-			if d.Index != len(replay.Done) {
-				return nil, fmt.Errorf("fleet: journal line %d: scenario %d out of order (want %d)",
-					lineNo, d.Index, len(replay.Done))
+			if d.Index != f.Next() {
+				return fmt.Errorf("fleet: journal line %d: scenario %d out of order (want %d)",
+					lineNo, d.Index, f.Next())
 			}
-			if d.Index >= len(tags) {
-				return nil, fmt.Errorf("fleet: journal line %d: scenario %d beyond the spec's %d",
-					lineNo, d.Index, len(tags))
+			if d.Index >= len(f.tags) {
+				return fmt.Errorf("fleet: journal line %d: scenario %d beyond the spec's %d",
+					lineNo, d.Index, len(f.tags))
 			}
-			if d.Err != "" {
-				replayed.ApplyError()
-			} else {
-				replayed.Apply(tags[d.Index], d.Metrics)
-			}
-			replay.Done = append(replay.Done, d)
+			f.apply(d)
 		case rec.Snap != nil:
-			if rec.Snap.Applied != len(replay.Done) {
-				return nil, fmt.Errorf("fleet: journal line %d: snapshot at %d but %d scenarios done",
-					lineNo, rec.Snap.Applied, len(replay.Done))
+			if rec.Snap.Applied != f.Next() {
+				return fmt.Errorf("fleet: journal line %d: snapshot at %d but %d scenarios done",
+					lineNo, rec.Snap.Applied, f.Next())
 			}
-			if fp := replayed.Fingerprint(); fp != rec.Snap.FP {
-				return nil, fmt.Errorf("fleet: journal line %d: snapshot fingerprint %s != replayed %s (journal corrupt?)",
+			if fp := f.res.Agg.Fingerprint(); fp != rec.Snap.FP {
+				return fmt.Errorf("fleet: journal line %d: snapshot fingerprint %s != replayed %s (journal corrupt?)",
 					lineNo, rec.Snap.FP, fp)
 			}
 		default:
-			return nil, fmt.Errorf("fleet: journal line %d: unrecognized record", lineNo)
+			return fmt.Errorf("fleet: journal line %d: unrecognized record", lineNo)
 		}
-		replay.ValidBytes += int64(len(line))
+		valid += int64(len(line))
 	}
 	if !sawHead {
-		return nil, fmt.Errorf("fleet: journal has no header")
+		return fmt.Errorf("fleet: journal has no header")
 	}
-	return replay, nil
+	if tail > 0 {
+		f.res.Warnings = append(f.res.Warnings,
+			fmt.Sprintf("journal line %d: skipping %d-byte partial record (crash mid-write?); resuming from the last complete record",
+				lineNo+1, tail))
+		if err := os.Truncate(path, valid); err != nil {
+			return fmt.Errorf("fleet: journal: drop partial tail: %w", err)
+		}
+	}
+	return nil
 }
 
 // SpecFingerprint hashes a sweep's identity — the spec's JSON with Workers

@@ -14,24 +14,51 @@ import (
 	"iothub/internal/power"
 )
 
-// journalFor runs a partial sweep and returns the journal path plus the
-// spec's header/tags, ready for corruption experiments.
-func journalFor(t *testing.T, maxScenarios int) (string, journalHeader, []string) {
+// journalFor runs a partial sweep of testSpec and returns the journal path,
+// ready for corruption experiments.
+func journalFor(t *testing.T, maxScenarios int) string {
 	t.Helper()
-	spec := testSpec()
 	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
-	if _, err := Run(spec, Options{Workers: 2, Journal: journal, MaxScenarios: maxScenarios}); err != nil {
+	if _, err := Run(testSpec(), Options{Workers: 2, Journal: journal, MaxScenarios: maxScenarios}); err != nil {
 		t.Fatal(err)
 	}
+	return journal
+}
+
+// replayOnly resumes testSpec from journal and closes the fold before any
+// scenario runs: the journal replay alone, as OpenFold performs it.
+func replayOnly(t *testing.T, journal string) (*Result, error) {
+	t.Helper()
+	spec := testSpec()
 	scens, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = Tag(s)
+	f, err := OpenFold(spec, scens, Options{Journal: journal, Resume: true})
+	if err != nil {
+		return nil, err
 	}
-	return journal, newJournalHeader(spec, scens), tags
+	return f.Close()
+}
+
+// journalRecords reads the done records of a journal in file order.
+func journalRecords(t *testing.T, journal string) []DoneRecord {
+	t.Helper()
+	blob, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []DoneRecord
+	for _, line := range bytes.Split(bytes.TrimSuffix(blob, []byte("\n")), []byte("\n")) {
+		var rec journalLine
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Done != nil {
+			done = append(done, *rec.Done)
+		}
+	}
+	return done
 }
 
 // A crash mid-write leaves a partial final line. Resume skips it with a
@@ -42,28 +69,36 @@ func TestResumeToleratesTruncatedFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, header, tags := journalFor(t, 5)
+	journal := journalFor(t, 5)
 	intact, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the crash: a done record cut off mid-JSON, no newline.
 	partial := []byte(`{"done":{"i":5,"label":"A4/Baseline/w1","m":{"coll`)
-	if err := os.WriteFile(journal, append(intact, partial...), 0o644); err != nil {
-		t.Fatal(err)
+	crash := func() {
+		t.Helper()
+		if err := os.WriteFile(journal, append(intact, partial...), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	crash()
 
-	replay, err := readJournal(journal, header, tags)
+	replay, err := replayOnly(t, journal)
 	if err != nil {
 		t.Fatalf("truncated final line rejected: %v", err)
 	}
-	if len(replay.Done) != 5 {
-		t.Fatalf("replayed %d records, want the 5 complete ones", len(replay.Done))
+	if replay.Resumed != 5 {
+		t.Fatalf("replayed %d records, want the 5 complete ones", replay.Resumed)
 	}
-	if !replay.Truncated() || len(replay.Warnings) != 1 || !strings.Contains(replay.Warnings[0], "partial record") {
-		t.Fatalf("truncation not surfaced: truncated=%v warnings=%v", replay.Truncated(), replay.Warnings)
+	if len(replay.Warnings) != 1 || !strings.Contains(replay.Warnings[0], "partial record") {
+		t.Fatalf("truncation not surfaced: warnings=%v", replay.Warnings)
+	}
+	if after, err := os.ReadFile(journal); err != nil || !bytes.Equal(after, intact) {
+		t.Fatalf("partial tail not truncated away (err %v): %d bytes, want %d", err, len(after), len(intact))
 	}
 
+	crash()
 	resumed, err := Run(testSpec(), Options{Workers: 2, Journal: journal, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -78,21 +113,29 @@ func TestResumeToleratesTruncatedFinalLine(t *testing.T) {
 		t.Error("aggregates diverge after tolerating a truncated final line")
 	}
 	// The partial tail was dropped before appending, so the healed journal
-	// replays cleanly end to end.
-	again, err := readJournal(journal, header, tags)
+	// replays cleanly end to end and is left as it was.
+	healed, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := replayOnly(t, journal)
 	if err != nil {
 		t.Fatalf("healed journal rejected: %v", err)
 	}
-	if len(again.Done) != 8 || again.Truncated() || len(again.Warnings) != 0 {
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Resumed != 8 || !bytes.Equal(after, healed) || len(again.Warnings) != 0 {
 		t.Errorf("healed journal: %d records, truncated=%v, warnings=%v",
-			len(again.Done), again.Truncated(), again.Warnings)
+			again.Resumed, !bytes.Equal(after, healed), again.Warnings)
 	}
 }
 
 // A garbage line anywhere before the final record is corruption, not a
 // crash signature — it must fail loudly.
 func TestResumeRejectsCorruptMidFileLine(t *testing.T) {
-	journal, header, tags := journalFor(t, 5)
+	journal := journalFor(t, 5)
 	blob, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +148,7 @@ func TestResumeRejectsCorruptMidFileLine(t *testing.T) {
 	if err := os.WriteFile(journal, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "line 3") {
+	if _, err := replayOnly(t, journal); err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("corrupt mid-file line: err = %v, want a line-3 parse failure", err)
 	}
 }
@@ -113,7 +156,7 @@ func TestResumeRejectsCorruptMidFileLine(t *testing.T) {
 // A journal for a structurally different spec (not just another seed) is
 // refused by the spec fingerprint in the header.
 func TestResumeRejectsDifferentGridShape(t *testing.T) {
-	journal, _, _ := journalFor(t, 5)
+	journal := journalFor(t, 5)
 	other := testSpec()
 	other.Grid.Schemes = []string{"baseline", "com"} // same size, different scenarios
 	_, err := Run(other, Options{Workers: 1, Journal: journal, Resume: true})
@@ -210,7 +253,7 @@ func TestResumeRejectsLabelInvisibleSpecChange(t *testing.T) {
 // A journal claiming more scenarios than the spec expands to is rejected:
 // the done index runs past the tag table.
 func TestResumeRejectsJournalBeyondSpec(t *testing.T) {
-	journal, header, tags := journalFor(t, 8) // complete journal for 8 scenarios
+	journal := journalFor(t, 8) // complete journal for 8 scenarios
 	extra := `{"done":{"i":8,"label":"phantom","m":{"total":1}}}` + "\n"
 	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -220,7 +263,7 @@ func TestResumeRejectsJournalBeyondSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "beyond the spec's") {
+	if _, err := replayOnly(t, journal); err == nil || !strings.Contains(err.Error(), "beyond the spec's") {
 		t.Errorf("oversized journal: err = %v, want beyond-the-spec rejection", err)
 	}
 }
@@ -228,7 +271,7 @@ func TestResumeRejectsJournalBeyondSpec(t *testing.T) {
 // A snapshot whose fingerprint disagrees with the replayed prefix (bit-level
 // corruption of an earlier metric) is rejected even though every line parses.
 func TestResumeRejectsFingerprintMismatch(t *testing.T) {
-	journal, header, tags := journalFor(t, 8)
+	journal := journalFor(t, 8)
 	blob, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +291,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	if err := os.WriteFile(journal, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := replayOnly(t, journal); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("bit-corrupted journal: err = %v, want snapshot fingerprint mismatch", err)
 	}
 }
@@ -265,14 +308,7 @@ func TestRunRangeMatchesSweep(t *testing.T) {
 	if _, err := Run(spec, Options{Workers: 1, Journal: journal}); err != nil {
 		t.Fatal(err)
 	}
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = Tag(s)
-	}
-	replay, err := readJournal(journal, newJournalHeader(spec, scens), tags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := journalRecords(t, journal)
 	for _, par := range []int{1, 3} {
 		records, err := RunRange(scens, 2, 7, par)
 		if err != nil {
@@ -282,7 +318,7 @@ func TestRunRangeMatchesSweep(t *testing.T) {
 			t.Fatalf("parallelism %d: %d records, want 5", par, len(records))
 		}
 		for k, rec := range records {
-			want := replay.Done[2+k]
+			want := done[2+k]
 			if rec.Index != want.Index || rec.Label != want.Label || rec.Err != want.Err {
 				t.Errorf("parallelism %d record %d: %+v, want %+v", par, k, rec, want)
 			}

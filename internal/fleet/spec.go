@@ -12,7 +12,9 @@
 //     a reorder buffer, so the final numbers are byte-identical whether the
 //     sweep ran on 1 worker or N, in process or as fleetd shards.
 //  2. Constant memory: per-metric state is an online Welford accumulator
-//     plus fixed-size P² quantile sketches — O(metrics), not O(scenarios).
+//     plus fixed-size P² quantile sketches, and a resume folds the journal
+//     line by line without keeping its records — O(metrics), not
+//     O(scenarios).
 //  3. Resumability: the Fold writes a JSON-lines journal recording each
 //     completed scenario's metrics in index order; an interrupted sweep
 //     replays the journal and continues, landing on the same final
@@ -49,7 +51,10 @@ type Grid struct {
 	// QoS lists sampling-rate multipliers (defaults to [1]).
 	QoS []float64 `json:"qos,omitempty"`
 	// Faults lists fault schedules in faults.ParseSchedule text form
-	// (defaults to [""], i.e. fault-free).
+	// (defaults to [""], i.e. fault-free). The grid aggregates every
+	// schedule under its scheme's tag, and every faulted label reads
+	// "/chaos", so this axis cannot compare schedules with each other: for
+	// that, list explicit Scenarios with a Tag per schedule.
 	Faults []string `json:"faults,omitempty"`
 	// Meters lists in-situ meter models to sweep (defaults to the free
 	// external meter, i.e. unobserved runs).

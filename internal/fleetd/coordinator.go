@@ -47,9 +47,8 @@ type Config struct {
 	// leaves the journal resumable — the same interrupt-and-resume hook
 	// fleet.Options has, used to simulate coordinator crashes in tests.
 	MaxScenarios int
-	// Gauges, Progress, Warn receive live state, JSON progress lines, and
-	// tolerated-anomaly warnings. All optional.
-	Gauges   *obs.Gauges
+	// Progress and Warn receive JSON progress lines and tolerated-anomaly
+	// warnings. Both optional.
 	Progress io.Writer
 	Warn     io.Writer
 }
@@ -103,11 +102,12 @@ type lease struct {
 // fleet.Fold as the in-process engine (so the merged aggregates and the
 // journal are byte-identical to a single-process run), and survives worker
 // loss by reassigning expired leases — shrinking shards and concurrency as
-// failures accumulate.
+// failures accumulate. Its fields below mu are the only count of the
+// service state: /status, progress lines and /metrics all read them.
 type Coordinator struct {
 	cfg    Config
 	spec   SpecResponse
-	gauges *obs.Gauges
+	gauges *obs.Gauges // the fold's sweep gauges
 
 	mu          sync.Mutex
 	fold        *fleet.Fold
@@ -120,6 +120,7 @@ type Coordinator struct {
 	shardSize   int
 	shardsTotal int
 	shardsDone  int
+	submitDupes int // submissions ignored by the idempotency check
 	stopped     bool
 	failure     error
 
@@ -137,11 +138,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Gauges == nil {
-		cfg.Gauges = obs.NewGauges()
-	}
+	gauges := obs.NewGauges()
 	fold, err := fleet.OpenFold(cfg.Spec, scens, fleet.Options{
-		Journal: cfg.Journal, Resume: cfg.Resume, MaxScenarios: cfg.MaxScenarios, Gauges: cfg.Gauges,
+		Journal: cfg.Journal, Resume: cfg.Resume, MaxScenarios: cfg.MaxScenarios, Gauges: gauges,
 	})
 	if err != nil {
 		return nil, err
@@ -149,7 +148,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		spec:        SpecResponse{Spec: cfg.Spec, Scenarios: len(scens), Fingerprint: fold.SpecFingerprint()},
-		gauges:      cfg.Gauges,
+		gauges:      gauges,
 		fold:        fold,
 		leases:      map[int64]*lease{},
 		workers:     map[string]time.Time{},
@@ -167,7 +166,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.nextShardID++
 	}
 	c.shardsTotal = len(c.pending)
-	c.gauges.ShardsCreated(len(c.pending))
 
 	c.mu.Lock()
 	if fold.Next() >= fold.Limit() {
@@ -179,10 +177,6 @@ func New(cfg Config) (*Coordinator, error) {
 	go c.janitor()
 	return c, nil
 }
-
-// Gauges exposes the coordinator's live-state gauges (the /metrics backing
-// store).
-func (c *Coordinator) Gauges() *obs.Gauges { return c.gauges }
 
 // Wait blocks until the sweep completes, is stopped by MaxScenarios, or
 // fails terminally, and returns the folded result.
@@ -278,7 +272,6 @@ func (c *Coordinator) lease(req LeaseRequest) LeaseResponse {
 	s := c.pending[0]
 	c.pending = c.pending[1:]
 	c.leases[s.id] = &lease{shard: s, worker: req.Worker, expires: now.Add(c.cfg.LeaseTTL)}
-	c.gauges.LeaseActive(+1)
 	info := ShardInfo{ID: s.id, Start: s.start, End: s.end, Attempt: s.attempt}
 	return LeaseResponse{Shard: &info, TTLMs: clampMs(c.cfg.LeaseTTL)}
 }
@@ -315,7 +308,7 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 	}
 	l, ok := c.leases[req.Shard]
 	if !ok {
-		c.gauges.SubmitDuplicate()
+		c.submitDupes++
 		return SubmitResponse{OK: true, Stale: true, Done: c.stopped}
 	}
 	s := l.shard
@@ -331,9 +324,7 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 		return SubmitResponse{Error: fmt.Sprintf("shard %d: payload fingerprint %s != declared %s", s.id, fp, req.FP)}
 	}
 	delete(c.leases, req.Shard)
-	c.gauges.LeaseActive(-1)
 	c.shardsDone++
-	c.gauges.ShardDone()
 	err := c.fold.Add(req.Records...)
 	c.progressLocked()
 	if err != nil {
@@ -350,23 +341,51 @@ func (c *Coordinator) Status() StatusResponse {
 	defer c.mu.Unlock()
 	res := c.fold.Result()
 	st := StatusResponse{
-		Total:         res.Scenarios,
-		Folded:        res.Completed,
-		Errors:        res.Agg.Errors,
-		Done:          c.stopped,
-		Fingerprint:   res.Agg.Fingerprint(),
-		ShardsTotal:   c.shardsTotal,
-		ShardsDone:    c.shardsDone,
-		LeasesActive:  len(c.leases),
-		Reassignments: c.reassigns,
-		DegradeLevel:  c.level,
-		ShardSize:     c.shardSize,
-		WorkersLive:   c.liveWorkersLocked(time.Now()),
+		Total:            res.Scenarios,
+		Folded:           res.Completed,
+		Errors:           res.Agg.Errors,
+		Done:             c.stopped,
+		Fingerprint:      res.Agg.Fingerprint(),
+		ShardsTotal:      c.shardsTotal,
+		ShardsDone:       c.shardsDone,
+		LeasesActive:     len(c.leases),
+		Reassignments:    c.reassigns,
+		SubmitDuplicates: c.submitDupes,
+		DegradeLevel:     c.level,
+		ShardSize:        c.shardSize,
+		WorkersLive:      c.liveWorkersLocked(time.Now()),
 	}
 	if c.failure != nil {
 		st.Failed = c.failure.Error()
 	}
 	return st
+}
+
+// WritePrometheus renders the coordinator's /metrics page: the sweep gauges
+// its fold keeps, then the service state read from Status, so the page and
+// /status cannot disagree.
+func (c *Coordinator) WritePrometheus(w io.Writer) error {
+	if err := c.gauges.WritePrometheus(w); err != nil {
+		return err
+	}
+	st := c.Status()
+	for _, sr := range []struct {
+		name, help string
+		value      int
+	}{
+		{"iothub_fleetd_shards_total", "Shards in the coordinator's plan (splits included).", st.ShardsTotal},
+		{"iothub_fleetd_shards_done", "Shards whose results were accepted and folded.", st.ShardsDone},
+		{"iothub_fleetd_leases_active", "Shard leases currently outstanding.", st.LeasesActive},
+		{"iothub_fleetd_lease_expiries_total", "Lease deadline misses (= shard reassignments).", st.Reassignments},
+		{"iothub_fleetd_submit_duplicates_total", "Submissions ignored by the idempotency check.", st.SubmitDuplicates},
+		{"iothub_fleetd_degrade_level", "Coordinator degradation-ladder level.", st.DegradeLevel},
+		{"iothub_fleetd_workers_live", "Workers heard from within the liveness window.", st.WorkersLive},
+	} {
+		if err := obs.WriteGauge(w, sr.name, sr.help, float64(sr.value)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // expireLocked reaps lease deadline misses: each one is a reassignment,
@@ -387,8 +406,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	sort.Slice(expired, func(i, j int) bool { return expired[i].shard.start < expired[j].shard.start })
 	for _, l := range expired {
 		delete(c.leases, l.shard.id)
-		c.gauges.LeaseActive(-1)
-		c.gauges.LeaseExpired()
 		c.reassigns++
 		c.warnf("lease on shard %d [%d,%d) held by %q expired (attempt %d); reassigning",
 			l.shard.id, l.shard.start, l.shard.end, l.worker, l.shard.attempt)
@@ -407,7 +424,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		}
 		// Re-queue at the current (possibly shrunk) shard size: a wide range
 		// that kept dying comes back as several small ones.
-		created := 0
 		for i := l.shard.start; i < l.shard.end; i += c.shardSize {
 			end := i + c.shardSize
 			if end > l.shard.end {
@@ -415,10 +431,8 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			}
 			c.enqueueLocked(shard{id: c.nextShardID, start: i, end: end, attempt: attempt})
 			c.nextShardID++
-			created++
+			c.shardsTotal++
 		}
-		c.shardsTotal += created
-		c.gauges.ShardsCreated(created)
 	}
 }
 
@@ -431,7 +445,6 @@ func (c *Coordinator) degradeLocked() {
 	} else {
 		c.shardSize = c.cfg.MinShardSize
 	}
-	c.gauges.SetDegradeLevel(c.level)
 	c.warnf("degradation level %d: shard size now %d, max in-flight leases now %d",
 		c.level, c.shardSize, c.maxInflightLocked())
 }
@@ -455,7 +468,6 @@ func (c *Coordinator) sawWorkerLocked(worker string, now time.Time) {
 	if worker != "" {
 		c.workers[worker] = now
 	}
-	c.gauges.SetWorkersLive(c.liveWorkersLocked(now))
 }
 
 // liveWorkersLocked counts workers heard from within three lease TTLs.
@@ -509,7 +521,6 @@ func (c *Coordinator) janitor() {
 		case now := <-t.C:
 			c.mu.Lock()
 			c.expireLocked(now)
-			c.gauges.SetWorkersLive(c.liveWorkersLocked(now))
 			c.mu.Unlock()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -108,8 +109,7 @@ func TestConcurrentWorkersMatchInProcess(t *testing.T) {
 // A replayed submission — same shard delivered twice — is acked stale and
 // folds exactly once.
 func TestSubmitIdempotent(t *testing.T) {
-	g := obs.NewGauges()
-	c, err := New(Config{Spec: testSpec(), ShardSize: 4, Gauges: g})
+	c, err := New(Config{Spec: testSpec(), ShardSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,9 @@ func TestSubmitIdempotent(t *testing.T) {
 	if !second.OK || !second.Stale {
 		t.Fatalf("replayed submit not acked stale: %+v", second)
 	}
-	if st := c.Status(); st.Folded != 4 || st.ShardsDone != 1 {
-		t.Errorf("after duplicate submit: folded=%d shardsDone=%d, want 4/1", st.Folded, st.ShardsDone)
-	}
-	if snap := g.Read(); snap.SubmitDuplicates != 1 {
-		t.Errorf("duplicate gauge = %d, want 1", snap.SubmitDuplicates)
+	if st := c.Status(); st.Folded != 4 || st.ShardsDone != 1 || st.SubmitDuplicates != 1 {
+		t.Errorf("after duplicate submit: folded=%d shardsDone=%d submitDuplicates=%d, want 4/1/1",
+			st.Folded, st.ShardsDone, st.SubmitDuplicates)
 	}
 }
 
@@ -241,10 +239,14 @@ func TestShardAttemptLimitFailsSweep(t *testing.T) {
 }
 
 // The full HTTP stack: coordinator served over httplite, worker dialing over
-// TCP, /status and /metrics live alongside the RPCs.
+// TCP, /status and /metrics live alongside the RPCs. /metrics reads its
+// service state from Status, so even after every worker has left the
+// liveness window each iothub_fleetd_* series equals the Status field it
+// exports.
 func TestHTTPServiceEndToEnd(t *testing.T) {
+	const ttl = 100 * time.Millisecond
 	want := oracle(t, testSpec())
-	c, err := New(Config{Spec: testSpec(), ShardSize: 3})
+	c, err := New(Config{Spec: testSpec(), ShardSize: 3, LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +289,35 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 		if !strings.Contains(page, series) {
 			t.Errorf("metrics page missing %s", series)
 		}
+	}
+
+	time.Sleep(4 * ttl) // both workers fall out of the three-TTL liveness window
+	if page, err = obs.Scrape(srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if st = c.Status(); st.WorkersLive != 0 {
+		t.Fatalf("workersLive = %d %v after the last RPC, want 0", st.WorkersLive, 4*ttl)
+	}
+	fleetd := map[string]int{
+		"iothub_fleetd_shards_total":            st.ShardsTotal,
+		"iothub_fleetd_shards_done":             st.ShardsDone,
+		"iothub_fleetd_leases_active":           st.LeasesActive,
+		"iothub_fleetd_lease_expiries_total":    st.Reassignments,
+		"iothub_fleetd_submit_duplicates_total": st.SubmitDuplicates,
+		"iothub_fleetd_degrade_level":           st.DegradeLevel,
+		"iothub_fleetd_workers_live":            st.WorkersLive,
+	}
+	for _, line := range strings.Split(page, "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		if v, ok := fleetd[name]; ok {
+			if value != strconv.Itoa(v) {
+				t.Errorf("/metrics %s = %s, /status reads %d", name, value, v)
+			}
+			delete(fleetd, name)
+		}
+	}
+	for name := range fleetd {
+		t.Errorf("/metrics lacks %s", name)
 	}
 }
 

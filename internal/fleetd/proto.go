@@ -91,19 +91,20 @@ type SubmitResponse struct {
 
 // StatusResponse is the coordinator's observable state.
 type StatusResponse struct {
-	Total         int    `json:"total"`
-	Folded        int    `json:"folded"`
-	Errors        int    `json:"errors"`
-	Done          bool   `json:"done"`
-	Failed        string `json:"failed,omitempty"`
-	Fingerprint   string `json:"fingerprint"`
-	ShardsTotal   int    `json:"shardsTotal"`
-	ShardsDone    int    `json:"shardsDone"`
-	LeasesActive  int    `json:"leasesActive"`
-	Reassignments int    `json:"reassignments"`
-	DegradeLevel  int    `json:"degradeLevel"`
-	ShardSize     int    `json:"shardSize"`
-	WorkersLive   int    `json:"workersLive"`
+	Total            int    `json:"total"`
+	Folded           int    `json:"folded"`
+	Errors           int    `json:"errors"`
+	Done             bool   `json:"done"`
+	Failed           string `json:"failed,omitempty"`
+	Fingerprint      string `json:"fingerprint"`
+	ShardsTotal      int    `json:"shardsTotal"`
+	ShardsDone       int    `json:"shardsDone"`
+	LeasesActive     int    `json:"leasesActive"`
+	Reassignments    int    `json:"reassignments"`
+	SubmitDuplicates int    `json:"submitDuplicates"`
+	DegradeLevel     int    `json:"degradeLevel"`
+	ShardSize        int    `json:"shardSize"`
+	WorkersLive      int    `json:"workersLive"`
 }
 
 // RecordsFingerprint hashes a shard's records (FNV-1a over their canonical

@@ -63,9 +63,9 @@ func (t HTTPTransport) Call(path string, body []byte) ([]byte, error) {
 
 // ServeHTTP exposes a coordinator on addr: the RPC paths as POST (GET also
 // accepted for the read-only /spec and /status), plus GET /metrics serving
-// the coordinator's gauges in Prometheus text format.
+// Coordinator.WritePrometheus.
 func ServeHTTP(addr string, c *Coordinator) (*httplite.Server, error) {
-	metrics := obs.MetricsHandler(c.Gauges())
+	metrics := obs.MetricsHandler(c.WritePrometheus)
 	jsonHeaders := map[string]string{"Content-Type": "application/json"}
 	return httplite.Serve(addr, func(req *httplite.Request) httplite.Reply {
 		switch {

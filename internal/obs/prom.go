@@ -23,15 +23,6 @@ type Gauges struct {
 	busy    atomic.Int64 // workers currently executing a scenario
 	workers atomic.Int64 // pool size
 
-	// Coordinator/worker service (fleetd) state. Zero for in-process sweeps.
-	shardsTotal   atomic.Int64
-	shardsDone    atomic.Int64
-	leasesActive  atomic.Int64
-	leaseExpiries atomic.Int64 // leases lost to missed heartbeats → shard reassignments
-	submitDupes   atomic.Int64 // idempotency hits: retried/duplicated submissions ignored
-	degradeLevel  atomic.Int64 // coordinator degradation-ladder level
-	workersLive   atomic.Int64 // workers heard from within the liveness window
-
 	// Per-counter totals over the sweep's runs, and which counters some run
 	// reported — only those are exported, so a service whose workers report
 	// nothing shows no run totals rather than zeros.
@@ -92,65 +83,6 @@ func (g *Gauges) SetFingerprint(fp string) {
 	g.mu.Unlock()
 }
 
-// ShardsCreated accounts n new shards in the coordinator's plan (splits on
-// degradation add more).
-func (g *Gauges) ShardsCreated(n int) {
-	if g == nil {
-		return
-	}
-	g.shardsTotal.Add(int64(n))
-}
-
-// ShardDone accounts one shard whose results were accepted.
-func (g *Gauges) ShardDone() {
-	if g == nil {
-		return
-	}
-	g.shardsDone.Add(1)
-}
-
-// LeaseActive moves a shard lease in (+1) or out (-1) of the outstanding
-// state.
-func (g *Gauges) LeaseActive(delta int) {
-	if g == nil {
-		return
-	}
-	g.leasesActive.Add(int64(delta))
-}
-
-// LeaseExpired accounts one lease deadline miss (= one shard reassignment).
-func (g *Gauges) LeaseExpired() {
-	if g == nil {
-		return
-	}
-	g.leaseExpiries.Add(1)
-}
-
-// SubmitDuplicate accounts one submission ignored by the idempotency check
-// (a retried or chaos-duplicated RPC for a shard already folded or retired).
-func (g *Gauges) SubmitDuplicate() {
-	if g == nil {
-		return
-	}
-	g.submitDupes.Add(1)
-}
-
-// SetDegradeLevel publishes the coordinator's degradation-ladder level.
-func (g *Gauges) SetDegradeLevel(level int) {
-	if g == nil {
-		return
-	}
-	g.degradeLevel.Store(int64(level))
-}
-
-// SetWorkersLive publishes how many workers are inside the liveness window.
-func (g *Gauges) SetWorkersLive(n int) {
-	if g == nil {
-		return
-	}
-	g.workersLive.Store(int64(n))
-}
-
 // RunObserved adds one completed run's value of counter c to the sweep
 // total and marks c reported; the fleet pool feeds it hub.RunResult.Counters.
 func (g *Gauges) RunObserved(c Counter, v uint64) {
@@ -174,12 +106,6 @@ type Snapshot struct {
 	RatePerSec  float64
 	ETASeconds  float64
 	Fingerprint string
-	// Coordinator/worker service state (zero for in-process sweeps).
-	ShardsTotal, ShardsDone   int64
-	LeasesActive              int64
-	LeaseExpiries             int64
-	SubmitDuplicates          int64
-	DegradeLevel, WorkersLive int64
 }
 
 // Read takes a snapshot.
@@ -191,19 +117,12 @@ func (g *Gauges) Read() Snapshot {
 	start, fp := g.start, g.fingerprint
 	g.mu.Unlock()
 	s := Snapshot{
-		Total:            g.total.Load(),
-		Done:             g.done.Load(),
-		Errors:           g.errors.Load(),
-		WorkersBusy:      g.busy.Load(),
-		Workers:          g.workers.Load(),
-		Fingerprint:      fp,
-		ShardsTotal:      g.shardsTotal.Load(),
-		ShardsDone:       g.shardsDone.Load(),
-		LeasesActive:     g.leasesActive.Load(),
-		LeaseExpiries:    g.leaseExpiries.Load(),
-		SubmitDuplicates: g.submitDupes.Load(),
-		DegradeLevel:     g.degradeLevel.Load(),
-		WorkersLive:      g.workersLive.Load(),
+		Total:       g.total.Load(),
+		Done:        g.done.Load(),
+		Errors:      g.errors.Load(),
+		WorkersBusy: g.busy.Load(),
+		Workers:     g.workers.Load(),
+		Fingerprint: fp,
 	}
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 && s.Done > 0 {
@@ -215,8 +134,8 @@ func (g *Gauges) Read() Snapshot {
 	return s
 }
 
-// promGauge writes one fully annotated Prometheus series.
-func promGauge(w io.Writer, name, help string, value float64) error {
+// WriteGauge writes one fully annotated Prometheus gauge series.
+func WriteGauge(w io.Writer, name, help string, value float64) error {
 	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, value)
 	return err
 }
@@ -235,16 +154,9 @@ func (g *Gauges) WritePrometheus(w io.Writer) error {
 		{"iothub_fleet_scenarios_per_second", "Completion rate over the sweep so far.", s.RatePerSec},
 		{"iothub_fleet_workers", "Worker pool size.", float64(s.Workers)},
 		{"iothub_fleet_workers_busy", "Workers currently executing a scenario.", float64(s.WorkersBusy)},
-		{"iothub_fleetd_shards_total", "Shards in the coordinator's plan (splits included).", float64(s.ShardsTotal)},
-		{"iothub_fleetd_shards_done", "Shards whose results were accepted and folded.", float64(s.ShardsDone)},
-		{"iothub_fleetd_leases_active", "Shard leases currently outstanding.", float64(s.LeasesActive)},
-		{"iothub_fleetd_lease_expiries_total", "Lease deadline misses (= shard reassignments).", float64(s.LeaseExpiries)},
-		{"iothub_fleetd_submit_duplicates_total", "Submissions ignored by the idempotency check.", float64(s.SubmitDuplicates)},
-		{"iothub_fleetd_degrade_level", "Coordinator degradation-ladder level.", float64(s.DegradeLevel)},
-		{"iothub_fleetd_workers_live", "Workers heard from within the liveness window.", float64(s.WorkersLive)},
 	}
 	for _, sr := range series {
-		if err := promGauge(w, sr.name, sr.help, sr.value); err != nil {
+		if err := WriteGauge(w, sr.name, sr.help, sr.value); err != nil {
 			return err
 		}
 	}
@@ -254,7 +166,7 @@ func (g *Gauges) WritePrometheus(w io.Writer) error {
 		}
 		name := "iothub_" + c.String() + "_total"
 		help := "Sum of the " + c.String() + " counter over the sweep's runs."
-		if err := promGauge(w, name, help, float64(g.runTotals[c].Load())); err != nil {
+		if err := WriteGauge(w, name, help, float64(g.runTotals[c].Load())); err != nil {
 			return err
 		}
 	}
@@ -269,8 +181,7 @@ func (g *Gauges) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// PrometheusText renders WritePrometheus into a string (scrape handler and
-// tests).
+// PrometheusText renders WritePrometheus into a string.
 func (g *Gauges) PrometheusText() string {
 	var b strings.Builder
 	_ = g.WritePrometheus(&b)

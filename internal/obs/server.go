@@ -8,7 +8,9 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -27,7 +29,7 @@ type MetricsServer struct {
 // StartMetricsServer binds addr (e.g. ":9090" or "127.0.0.1:0") and serves
 // g until Close.
 func StartMetricsServer(addr string, g *Gauges) (*MetricsServer, error) {
-	srv, err := httplite.Serve(addr, MetricsHandler(g))
+	srv, err := httplite.Serve(addr, MetricsHandler(g.WritePrometheus))
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listen %s: %w", addr, err)
 	}
@@ -35,18 +37,23 @@ func StartMetricsServer(addr string, g *Gauges) (*MetricsServer, error) {
 }
 
 // MetricsHandler is the GET /metrics endpoint as a composable httplite
-// handler, so servers with richer routing (the fleetd coordinator) can mount
-// the same scrape surface the standalone MetricsServer exposes.
-func MetricsHandler(g *Gauges) httplite.Handler {
+// handler serving the page render writes, so servers with richer routing
+// (the fleetd coordinator) can mount the same scrape surface the standalone
+// MetricsServer exposes.
+func MetricsHandler(render func(io.Writer) error) httplite.Handler {
 	return func(req *httplite.Request) httplite.Reply {
 		if req.Method != "GET" || strings.SplitN(req.Path, "?", 2)[0] != "/metrics" {
 			return httplite.Reply{Status: 404, Reason: "Not Found",
 				Headers: map[string]string{"Content-Type": "text/plain; charset=utf-8"},
 				Body:    []byte("not found\n")}
 		}
+		// A page render fails only when its writer does, and a Buffer never
+		// does.
+		var page bytes.Buffer
+		_ = render(&page)
 		return httplite.Reply{Status: 200, Reason: "OK",
 			Headers: map[string]string{"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-			Body:    []byte(g.PrometheusText())}
+			Body:    page.Bytes()}
 	}
 }
 
