@@ -99,11 +99,13 @@ func (p Params) SleepBreakEven() time.Duration {
 	return time.Duration(overhead / saved * float64(time.Second))
 }
 
+// workItem is one queued or running piece of work. It records no start
+// instant: an item that starts runs for d without interruption, so its
+// routine span starts d before it ends.
 type workItem struct {
-	d       time.Duration
-	r       energy.Routine
-	done    sim.Done
-	startAt sim.Time // execution start, for routine spans
+	d    time.Duration
+	r    energy.Routine
+	done sim.Done
 }
 
 // Ops for the CPU's own scheduled events (see OnEvent).
@@ -361,9 +363,7 @@ func (c *CPU) OnEvent(a sim.Arg) {
 func (c *CPU) beginWork(slot int32) error {
 	c.setState(Active)
 	c.setActivePower()
-	it := &c.items[slot]
-	it.startAt = c.sched.Now()
-	_, err := c.sched.AfterCall(it.d, c, sim.Arg{Op: opEnd, I0: int64(slot)})
+	_, err := c.sched.AfterCall(c.items[slot].d, c, sim.Arg{Op: opEnd, I0: int64(slot)})
 	if err != nil {
 		return fmt.Errorf("cpu: schedule work end: %w", err)
 	}
@@ -387,7 +387,8 @@ func (c *CPU) endWork(slot int32) {
 	it := &c.items[slot]
 	c.busy.Add(it.r, it.d)
 	if c.obs.Tracing() {
-		c.obs.Span("cpu", it.r.String(), it.startAt, c.sched.Now())
+		now := c.sched.Now()
+		c.obs.Span("cpu", it.r.String(), now-sim.Time(it.d), now)
 	}
 	if isIO(it.r) {
 		c.ioBusy = false

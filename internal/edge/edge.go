@@ -119,8 +119,16 @@ func (p Params) Objective(latency time.Duration, joules float64) float64 {
 // The executor's typed events, scheduled by Submit.
 const (
 	opArrive = iota + 1 // an upload reached its container: one more job runs
-	opFinish            // I0 init time, I1 arrival instant, P0 app name when tracing
+	opFinish            // I0 index in Edge.submitted: that job finished
 )
+
+// job is one container execution, kept for the run so its finish event can
+// name the app in its trace spans.
+type job struct {
+	app     string
+	init    time.Duration // cold-start warmup, 0 when warm
+	arrival sim.Time      // the upload reached the container
+}
 
 // Edge is the remote executor bound to one hub run's virtual clock and
 // energy meter. Containers run concurrently (the machine behind the slice is
@@ -134,9 +142,9 @@ type Edge struct {
 	rec    *obs.Recorder
 	warm   map[string]bool
 	active int
-	// Jobs / ColdStarts are cumulative run statistics the hub's collector
-	// reads back.
-	jobs       int
+	// submitted lists the run's jobs in submission order; its length and
+	// coldStarts are the run statistics the hub's collector reads back.
+	submitted  []job
 	coldStarts int
 }
 
@@ -150,21 +158,24 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 }
 
 // Reset readies the executor for a new run: idle, every container cold,
-// keeping only its identity and its warm-container map. The scheduler and
-// meter must have been reset first; the track is re-requested so it
-// registers at this call's position in the meter's component order.
+// keeping only its identity, its warm-container map and its job table's
+// storage. The scheduler and meter must have been reset first; the track is
+// re-requested so it registers at this call's position in the meter's
+// component order.
 func (e *Edge) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
 	clear(e.warm)
+	clear(e.submitted)
 	*e = Edge{
-		params: params,
-		sched:  e.sched,
-		meter:  e.meter,
-		name:   e.name,
-		track:  e.meter.Track(e.name),
-		warm:   e.warm,
+		params:    params,
+		sched:     e.sched,
+		meter:     e.meter,
+		name:      e.name,
+		track:     e.meter.Track(e.name),
+		warm:      e.warm,
+		submitted: e.submitted[:0],
 	}
 	e.track.Set(params.IdleW, energy.Idle)
 	return nil
@@ -174,7 +185,7 @@ func (e *Edge) Reset(params Params) error {
 func (e *Edge) Observe(rec *obs.Recorder) { e.rec = rec }
 
 // Jobs and ColdStarts report cumulative executions and cold container inits.
-func (e *Edge) Jobs() int       { return e.jobs }
+func (e *Edge) Jobs() int       { return len(e.submitted) }
 func (e *Edge) ColdStarts() int { return e.coldStarts }
 
 // Submit ships one window's computation to the app's container: RTT/2 up,
@@ -193,7 +204,6 @@ func (e *Edge) Submit(app string, footprintBytes int, mi float64, done sim.Done)
 	if footprintBytes < 0 {
 		return fmt.Errorf("edge: negative footprint %d", footprintBytes)
 	}
-	e.jobs++
 	var init time.Duration
 	if !e.warm[app] {
 		// The hub submits an app's windows in order, so the container's
@@ -207,12 +217,10 @@ func (e *Edge) Submit(app string, footprintBytes int, mi float64, done sim.Done)
 	}
 	busyStart := e.sched.Now().Add(e.params.RTT / 2)
 	busyEnd := busyStart.Add(init + e.params.ComputeTime(mi))
+	finish := sim.Arg{Op: opFinish, I0: int64(len(e.submitted))}
+	e.submitted = append(e.submitted, job{app: app, init: init, arrival: busyStart})
 	if _, err := e.sched.AtCall(busyStart, e, sim.Arg{Op: opArrive}); err != nil {
 		return fmt.Errorf("edge: schedule arrival: %w", err)
-	}
-	finish := sim.Arg{Op: opFinish, I0: int64(init), I1: int64(busyStart)}
-	if e.rec.Tracing() {
-		finish.P0 = app
 	}
 	if _, err := e.sched.AtCall(busyEnd, e, finish); err != nil {
 		return fmt.Errorf("edge: schedule completion: %w", err)
@@ -240,11 +248,11 @@ func (e *Edge) OnEvent(a sim.Arg) {
 		e.active = 0
 		e.track.Set(e.params.IdleW, energy.Idle)
 	}
-	if app, ok := a.P0.(string); ok {
-		init, arrived := time.Duration(a.I0), sim.Time(a.I1)
-		if init > 0 {
-			e.rec.Span("edge", "init "+app, arrived, arrived.Add(init))
+	if a.Op == opFinish && e.rec.Tracing() {
+		j := e.submitted[a.I0]
+		if j.init > 0 {
+			e.rec.Span("edge", "init "+j.app, j.arrival, j.arrival.Add(j.init))
 		}
-		e.rec.Span("edge", "compute "+app, arrived.Add(init), e.sched.Now())
+		e.rec.Span("edge", "compute "+j.app, j.arrival.Add(j.init), e.sched.Now())
 	}
 }

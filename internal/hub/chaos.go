@@ -188,7 +188,7 @@ func (r *runner) recollect(redo []redoRef, now sim.Time) {
 func (r *runner) redoReads(redo []redoRef) {
 	for i, ref := range redo {
 		delay := time.Duration(i) * ref.s.spec.ReadTime
-		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, P0: ref.s, I0: int64(ref.k)}); err != nil {
+		if _, err := r.sched.AfterCall(delay, r, sim.Arg{Op: opRedoRead, I0: int64(ref.k), I1: int64(ref.s.idx)}); err != nil {
 			r.fail(err)
 			return
 		}

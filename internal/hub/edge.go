@@ -39,7 +39,7 @@ func (r *runner) edgeCompute(st *appState, w int) {
 // notification comes back as opEdgeResult.
 func (r *runner) edgeSubmit(st *appState, w int) {
 	err := r.edge.Submit(string(st.spec.ID), st.spec.MemoryBytes(), st.edgeMI,
-		sim.Done{CB: r, Arg: sim.Arg{Op: opEdgeResult, P0: st, I0: int64(w)}})
+		sim.Done{CB: r, Arg: sim.Arg{Op: opEdgeResult, I0: int64(w), I1: int64(st.idx)}})
 	if err != nil {
 		r.fail(err)
 	}
@@ -49,7 +49,7 @@ func (r *runner) edgeSubmit(st *appState, w int) {
 // driver slice, after which the window closes like a CPU computation.
 func (r *runner) edgeResult(st *appState, w int) {
 	err := r.cpu.ExecCall(r.params.Edge.ResultCPU, energy.DataTransfer,
-		sim.Done{CB: r, Arg: sim.Arg{Op: opComputeDone, P0: st, I0: int64(w)}})
+		sim.Done{CB: r, Arg: sim.Arg{Op: opComputeDone, I0: int64(w), I1: int64(st.idx)}})
 	if err != nil {
 		r.fail(err)
 	}

@@ -1,14 +1,16 @@
 package hub
 
 // Typed event dispatch for the conductor. The runner implements sim.Callback
-// once: the op discriminates the step and the context rides in the sim.Arg
-// (stream or appState pointer in P0, indices packed into I0/I1), so a
-// steady-state run schedules thousands of events without a single
-// allocation. Every event and device completion the runner hands out is one
-// of these ops — the per-sample chain, the re-reads after a crash or a
-// recharge, fault arming, the MCU's alive notifications and the edge glue.
-// The one func left is the radio completion that submits an upload to the
-// edge, because radio.Transmit takes its completion as a func.
+// once: the op discriminates the step and the context rides in the sim.Arg's
+// two integers, so a steady-state run schedules thousands of events without
+// a single allocation. A sim.Arg holds no pointer: an event names a stream or
+// an app by its index in runner.streams or runner.states (build fills both
+// once and never reorders them), and a transfer by its xfer slot. Every event
+// and device completion the runner hands out is one of these ops — the
+// per-sample chain, the re-reads after a crash or a recharge, fault arming,
+// the MCU's alive notifications and the edge glue. The one func left is the
+// radio completion that submits an upload to the edge, because
+// radio.Transmit takes its completion as a func.
 
 import (
 	"time"
@@ -18,28 +20,29 @@ import (
 	"iothub/internal/sim"
 )
 
-// Runner event ops. The read chain carries (stream, k) plus retries/failed
-// packed into I1; the transfer chain carries an index into the xfer pool.
+// Runner event ops. "stream" and "state" are indices into runner.streams and
+// runner.states. The read chain's middle steps pack their I1 as
+// stream<<8 | retries used<<1 | failed (attemptRead).
 const (
-	opStartRead     = iota + 1 // P0 *stream, I0 sample index, I1 reserved seq base
-	opReadBusDone              // sensor bus transaction done; MCU formats next
-	opReadFormatted            // MCU formatting done; dispatch, retry, or drop
+	opStartRead     = iota + 1 // I0 sample index, I1 stream: queue the next read, start this one
+	opReadBusDone              // I0 sample index, I1 packed: sensor bus done; MCU formats next
+	opReadFormatted            // I0 sample index, I1 packed: dispatch, retry, or drop
 	opXferRaised               // I0 xfer slot: interrupt raised at the MCU
 	opXferHandled              // I0 xfer slot: CPU fielded it, wire next
 	opXferDone                 // I0 xfer slot: payload crossed, run continuation
-	opComputeDone              // P0 *appState, I0 window: CPU computation done
-	opOffloadDone              // P0 *appState, I0 window: MCU computation done
+	opComputeDone              // I0 window, I1 state: CPU computation done
+	opOffloadDone              // I0 window, I1 state: MCU computation done
 	opGovern                   // re-apply the CPU idle policy
 	opMeterTick                // in-situ meter sampling instant (meter.go)
 	opMeterFlushed             // I0 sample count, I1 crash generation: flush done
 	opPowerTick                // supply ledger settlement instant (power.go)
 	opPowerStep                // I0 step index: harvest trace level change
-	opRedoRead                 // P0 *stream, I0 sample index: re-read after a reboot or recharge
+	opRedoRead                 // I0 sample index, I1 stream: re-read after a reboot or recharge
 	opCrash                    // I0 reboot duration: an injected MCU crash fires (chaos.go)
 	opWatchdog                 // watchdog liveness probe (chaos.go)
 	opRebooted                 // the MCU is alive after a crash's reboot
 	opRecharged                // the MCU is alive after a brownout's restore
-	opEdgeResult               // P0 *appState, I0 window: the edge result reached the hub
+	opEdgeResult               // I0 window, I1 state: the edge result reached the hub
 )
 
 // OnEvent dispatches the runner's typed events (see the ops above).
@@ -50,25 +53,24 @@ func (r *runner) OnEvent(a sim.Arg) {
 		// explains the order argument). Brownout drops and downshift skips
 		// happen inside startRead, so they never break the chain; redo reads
 		// after a reboot or recharge are opRedoRead events and never chain.
-		s, k := a.P0.(*stream), int(a.I0)
+		s, k := r.streams[a.I1], int(a.I0)
 		if k+1 < s.perWindow*r.cfg.Windows {
-			if err := r.queueRead(s, k+1, uint64(a.I1)); err != nil {
+			if err := r.queueRead(s, k+1); err != nil {
 				r.fail(err)
 			}
 		}
 		r.startRead(s, k)
 	case opReadBusDone:
-		s := a.P0.(*stream)
-		s.track.Set(0, energy.Idle)
+		r.streams[a.I1>>8].track.Set(0, energy.Idle)
 		err := r.mcu.ExecCall(r.params.MCU.PerReadCPU, energy.DataCollection,
-			sim.Done{CB: r, Arg: sim.Arg{Op: opReadFormatted, P0: s, I0: a.I0, I1: a.I1}})
+			sim.Done{CB: r, Arg: sim.Arg{Op: opReadFormatted, I0: a.I0, I1: a.I1}})
 		if err != nil {
 			r.fail(err)
 		}
 	case opReadFormatted:
-		s := a.P0.(*stream)
+		s := r.streams[a.I1>>8]
 		k := int(a.I0)
-		retriesUsed, failed := int(a.I1>>1), a.I1&1 != 0
+		retriesUsed, failed := int(a.I1>>1&0x7f), a.I1&1 != 0
 		switch {
 		case !failed:
 			r.sampleReady(s, k)
@@ -86,13 +88,13 @@ func (r *runner) OnEvent(a sim.Arg) {
 	case opXferDone:
 		r.xferDone(int(a.I0))
 	case opComputeDone:
-		r.finishWindow(a.P0.(*appState), int(a.I0))
+		r.finishWindow(r.states[a.I1], int(a.I0))
 		r.governCPU()
 	case opOffloadDone:
-		st := a.P0.(*appState)
+		st := r.states[a.I1]
 		w := int(a.I0)
 		st.offloadInFlight[w] = false
-		r.startXfer(r.allocXfer(xfer{kind: xfResult, n: r.params.ResultBytes, st: st, w: w}))
+		r.startXfer(r.allocXfer(xfer{kind: xfResult, n: int32(r.params.ResultBytes), st: st.idx, w: int32(w)}))
 	case opGovern:
 		r.governCPU()
 	case opMeterTick:
@@ -104,7 +106,7 @@ func (r *runner) OnEvent(a sim.Arg) {
 	case opPowerStep:
 		r.powerStep(int(a.I0))
 	case opRedoRead:
-		r.startRead(a.P0.(*stream), int(a.I0))
+		r.startRead(r.streams[a.I1], int(a.I0))
 	case opCrash:
 		r.onMCUCrash(time.Duration(a.I0))
 	case opWatchdog:
@@ -114,7 +116,7 @@ func (r *runner) OnEvent(a sim.Arg) {
 	case opRecharged:
 		r.afterRecharge()
 	case opEdgeResult:
-		r.edgeResult(a.P0.(*appState), int(a.I0))
+		r.edgeResult(r.states[a.I1], int(a.I0))
 	}
 }
 
@@ -127,14 +129,13 @@ const (
 
 // xfer is one in-flight Interrupt + Data Transfer chain. Instances live in
 // the runner's slot pool; events reference them by index so the whole chain
-// is allocation-free.
+// is allocation-free. The slot names its stream (xfSample) or app state
+// (xfBatch, xfResult) by index and holds no pointer, in 24 bytes.
 type xfer struct {
-	kind      int
-	n         int // payload bytes
-	s         *stream
-	st        *appState
-	k, w      int
-	fill      int
+	n         int32 // payload bytes; a batch's fill
+	k, w      int32 // sample index (xfSample) and window
+	s, st     int32 // stream (xfSample) or app state (xfBatch, xfResult)
+	kind      uint8
 	final     bool
 	delivered bool
 }
@@ -185,13 +186,13 @@ func (r *runner) xferRaised(slot int) {
 // it only programs a descriptor and the wire signals completion.
 func (r *runner) xferHandled(slot int) {
 	x := &r.xfers[slot]
-	d, delivered, err := r.linkSend(x.n)
+	d, delivered, err := r.linkSend(int(x.n))
 	if err != nil {
 		r.fail(err)
 		return
 	}
 	x.delivered = delivered
-	r.res.BytesTransferred += x.n
+	r.res.BytesTransferred += int(x.n)
 	if err := r.mcu.ExecCall(d, energy.DataTransfer, sim.Done{}); err != nil {
 		r.fail(err)
 		return
@@ -218,41 +219,43 @@ func (r *runner) xferDone(slot int) {
 	x := r.xfers[slot]
 	r.xfers[slot] = xfer{}
 	r.xferFree = append(r.xferFree, int32(slot))
+	k, w := int(x.k), int(x.w)
 	switch x.kind {
 	case xfSample:
 		// An undelivered sample (link faults past the retry budget) shrinks
 		// the window's expectation — the window completes with fewer samples,
 		// exactly like a collection-stage drop.
-		for _, l := range x.s.consumers {
-			if l.st.policyFor(x.w).Sample != scheme.Interrupt || !l.wants(x.k) {
+		for _, l := range r.streams[x.s].consumers {
+			if l.st.policyFor(w).Sample != scheme.Interrupt || !l.wants(k) {
 				continue
 			}
 			if x.delivered {
-				l.st.delivered[x.w]++
+				l.st.delivered[w]++
 			} else {
-				l.st.expected[x.w]--
+				l.st.expected[w]--
 			}
-			r.maybeComplete(l.st, x.w)
+			r.maybeComplete(l.st, w)
 		}
 	case xfBatch:
 		// Uploaded-mode windows stage their delivered bytes for the edge
 		// upload; a frame the link swallowed never reaches the batch the
 		// radio will carry up.
-		if x.delivered && x.st.uploadBytes != nil {
-			x.st.uploadBytes[x.w] += x.fill
+		st := r.states[x.st]
+		if x.delivered && st.uploadBytes != nil {
+			st.uploadBytes[w] += int(x.n)
 		}
-		x.st.pendingFlushes[x.w]--
-		if x.final && x.st.pendingFlushes[x.w] == 0 {
+		st.pendingFlushes[w]--
+		if x.final && st.pendingFlushes[w] == 0 {
 			// Re-resolve the placement: a window degraded Uploaded→Batched
 			// computes locally, not on a tier the ladder just abandoned.
-			r.placeCompute(x.st, x.w, x.st.policyFor(x.w))
+			r.placeCompute(st, w, st.policyFor(w))
 		}
 	case xfResult:
 		// A result notification the link swallowed past the retry budget
 		// leaves the window without an output — the loss is visible in
 		// LinkAbortedTransfers and the missing Outputs entry.
 		if x.delivered {
-			r.finishWindow(x.st, x.w)
+			r.finishWindow(r.states[x.st], w)
 		}
 	}
 	r.governCPU()

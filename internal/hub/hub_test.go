@@ -2,6 +2,7 @@ package hub
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -525,5 +526,14 @@ func TestScheduleAllQueuesOneReadPerStream(t *testing.T) {
 	}
 	if r.res.DeliveredSamples != r.res.ScheduledSamples {
 		t.Errorf("delivered %d of %d scheduled reads", r.res.DeliveredSamples, r.res.ScheduledSamples)
+	}
+}
+
+// TestXferSlotSize pins the transfer slot every interrupt-and-transfer chain
+// fills (DESIGN.md §7): it names its stream or app state by index, so a field
+// that makes it larger, or a pointer back in it, makes every transfer dearer.
+func TestXferSlotSize(t *testing.T) {
+	if got, max := reflect.TypeOf(xfer{}).Size(), uintptr(24); got > max {
+		t.Errorf("xfer is %d bytes, want at most %d: see DESIGN.md §7 before growing a hot record", got, max)
 	}
 }

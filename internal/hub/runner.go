@@ -154,6 +154,7 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 			// app's full per-window instruction demand is the workload.
 			st.edgeMI = sp.MIPS * sp.Window.Seconds()
 		}
+		st.idx = int32(len(r.states))
 		r.states = append(r.states, st)
 
 		if st.policy().Place == scheme.OnMCU {
@@ -241,6 +242,7 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 	}
 	for _, ss := range plan {
 		s := r.getStream()
+		s.idx = int32(len(r.streams))
 		s.id = ss.Sensor
 		s.spec = ss.Spec
 		s.bytes = ss.Bytes
@@ -288,7 +290,8 @@ func (r *runner) scheduleAll() error {
 	for _, s := range r.streams {
 		total := s.perWindow * r.cfg.Windows
 		r.res.ScheduledSamples += total
-		if err := r.queueRead(s, 0, r.sched.Reserve(total)); err != nil {
+		s.seqBase = r.sched.Reserve(total)
+		if err := r.queueRead(s, 0); err != nil {
 			return err
 		}
 	}
@@ -296,12 +299,11 @@ func (r *runner) scheduleAll() error {
 }
 
 // queueRead queues stream s's read k at k·period under its reserved sequence
-// number base+k. The event carries base in I1 so the handler can chain the
-// next read.
-func (r *runner) queueRead(s *stream, k int, base uint64) error {
+// number seqBase+k.
+func (r *runner) queueRead(s *stream, k int) error {
 	at := sim.Time(int64(k) * int64(s.period))
-	_, err := r.sched.AtCallSeq(at, base+uint64(k), r,
-		sim.Arg{Op: opStartRead, P0: s, I0: int64(k), I1: int64(base)})
+	_, err := r.sched.AtCallSeq(at, s.seqBase+uint64(k), r,
+		sim.Arg{Op: opStartRead, I0: int64(k), I1: int64(s.idx)})
 	return err
 }
 
@@ -362,13 +364,14 @@ func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
 	}
 	s.track.Set(s.spec.PowerTyp, energy.DataCollection)
 	// The bus-done and formatted steps are typed events (events.go): the
-	// stream rides in P0, the sample index in I0, and retries/failed packed
-	// into I1, so the per-sample chain allocates nothing.
-	ctx := int64(retriesUsed) << 1
+	// sample index rides in I0, and the stream, the retries used (7 bits,
+	// far above readRetries) and the failed flag are packed into I1, so the
+	// per-sample chain allocates nothing.
+	ctx := int64(s.idx)<<8 | int64(retriesUsed)<<1
 	if failed {
 		ctx |= 1
 	}
-	_, err := r.sched.AfterCall(readTime, r, sim.Arg{Op: opReadBusDone, P0: s, I0: int64(k), I1: ctx})
+	_, err := r.sched.AfterCall(readTime, r, sim.Arg{Op: opReadBusDone, I0: int64(k), I1: ctx})
 	if err != nil {
 		r.fail(err)
 	}
@@ -475,7 +478,7 @@ func (r *runner) sampleReady(s *stream, k int) {
 // cpuCompute runs the app-specific computation on the CPU.
 func (r *runner) cpuCompute(st *appState, w int) {
 	err := r.cpu.ExecCall(st.cpuComputeTime, energy.AppCompute,
-		sim.Done{CB: r, Arg: sim.Arg{Op: opComputeDone, P0: st, I0: int64(w)}})
+		sim.Done{CB: r, Arg: sim.Arg{Op: opComputeDone, I0: int64(w), I1: int64(st.idx)}})
 	if err != nil {
 		r.fail(err)
 	}
@@ -492,7 +495,7 @@ func (r *runner) offloadCompute(st *appState, w int) {
 	r.checkOffloadBudget(st, w, r.sched.Now())
 	st.offloadInFlight[w] = true
 	err := r.mcu.ExecCall(st.mcuComputeTime, energy.AppCompute,
-		sim.Done{CB: r, Arg: sim.Arg{Op: opOffloadDone, P0: st, I0: int64(w)}})
+		sim.Done{CB: r, Arg: sim.Arg{Op: opOffloadDone, I0: int64(w), I1: int64(st.idx)}})
 	if err != nil {
 		r.fail(err)
 	}

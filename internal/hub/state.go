@@ -37,6 +37,9 @@ type redoRef struct {
 
 // appState is one app's runtime bookkeeping.
 type appState struct {
+	// idx is the state's position in runner.states: events name the app by
+	// it, since a sim.Arg carries no pointer.
+	idx  int32
 	app  apps.App
 	spec apps.Spec
 	mode Mode
@@ -97,6 +100,11 @@ func (l consumerLink) wants(k int) bool { return k%l.stride == 0 }
 // stream is one physical sampling schedule: a sensor read sequence feeding
 // one or more apps (more than one only under a shared topology).
 type stream struct {
+	// idx is the stream's position in runner.streams, which events carry in
+	// place of a pointer; seqBase is the first of the sequence numbers
+	// scheduleAll reserved for its reads.
+	idx       int32
+	seqBase   uint64
 	id        sensor.ID
 	spec      sensor.Spec
 	bytes     int

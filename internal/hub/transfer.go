@@ -13,7 +13,7 @@ import (
 // MCU raises the interrupt, the CPU fields it and pulls the sample over the
 // link. Delivery bookkeeping happens in the chain's continuation (xfSample).
 func (r *runner) interruptAndTransfer(s *stream, k, w int) {
-	r.startXfer(r.allocXfer(xfer{kind: xfSample, n: s.bytes, s: s, k: k, w: w}))
+	r.startXfer(r.allocXfer(xfer{kind: xfSample, n: int32(s.bytes), s: s.idx, k: int32(k), w: int32(w)}))
 }
 
 // batchSample appends a sample to the app's MCU-side batch, flushing early
@@ -71,5 +71,5 @@ func (r *runner) flushBatch(st *appState, w int, final bool) {
 		return
 	}
 	st.pendingFlushes[w]++
-	r.startXfer(r.allocXfer(xfer{kind: xfBatch, n: fill, st: st, w: w, fill: fill, final: final}))
+	r.startXfer(r.allocXfer(xfer{kind: xfBatch, n: int32(fill), st: st.idx, w: int32(w), final: final}))
 }

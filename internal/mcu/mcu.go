@@ -63,11 +63,14 @@ var (
 	ErrBusy = errors.New("mcu: busy")
 )
 
+// workItem is one queued or running piece of work. It records no start
+// instant: once an item starts it runs for d uninterrupted (a crash cancels
+// its end and restarts it from scratch), so its routine span starts d before
+// it ends.
 type workItem struct {
-	d       time.Duration
-	r       energy.Routine
-	done    sim.Done
-	startAt sim.Time // execution start, for routine spans
+	d    time.Duration
+	r    energy.Routine
+	done sim.Done
 }
 
 // The MCU's typed events: the running item finished (the L106 is a single
@@ -239,7 +242,6 @@ func (m *MCU) maybeStart() error {
 	}
 	m.running = true
 	it := m.queue.Front()
-	it.startAt = m.sched.Now()
 	m.track.Set(m.params.ActiveW, it.r)
 	ev, err := m.sched.AfterCall(it.d, m, sim.Arg{Op: opEnd})
 	if err != nil {
@@ -268,7 +270,8 @@ func (m *MCU) endWork() {
 	it := m.queue.Front()
 	m.busy.Add(it.r, it.d)
 	if m.obs.Tracing() {
-		m.obs.Span("mcu", it.r.String(), it.startAt, m.sched.Now())
+		now := m.sched.Now()
+		m.obs.Span("mcu", it.r.String(), now-sim.Time(it.d), now)
 	}
 	done := it.done
 	m.queue.Pop()

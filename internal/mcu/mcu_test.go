@@ -654,3 +654,12 @@ func TestResetMidRunMatchesFresh(t *testing.T) {
 		t.Errorf("reset board reads %+v\nfresh board reads %+v", got, want)
 	}
 }
+
+// TestWorkItemSize pins the work item every ExecCall copies into the queue
+// ring (DESIGN.md §7): a field that makes it larger makes every device call
+// dearer.
+func TestWorkItemSize(t *testing.T) {
+	if got, max := reflect.TypeOf(workItem{}).Size(), uintptr(56); got > max {
+		t.Errorf("mcu workItem is %d bytes, want at most %d: see DESIGN.md §7 before growing a hot record", got, max)
+	}
+}

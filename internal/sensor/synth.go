@@ -17,6 +17,23 @@ type Source interface {
 	AppendSample(dst []byte, i int) []byte
 }
 
+// lazyRand is a seeded normal-noise generator that builds its rand.Rand on
+// the first draw, so a source that is never sampled (a run that skips app
+// compute builds every app's sources) never seeds one. The draws are those of
+// rand.New(rand.NewSource(seed)).
+type lazyRand struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+// NormFloat64 returns the generator's next normally distributed value.
+func (l *lazyRand) NormFloat64() float64 {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng.NormFloat64()
+}
+
 // Encoding helpers shared by generators and app-side drivers. All sensors use
 // little-endian register layouts.
 
@@ -77,7 +94,7 @@ type AccelWalk struct {
 	StepHz    float64 // steps per second
 	AmplMilli float64 // oscillation amplitude, milli-g
 	Noise     float64 // noise stddev, milli-g
-	rng       *rand.Rand
+	rng       lazyRand
 	noiseAt   int
 	noiseVals []float64
 }
@@ -89,7 +106,7 @@ func NewAccelWalk(seed int64, rateHz, stepHz float64) *AccelWalk {
 		StepHz:    stepHz,
 		AmplMilli: 250,
 		Noise:     20,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       lazyRand{seed: seed},
 	}
 }
 
@@ -126,7 +143,7 @@ type AccelQuake struct {
 	RateHz     float64
 	BurstStart int
 	BurstLen   int
-	rng        *rand.Rand
+	rng        lazyRand
 	noiseAt    int
 	noiseVals  []float64
 }
@@ -138,7 +155,7 @@ func NewAccelQuake(seed int64, rateHz float64, burstStart, burstLen int) *AccelQ
 		RateHz:     rateHz,
 		BurstStart: burstStart,
 		BurstLen:   burstLen,
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        lazyRand{seed: seed},
 	}
 }
 
@@ -174,7 +191,7 @@ type ECGWave struct {
 	RateHz    float64
 	BPM       float64
 	Irregular map[int]bool // beat index -> irregular
-	rng       *rand.Rand
+	rng       lazyRand
 	peaks     []int // sample indices of R peaks, grown on demand
 	noiseAt   int
 	noiseVals []float64
@@ -191,7 +208,7 @@ func NewECGWave(seed int64, rateHz, bpm float64, irregularBeats ...int) *ECGWave
 		RateHz:    rateHz,
 		BPM:       bpm,
 		Irregular: irr,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       lazyRand{seed: seed},
 	}
 }
 
@@ -298,7 +315,7 @@ type AudioSpeech struct {
 	Words   []AudioWord
 	WordLen int // samples per word
 	GapLen  int // silence samples between words
-	rng     *rand.Rand
+	rng     lazyRand
 	nAt     int
 	nVals   []float64
 }
@@ -310,7 +327,7 @@ func NewAudioSpeech(seed int64, rateHz float64, wordLen, gapLen int, words ...Au
 		Words:   words,
 		WordLen: wordLen,
 		GapLen:  gapLen,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     lazyRand{seed: seed},
 	}
 }
 
@@ -401,7 +418,7 @@ type Scalar struct {
 	Base     float64
 	Step     float64
 	AsInt    bool // encode as Int (4 B) rather than Double (8 B)
-	rng      *rand.Rand
+	rng      lazyRand
 	walkAt   int
 	walkVals []float64
 }
@@ -409,7 +426,7 @@ type Scalar struct {
 // NewScalar returns a deterministic environmental source for the given
 // sensor, with baselines in the sensor's natural units.
 func NewScalar(seed int64, kind ScalarKind) *Scalar {
-	s := &Scalar{Kind: kind, rng: rand.New(rand.NewSource(seed))}
+	s := &Scalar{Kind: kind, rng: lazyRand{seed: seed}}
 	switch kind {
 	case ScalarPressure:
 		s.Base, s.Step = 101325, 2

@@ -398,3 +398,33 @@ func TestDefaultSourceBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// A source seeds its noise generator on its first sample, whichever index
+// that is: sampling a fresh source at a late index first and then from 0
+// returns the same samples as sampling a fresh one in order.
+func TestLazySeedMatchesInOrder(t *testing.T) {
+	sources := map[string]func() Source{
+		"AccelWalk":   func() Source { return NewAccelWalk(7, 1000, 2) },
+		"AccelQuake":  func() Source { return NewAccelQuake(7, 1000, 10, 40) },
+		"ECGWave":     func() Source { return NewECGWave(7, 500, 72, 1) },
+		"AudioSpeech": func() Source { return NewAudioSpeech(7, 8000, 20, 10, WordYes, WordStop) },
+		"Scalar":      func() Source { return NewScalar(7, ScalarPressure) },
+	}
+	const n, late = 64, 50
+	for name, mk := range sources {
+		inOrder := mk()
+		var want [][]byte
+		for i := 0; i < n; i++ {
+			want = append(want, inOrder.AppendSample(nil, i))
+		}
+		lateFirst := mk()
+		if got := lateFirst.AppendSample(nil, late); !bytes.Equal(got, want[late]) {
+			t.Errorf("%s: sample %d drawn first = %x, in order %x", name, late, got, want[late])
+		}
+		for i := 0; i < n; i++ {
+			if got := lateFirst.AppendSample(nil, i); !bytes.Equal(got, want[i]) {
+				t.Errorf("%s: sample %d after drawing %d first = %x, in order %x", name, i, late, got, want[i])
+			}
+		}
+	}
+}

@@ -61,8 +61,8 @@ type chainedStream struct {
 	base   uint64
 }
 
-// OnEvent handles a read (Op 0: P0 stream, I0 index) or a follow-up (Op: the
-// steps left in its chain).
+// OnEvent handles a read (Op 0: I0 index, I1 stream index) or a follow-up
+// (Op: the steps left in its chain).
 func (c *chainedStreams) OnEvent(a Arg) {
 	if a.Op > 0 {
 		if a.Op > 1 {
@@ -70,9 +70,9 @@ func (c *chainedStreams) OnEvent(a Arg) {
 		}
 		return
 	}
-	st, k := a.P0.(*chainedStream), a.I0
+	st, k := &c.streams[a.I1], a.I0
 	if k+1 < int64(st.n) {
-		mustSchedule(c.s.AtCallSeq(Time(k+1)*st.period, st.base+uint64(k+1), c, Arg{P0: st, I0: k + 1}))
+		mustSchedule(c.s.AtCallSeq(Time(k+1)*st.period, st.base+uint64(k+1), c, Arg{I0: k + 1, I1: a.I1}))
 	}
 	mustSchedule(c.s.AfterCall(300, c, Arg{Op: 3}))
 }
@@ -94,7 +94,7 @@ func BenchmarkSchedulerChainedStreams(b *testing.B) {
 		for j := range c.streams {
 			st := &c.streams[j]
 			st.base = c.s.Reserve(st.n)
-			mustSchedule(c.s.AtCallSeq(0, st.base, c, Arg{P0: st}))
+			mustSchedule(c.s.AtCallSeq(0, st.base, c, Arg{I1: int64(j)}))
 		}
 		if err := c.s.Run(); err != nil {
 			b.Fatal(err)

@@ -23,8 +23,7 @@ func (r *recorderCB) OnEvent(a Arg) {
 func TestAtCallDeliversArg(t *testing.T) {
 	s := NewScheduler()
 	rec := &recorderCB{s: s}
-	p := &struct{ x int }{x: 42}
-	want := Arg{Op: 7, I0: -3, I1: 1 << 40, P0: p}
+	want := Arg{Op: 7, I0: -3, I1: 1 << 40}
 	if _, err := s.AtCall(25, rec, want); err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +96,14 @@ func TestDoneInvoke(t *testing.T) {
 
 // TestSteadyStateAtCallZeroAlloc pins the typed form's reason to exist:
 // schedule→dispatch with context in the Arg performs zero allocations once
-// the arena is warm — including a pointer payload in P0.
+// the arena is warm.
 func TestSteadyStateAtCallZeroAlloc(t *testing.T) {
 	s := NewScheduler()
 	sink := &recorderCB{s: s}
 	sink.args = make([]Arg, 0, 4096)
 	sink.ats = make([]Time, 0, 4096)
-	payload := &struct{ n int }{n: 1}
 	for i := 0; i < 64; i++ {
-		if _, err := s.AfterCall(time.Microsecond, sink, Arg{I0: int64(i), P0: payload}); err != nil {
+		if _, err := s.AfterCall(time.Microsecond, sink, Arg{I0: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +114,7 @@ func TestSteadyStateAtCallZeroAlloc(t *testing.T) {
 		sink.args = sink.args[:0]
 		sink.ats = sink.ats[:0]
 		for i := 0; i < 16; i++ {
-			if _, err := s.AfterCall(time.Microsecond, sink, Arg{Op: i, I0: int64(i), P0: payload}); err != nil {
+			if _, err := s.AfterCall(time.Microsecond, sink, Arg{Op: i, I0: int64(i), I1: int64(-i)}); err != nil {
 				t.Fatal(err)
 			}
 		}

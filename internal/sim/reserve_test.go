@@ -48,28 +48,31 @@ func decodeOrder(data []byte) []orderStep {
 	return steps
 }
 
-// seriesRun is one started series: its first instant, its reserved seq base
-// (chained mode only), and the step that shapes it.
+// seriesRun is one started series: the step that shapes it, its first
+// instant, and its reserved seq base (chained mode only). Its index in
+// orderRun.runs names it in the log.
 type seriesRun struct {
-	id   int
-	st   *orderStep
+	step int
 	t0   Time
 	base uint64
 }
 
 // orderRun replays a schedule, queuing each series either fully up front or
-// chained under reserved seqs, and logs every dispatch.
+// chained under reserved seqs, and logs every dispatch. Steps, started series
+// and follow-ups live in its slices; events name them by index.
 type orderRun struct {
 	s       *Scheduler
 	chained bool
-	series  int
+	steps   []orderStep
+	runs    []seriesRun
+	follows []followUp
 	log     []string
 }
 
 const (
-	opSeriesEvent = iota + 1 // P0 *seriesRun, I0 index in the series
-	opPlainEvent             // P0 *orderStep, I0 step index
-	opFollowUp               // P0 *followUp, I0 depth
+	opSeriesEvent = iota + 1 // I0 index in the series, I1 index in runs
+	opPlainEvent             // I0 step index
+	opFollowUp               // I0 depth, I1 index in follows
 )
 
 // followUp is a follow-up event's label and the follow-ups it schedules.
@@ -78,19 +81,21 @@ type followUp struct {
 	follow []Time
 }
 
-// startSeries queues the series starting at t0: every event at once, or, in
-// chained mode, only the first under a freshly reserved block of seqs.
-func (o *orderRun) startSeries(st *orderStep, t0 Time) {
-	sr := &seriesRun{id: o.series, st: st, t0: t0}
-	o.series++
+// startSeries queues the series of step i starting at t0: every event at
+// once, or, in chained mode, only the first under a freshly reserved block of
+// seqs.
+func (o *orderRun) startSeries(i int, t0 Time) {
+	run := int64(len(o.runs))
+	o.runs = append(o.runs, seriesRun{step: i, t0: t0})
+	st := &o.steps[i]
 	if !o.chained {
 		for k := 0; k < st.n; k++ {
-			mustSchedule(o.s.AtCall(t0+Time(k)*st.period, o, Arg{Op: opSeriesEvent, P0: sr, I0: int64(k)}))
+			mustSchedule(o.s.AtCall(t0+Time(k)*st.period, o, Arg{Op: opSeriesEvent, I0: int64(k), I1: run}))
 		}
 		return
 	}
-	sr.base = o.s.Reserve(st.n)
-	mustSchedule(o.s.AtCallSeq(t0, sr.base, o, Arg{Op: opSeriesEvent, P0: sr}))
+	o.runs[run].base = o.s.Reserve(st.n)
+	mustSchedule(o.s.AtCallSeq(t0, o.runs[run].base, o, Arg{Op: opSeriesEvent, I1: run}))
 }
 
 // mustSchedule panics on a scheduling error: the schedules built in this
@@ -104,20 +109,21 @@ func mustSchedule(_ EventID, err error) {
 func (o *orderRun) OnEvent(a Arg) {
 	switch a.Op {
 	case opSeriesEvent:
-		sr, k := a.P0.(*seriesRun), int(a.I0)
-		if o.chained && k+1 < sr.st.n {
-			at := sr.t0 + Time(k+1)*sr.st.period
-			mustSchedule(o.s.AtCallSeq(at, sr.base+uint64(k+1), o, Arg{Op: opSeriesEvent, P0: sr, I0: int64(k + 1)}))
+		sr, k := o.runs[a.I1], int(a.I0)
+		st := &o.steps[sr.step]
+		if o.chained && k+1 < st.n {
+			at := sr.t0 + Time(k+1)*st.period
+			mustSchedule(o.s.AtCallSeq(at, sr.base+uint64(k+1), o, Arg{Op: opSeriesEvent, I0: int64(k + 1), I1: a.I1}))
 		}
-		o.dispatch(fmt.Sprintf("s%d.%d", sr.id, k), sr.st.follow, 0)
+		o.dispatch(fmt.Sprintf("s%d.%d", a.I1, k), st.follow, 0)
 	case opPlainEvent:
-		st := a.P0.(*orderStep)
-		o.dispatch(fmt.Sprintf("e%d", a.I0), st.follow, 0)
-		if st.nested {
-			o.startSeries(st, o.s.Now())
+		i := int(a.I0)
+		o.dispatch(fmt.Sprintf("e%d", i), o.steps[i].follow, 0)
+		if o.steps[i].nested {
+			o.startSeries(i, o.s.Now())
 		}
 	case opFollowUp:
-		fu := a.P0.(*followUp)
+		fu := o.follows[a.I1]
 		o.dispatch(fu.label, fu.follow, int(a.I0))
 	}
 }
@@ -137,20 +143,21 @@ func (o *orderRun) dispatch(label string, follow []Time, depth int) {
 			mustSchedule(schedAt(o.s, at, func() { o.dispatch(child, follow, depth+1) }))
 			continue
 		}
-		mustSchedule(o.s.AtCall(at, o, Arg{Op: opFollowUp, P0: &followUp{child, follow}, I0: int64(depth + 1)}))
+		o.follows = append(o.follows, followUp{child, follow})
+		mustSchedule(o.s.AtCall(at, o, Arg{Op: opFollowUp, I0: int64(depth + 1), I1: int64(len(o.follows) - 1)}))
 	}
 }
 
 // replayOrder runs the schedule once and returns its dispatch log and Stats.
 func replayOrder(steps []orderStep, chained bool) (log []string, scheduled, cancelled uint64) {
-	o := &orderRun{s: NewScheduler(), chained: chained}
+	o := &orderRun{s: NewScheduler(), chained: chained, steps: steps}
 	for i := range steps {
 		st := &steps[i]
 		if st.series {
-			o.startSeries(st, st.at)
+			o.startSeries(i, st.at)
 			continue
 		}
-		id, err := o.s.AtCall(st.at, o, Arg{Op: opPlainEvent, P0: st, I0: int64(i)})
+		id, err := o.s.AtCall(st.at, o, Arg{Op: opPlainEvent, I0: int64(i)})
 		mustSchedule(id, err)
 		if st.cancel && !o.s.Cancel(id) {
 			panic("cancel of a pending event reported false")

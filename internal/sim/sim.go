@@ -18,14 +18,15 @@
 // Done value. Models implement Callback once and dispatch on Arg.Op, so no
 // event captures a closure.
 //
-// Internally pending events live in a value-typed arena with a free list,
-// and the run queue is a sorted slice of arena indices with slack at both
-// ends: dispatch takes the front, and an insert binary-searches its rank and
-// shifts whichever side of it is shorter. Models schedule most events close
-// to the present, so the shorter side is a handful of entries: on each of
-// the repository benchmark's workloads at least 91% of inserts shift 7
-// entries or fewer, and the queue is at most 33 deep outside the one that
-// queues a harvest trace up front (1,454). The worst case is a deep queue
+// Internally pending events live in a value-typed arena of 64-byte slots
+// with a free list; a slot's only pointer is its Callback, since an Arg is
+// three integers. The run queue is a sorted slice of arena indices with
+// slack at both ends: dispatch takes the front, and an insert binary-searches
+// its rank and shifts whichever side of it is shorter. Models schedule most
+// events close to the present, so the shorter side is a handful of entries:
+// on each of the repository benchmark's workloads at least 91% of inserts
+// shift 7 entries or fewer, and the queue is at most 33 deep outside the one
+// that queues a harvest trace up front (1,454). The worst case is a deep queue
 // fed at random ranks: 10k deep, it costs more per event than a heap
 // (DESIGN.md §7). Steady-state schedule→dispatch performs no heap
 // allocations: dispatched slots are recycled, and cancellation is safe
@@ -61,16 +62,16 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 var ErrStopped = errors.New("simulation stopped")
 
 // Arg is the context an event carries to a Callback: a small operation
-// discriminator plus two integer payloads and one pointer payload. It rides
-// inside the event's arena slot, so scheduling captures no closure and a
-// handler fired millions of times per run with different context allocates
-// nothing.
+// discriminator plus two integer payloads. It holds no pointer: a model names
+// its objects by index (a stream, a work slot, a job), so an event slot is
+// three words of context that the collector never scans. It rides inside the
+// event's arena slot, so scheduling captures no closure and a handler fired
+// millions of times per run with different context allocates nothing.
 type Arg struct {
 	// Op discriminates event kinds when one Callback handles several
 	// (typically a switch in OnEvent).
 	Op     int
 	I0, I1 int64
-	P0     any
 }
 
 // Callback is the event handler: OnEvent receives the Arg the event was
@@ -96,7 +97,7 @@ func (d Done) Invoke() {
 	}
 }
 
-// event is one arena slot (80 bytes on 64-bit). A slot is pending — queued
+// event is one arena slot (64 bytes on 64-bit). A slot is pending — queued
 // in the run queue — while cb != nil: release clears cb before the event runs
 // or once it is cancelled. gen
 // increments every time the slot is released, which invalidates any EventID
@@ -170,7 +171,7 @@ func (s *Scheduler) AtCall(t Time, cb Callback, arg Arg) (EventID, error) {
 	// Field by field: arg is spilled in 8-byte words around alloc's rare slab
 	// growth, and a whole-struct copy reloads it with 16-byte moves that
 	// straddle those spills, defeating store-to-load forwarding.
-	ev.arg.Op, ev.arg.I0, ev.arg.I1, ev.arg.P0 = arg.Op, arg.I0, arg.I1, arg.P0
+	ev.arg.Op, ev.arg.I0, ev.arg.I1 = arg.Op, arg.I0, arg.I1
 	s.insert(idx, t, ev.seq)
 	return EventID{slot: idx + 1, gen: ev.gen}, nil
 }
@@ -211,7 +212,7 @@ func (s *Scheduler) AtCallSeq(t Time, seq uint64, cb Callback, arg Arg) (EventID
 	}
 	idx, ev := s.alloc(t, seq)
 	ev.cb = cb
-	ev.arg.Op, ev.arg.I0, ev.arg.I1, ev.arg.P0 = arg.Op, arg.I0, arg.I1, arg.P0 // as in AtCall
+	ev.arg.Op, ev.arg.I0, ev.arg.I1 = arg.Op, arg.I0, arg.I1 // as in AtCall
 	s.insert(idx, t, seq)
 	return EventID{slot: idx + 1, gen: ev.gen}, nil
 }
@@ -275,12 +276,11 @@ func (s *Scheduler) Cancel(id EventID) bool {
 }
 
 // release returns an arena slot to the free list. Bumping gen here is what
-// invalidates outstanding EventIDs; clearing cb/arg releases the callback and
-// context pointers to the collector.
+// invalidates outstanding EventIDs; clearing cb releases the callback to the
+// collector (the Arg holds no pointer, and the next occupant overwrites it).
 func (s *Scheduler) release(idx int32) {
 	ev := &s.arena[idx]
 	ev.cb = nil
-	ev.arg = Arg{}
 	ev.gen++
 	s.free = append(s.free, idx)
 }
