@@ -38,13 +38,13 @@ lint-scheme:
 # scheme-placement lint, the race detector, the optimizer determinism smoke,
 # the observer-effect smoke, the battery/harvest smoke, short fuzz passes over
 # the text decoders that consume user-shaped bytes (CoAP wire format, harvest
-# trace grammar, fleetd's HTTP requests and responses, JSON, JPEG, scheme
-# names), a fuzz pass checking that chained reserved-seq series dispatch
-# exactly like series queued up front, one checking the scheduler's run queue
-# against a brute-force reference, one feeding parsed fault schedules and
-# probe scripts to the fault engine and a brute-force reference, one feeding
-# scenario JSON to Scenario.Config, and one feeding sweep-spec JSON to
-# ParseSpec and Expand.
+# trace grammar, the HTTP request and response codec of the A4 and A6
+# workloads, JSON, JPEG, scheme names), a fuzz pass checking that chained
+# reserved-seq series dispatch exactly like series queued up front, one
+# checking the scheduler's run queue against a brute-force reference, one
+# feeding parsed fault schedules and probe scripts to the fault engine and a
+# brute-force reference, one feeding scenario JSON to Scenario.Config, and one
+# feeding sweep-spec JSON to ParseSpec and Expand.
 check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
 
 fuzz:

@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *progress {
 		opt.Progress = os.Stderr
 	}
-	var srv *obs.MetricsServer
+	var srv *obs.Server
 	if *metricsAddr != "" {
 		opt.Gauges = obs.NewGauges()
 		srv, err = obs.StartMetricsServer(*metricsAddr, opt.Gauges)

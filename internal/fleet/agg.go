@@ -342,10 +342,21 @@ func (a *Aggregator) Fingerprint() string {
 			}
 		}
 	}
-	h := uint64(1469598103934665603) // FNV-1a 64 offset basis
-	for i := 0; i < b.Len(); i++ {
-		h ^= uint64(b.String()[i])
+	return fmt.Sprintf("%016x", fnvMix(fingerprintBasis, b.String()))
+}
+
+// fingerprintBasis seeds every sweep fingerprint. It is not the FNV-1a 64
+// offset basis, 14695981039346656037, but that number with its last digit
+// dropped. Journal headers and snapshots, fleetd submissions and the
+// benchmark's reference aggregates all pin hashes grown from it, so it
+// stays.
+const fingerprintBasis = 1469598103934665603
+
+// fnvMix folds s into h one byte at a time with the FNV-1a 64 step.
+func fnvMix(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return fmt.Sprintf("%016x", h)
+	return h
 }

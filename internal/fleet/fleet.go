@@ -64,9 +64,9 @@ type Result struct {
 
 // RunScenario materializes and executes one scenario, planning the partition
 // when the scheme's table row calls for one — BCOM today, any future
-// partitioned scheme without changes here (this is the planner-aware sibling
-// of hub.RunScenario). It runs in a throwaway arena, so the result owns its
-// storage outright.
+// partitioned scheme without changes here. It is the one scenario runner:
+// hub cannot import the planner. It runs in a throwaway arena, so the result
+// owns its storage outright.
 func RunScenario(s hub.Scenario) (*hub.RunResult, error) {
 	return RunScenarioIn(hub.NewArena(), s)
 }

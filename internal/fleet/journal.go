@@ -223,15 +223,8 @@ func (f *Fold) replay(path string) error {
 // fault rules, meter and supply parameters, Assign, SkipAppCompute. Workers
 // is left out because the pool size never changes what a sweep computes.
 func SpecFingerprint(spec Spec, scens []hub.Scenario) string {
-	h := uint64(1469598103934665603) // FNV-1a 64 offset basis
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
-		h ^= '|'
-		h *= 1099511628211
-	}
+	h := uint64(fingerprintBasis)
+	mix := func(s string) { h = fnvMix(fnvMix(h, s), "|") }
 	spec.Workers = 0
 	// Only a NaN or infinite float fails to marshal, and no parsed spec can
 	// hold one; the scenario sequence below is hashed either way.

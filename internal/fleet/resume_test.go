@@ -367,3 +367,27 @@ func TestAggregatorJSONDeterministic(t *testing.T) {
 		t.Errorf("Baseline/total = %v", doc.Metrics["Baseline/total"])
 	}
 }
+
+// The sweep fingerprints keep their hex. Journal headers and snapshots,
+// fleetd submissions and the benchmark's reference aggregates all carry
+// hashes seeded with fingerprintBasis; "correcting" it to FNV's real offset
+// basis would orphan every one of them, and this test fails first.
+func TestFingerprintsPinned(t *testing.T) {
+	agg := NewAggregator()
+	agg.Apply("Baseline", map[string]float64{"total": 1.25, "latency": 0.5})
+	agg.Apply("COM", map[string]float64{"total": 0.75, "qos": 0})
+	if got, want := agg.Fingerprint(), "e595e87b136da429"; got != want {
+		t.Errorf("two-record Aggregator.Fingerprint() = %s, want %s", got, want)
+	}
+	spec, err := LoadSpec(filepath.Join("testdata", "smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := SpecFingerprint(spec, scens), "1763aab7640506b7"; got != want {
+		t.Errorf("SpecFingerprint(testdata/smoke.json) = %s, want %s", got, want)
+	}
+}

@@ -3,6 +3,8 @@ package fleetd
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -238,7 +240,7 @@ func TestShardAttemptLimitFailsSweep(t *testing.T) {
 	}
 }
 
-// The full HTTP stack: coordinator served over httplite, worker dialing over
+// The full HTTP stack: coordinator served over net/http, worker dialing over
 // TCP, /status and /metrics live alongside the RPCs. /metrics reads its
 // service state from Status, so even after every worker has left the
 // liveness window each iothub_fleetd_* series equals the Status field it
@@ -319,6 +321,57 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 	for name := range fleetd {
 		t.Errorf("/metrics lacks %s", name)
 	}
+}
+
+// The coordinator's wire refuses what it must and keeps serving: a body over
+// the 4 MiB cap gets 413 whether it declares its length or comes chunked, a
+// GET to an RPC path gets 405 with a JSON error, and /status answers after
+// each refusal.
+func TestHTTPServiceRejectsOversizeAndWrongMethod(t *testing.T) {
+	c, err := New(Config{Spec: testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv, err := ServeHTTP("127.0.0.1:0", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rpc := HTTPTransport{Addr: srv.Addr(), Timeout: 5 * time.Second}
+	stillServing := func(after string) {
+		t.Helper()
+		if _, err := rpc.Call("/status", nil); err != nil {
+			t.Errorf("after %s: /status: %v", after, err)
+		}
+	}
+
+	oversize := bytes.Repeat([]byte{' '}, 4<<20+1)
+	if _, err := rpc.Call("/submit", oversize); err == nil || !strings.Contains(err.Error(), "status 413") {
+		t.Errorf("declared 4 MiB + 1 body: err = %v, want status 413", err)
+	}
+	stillServing("a declared oversize body")
+
+	// io.MultiReader hides the body's length, so it goes out chunked.
+	chunked, err := (&http.Client{Transport: &http.Transport{}, Timeout: 5 * time.Second}).Post(
+		"http://"+srv.Addr()+"/submit", "application/json", io.MultiReader(bytes.NewReader(oversize)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked.Body.Close()
+	if chunked.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked 4 MiB + 1 body: status %d, want 413", chunked.StatusCode)
+	}
+	stillServing("a chunked oversize body")
+
+	status, body, err := obs.Do("GET", srv.Addr(), "/lease", nil, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusMethodNotAllowed || string(body) != `{"error":"use POST"}` {
+		t.Errorf("GET /lease: %d %s, want 405 {\"error\":\"use POST\"}", status, body)
+	}
+	stillServing("a GET to /lease")
 }
 
 // The coordinator journals exactly like the in-process engine: kill it

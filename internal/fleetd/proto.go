@@ -107,8 +107,11 @@ type StatusResponse struct {
 	WorkersLive      int    `json:"workersLive"`
 }
 
-// RecordsFingerprint hashes a shard's records (FNV-1a over their canonical
-// JSON) — the payload integrity token carried by SubmitRequest.
+// RecordsFingerprint hashes a shard's records (the FNV-1a 64 step over their
+// canonical JSON) — the payload integrity token carried by SubmitRequest. It
+// starts from the sweep fingerprints' basis, which is not FNV's offset
+// basis 14695981039346656037 but that number with its last digit dropped;
+// the constant stays so the token never changes.
 func RecordsFingerprint(records []fleet.DoneRecord) string {
 	h := uint64(1469598103934665603)
 	for i := range records {

@@ -1,17 +1,19 @@
 package fleetd
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"time"
 
-	"iothub/internal/httplite"
 	"iothub/internal/obs"
 )
 
 // Transport is one RPC hop from a worker to the coordinator: deliver a JSON
 // body to a path, return the JSON reply. Implementations: Loopback (same
-// process), HTTPTransport (httplite over TCP), and Chaos (either of those
-// wrapped in seeded failure injection).
+// process), HTTPTransport (net/http over TCP, built by obs), and Chaos
+// (either of those wrapped in seeded failure injection).
 type Transport interface {
 	Call(path string, body []byte) ([]byte, error)
 }
@@ -35,10 +37,9 @@ func (l Loopback) Call(path string, body []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// HTTPTransport dials the coordinator once per call — the same
-// one-request-per-connection discipline as every other httplite surface, so
-// a worker holds no connection state that a coordinator restart could
-// invalidate.
+// HTTPTransport POSTs each call to the coordinator on a connection of its
+// own (obs.Do), so a worker holds no connection state that a coordinator
+// restart could invalidate.
 type HTTPTransport struct {
 	Addr    string
 	Timeout time.Duration
@@ -46,44 +47,44 @@ type HTTPTransport struct {
 
 // Call implements Transport.
 func (t HTTPTransport) Call(path string, body []byte) ([]byte, error) {
-	resp, err := httplite.Do(t.Addr, &httplite.Request{
-		Method:  "POST",
-		Path:    path,
-		Headers: map[string]string{"Content-Type": "application/json"},
-		Body:    body,
-	}, t.Timeout)
+	status, resp, err := obs.Do(http.MethodPost, t.Addr, path, body, t.Timeout)
 	if err != nil {
 		return nil, fmt.Errorf("fleetd: %s: %w", path, err)
 	}
-	if resp.Status != 200 {
-		return nil, fmt.Errorf("fleetd: %s: status %d: %s", path, resp.Status, resp.Body)
+	if status != 200 {
+		return nil, fmt.Errorf("fleetd: %s: status %d: %s", path, status, resp)
 	}
-	return resp.Body, nil
+	return resp, nil
 }
 
 // ServeHTTP exposes a coordinator on addr: the RPC paths as POST (GET also
 // accepted for the read-only /spec and /status), plus GET /metrics serving
-// Coordinator.WritePrometheus.
-func ServeHTTP(addr string, c *Coordinator) (*httplite.Server, error) {
+// Coordinator.WritePrometheus. A body over obs's cap gets 413.
+func ServeHTTP(addr string, c *Coordinator) (*obs.Server, error) {
 	metrics := obs.MetricsHandler(c.WritePrometheus)
-	jsonHeaders := map[string]string{"Content-Type": "application/json"}
-	return httplite.Serve(addr, func(req *httplite.Request) httplite.Reply {
+	return obs.Serve(addr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		path := r.URL.Path
+		var status int
+		var resp []byte
 		switch {
-		case req.Path == "/metrics":
-			return metrics(req)
-		case req.Method == "POST" || ((req.Path == "/status" || req.Path == "/spec") && req.Method == "GET"):
-			status, resp := c.Handle(req.Path, req.Body)
-			reason := "OK"
-			if status != 200 {
-				reason = "Bad Request"
+		case path == "/metrics":
+			metrics.ServeHTTP(w, r)
+			return
+		case r.Method == http.MethodPost || (path == "/status" || path == "/spec") && r.Method == http.MethodGet:
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				status, resp = badRequest(err)
+				if errors.As(err, new(*http.MaxBytesError)) {
+					status = http.StatusRequestEntityTooLarge
+				}
+				break
 			}
-			if status == 404 {
-				reason = "Not Found"
-			}
-			return httplite.Reply{Status: status, Reason: reason, Headers: jsonHeaders, Body: resp}
+			status, resp = c.Handle(path, body)
 		default:
-			return httplite.Reply{Status: 405, Reason: "Method Not Allowed",
-				Headers: jsonHeaders, Body: []byte(`{"error":"use POST"}`)}
+			status, resp = http.StatusMethodNotAllowed, []byte(`{"error":"use POST"}`)
 		}
-	})
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_, _ = w.Write(resp) // a failed write has no one left to tell
+	}))
 }

@@ -29,9 +29,9 @@ var (
 	ErrTooLarge  = errors.New("httplite: message too large")
 )
 
-// Parser limits. The parsers were originally client-side only; now that
-// httplite also backs server loops (obs metrics, fleetd RPC) they bound every
-// dimension an attacker controls.
+// Parser limits: they bound every dimension a hostile peer controls. The
+// simulator's own HTTP surfaces (obs metrics, fleetd RPC) run on net/http
+// and keep the same header and body caps there.
 const (
 	// maxHeaderBytes bounds the header block.
 	maxHeaderBytes = 16 * 1024

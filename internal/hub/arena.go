@@ -15,9 +15,9 @@ package hub
 // Retention contract: the *RunResult returned by an Arena's Run — and
 // everything reachable from it (Outputs slices, PerComponent map, ...) — is
 // only valid until the next Run on the same arena, because the backing
-// storage is recycled. Callers copy what they keep. The package-level Run and
-// RunScenario construct a throwaway arena per call, so their results remain
-// immortal as always.
+// storage is recycled. Callers copy what they keep. The package-level Run
+// constructs a throwaway arena per call, so its results remain immortal as
+// always.
 //
 // An Arena is not safe for concurrent use; fleet gives each worker its own.
 
@@ -30,7 +30,6 @@ import (
 	"iothub/internal/link"
 	"iothub/internal/mcu"
 	"iothub/internal/radio"
-	"iothub/internal/scheme"
 	"iothub/internal/sim"
 )
 
@@ -97,24 +96,6 @@ func (a *Arena) prepare(cfg Config) (*runner, error) {
 	}
 	r.prime()
 	return r, nil
-}
-
-// RunScenario materializes and executes the scenario in the arena — the
-// arena-reusing sibling of the package-level RunScenario, with the same
-// partition requirement.
-func (a *Arena) RunScenario(s Scenario) (*RunResult, error) {
-	cfg, err := s.Config()
-	if err != nil {
-		return nil, err
-	}
-	def, err := scheme.Lookup(s.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	if def.Planned() && s.Assign == nil {
-		return nil, fmt.Errorf("%w: %v scenario %s needs an assignment (use fleet.RunScenario, or set Assign)", ErrConfig, s.Scheme, s.Label())
-	}
-	return a.Run(cfg)
 }
 
 // renew readies the runner for a run. Everything a run fills starts at its

@@ -60,21 +60,31 @@ func TestArenaReuseMatchesGolden(t *testing.T) {
 	}
 }
 
+// runScenario materializes s and runs it in a: fleet.RunScenarioIn's work
+// for a scenario that needs no planner.
+func runScenario(a *hub.Arena, s hub.Scenario) (*hub.RunResult, error) {
+	cfg, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	return a.Run(cfg)
+}
+
 // arenaAllocBudget is the pinned steady-state allocation ceiling for one
-// Arena.RunScenario of each benchmark-shaped scenario below (1 window,
-// SkipAppCompute). The residual allocations are per-run by design — scenario
-// materialization (catalog app construction, rate scaling; for A11 only its
-// audio generator and recognizer, the trained model is shared), policy/mode
-// maps, the stream plan, collect()'s result maps, and on a chaos run the
-// fault arming (schedule parsing, the compiled engine and its per-target
-// trigger state, the timed fault list, the per-window fault records), and on
-// an edge run each upload's radio completion — NOT per-event or per-sample
-// state: the event kernel, device stack, meter tracks, bookkeeping maps, and
-// the batch and redo lists a crash wipes and re-reads are all revived in
-// place. Measured on go1.24: 32 plain, 33
-// metered, 35 heavy, 53 chaos, 69 edge; the budget leaves headroom for
-// toolchain drift. Raising it means a hot path regressed; see
-// TestFleetSweepAllocBudget for the gate on the full sweep.
+// scenario run (Config, then Arena.Run) of each benchmark-shaped scenario
+// below (1 window, SkipAppCompute). The residual allocations are per-run by
+// design — scenario materialization (catalog app construction, rate scaling;
+// for A11 only its audio generator and recognizer, the trained model is
+// shared), policy/mode maps, the stream plan, collect()'s result maps, and on
+// a chaos run the fault arming (schedule parsing, the compiled engine and its
+// per-target trigger state, the timed fault list, the per-window fault
+// records), and on an edge run each upload's radio completion — NOT per-event
+// or per-sample state: the event kernel, device stack, meter tracks,
+// bookkeeping maps, and the batch and redo lists a crash wipes and re-reads
+// are all revived in place. Measured on go1.24: 27 plain, 28 metered, 30
+// heavy, 48 chaos, 62 edge; the budget leaves headroom for toolchain drift.
+// Raising it means a hot path regressed; see TestFleetSweepAllocBudget for
+// the gate on the full sweep.
 const arenaAllocBudget = 100
 
 // TestArenaSteadyStateAllocs pins the per-scenario allocation count of a
@@ -115,19 +125,19 @@ func TestArenaSteadyStateAllocs(t *testing.T) {
 			}
 			arena := hub.NewArena()
 			for i := 0; i < 3; i++ {
-				if _, err := arena.RunScenario(s); err != nil {
+				if _, err := runScenario(arena, s); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := arena.RunScenario(s); err != nil {
+				if _, err := runScenario(arena, s); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > arenaAllocBudget {
-				t.Errorf("steady-state RunScenario = %.0f allocs, budget %d", allocs, arenaAllocBudget)
+				t.Errorf("steady-state scenario run = %.0f allocs, budget %d", allocs, arenaAllocBudget)
 			}
-			t.Logf("steady-state RunScenario = %.0f allocs (budget %d)", allocs, arenaAllocBudget)
+			t.Logf("steady-state scenario run = %.0f allocs (budget %d)", allocs, arenaAllocBudget)
 		})
 	}
 }

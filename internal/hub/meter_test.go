@@ -126,12 +126,12 @@ func TestMeterArenaReuse(t *testing.T) {
 		}
 		return string(blob)
 	}
-	fresh := snap(hub.NewArena().RunScenario(metered))
+	fresh := snap(runScenario(hub.NewArena(), metered))
 	arena := hub.NewArena()
-	snap(arena.RunScenario(other))   // dirty the arena meter-free
-	snap(arena.RunScenario(metered)) // first metered reuse
-	snap(arena.RunScenario(other))   // meter state must fully reset
-	reused := snap(arena.RunScenario(metered))
+	snap(runScenario(arena, other))   // dirty the arena meter-free
+	snap(runScenario(arena, metered)) // first metered reuse
+	snap(runScenario(arena, other))   // meter state must fully reset
+	reused := snap(runScenario(arena, metered))
 	if fresh != reused {
 		t.Errorf("metered run diverges between fresh and reused arenas:\nfresh:  %.300s\nreused: %.300s", fresh, reused)
 	}

@@ -123,19 +123,19 @@ func TestArenaSteadyStateAllocsBattery(t *testing.T) {
 	}
 	arena := hub.NewArena()
 	for i := 0; i < 3; i++ {
-		if _, err := arena.RunScenario(s); err != nil {
+		if _, err := runScenario(arena, s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := arena.RunScenario(s); err != nil {
+		if _, err := runScenario(arena, s); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > arenaAllocBudget {
-		t.Errorf("steady-state battery RunScenario = %.0f allocs, budget %d", allocs, arenaAllocBudget)
+		t.Errorf("steady-state battery scenario run = %.0f allocs, budget %d", allocs, arenaAllocBudget)
 	}
-	t.Logf("steady-state battery RunScenario = %.0f allocs (budget %d)", allocs, arenaAllocBudget)
+	t.Logf("steady-state battery scenario run = %.0f allocs (budget %d)", allocs, arenaAllocBudget)
 }
 
 // TestBrownoutUnderChaos composes the two ways an MCU can go down in one run:

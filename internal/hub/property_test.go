@@ -1,6 +1,11 @@
 package hub
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -117,4 +122,86 @@ func subset(mask uint16) []apps.ID {
 		}
 	}
 	return out
+}
+
+// runLabeled materializes s and runs it, naming the run by label, seed and
+// compute setting when it fails.
+func runLabeled(t *testing.T, s Scenario) *RunResult {
+	t.Helper()
+	cfg, err := s.Config()
+	if err == nil {
+		var res *RunResult
+		if res, err = Run(cfg); err == nil {
+			return res
+		}
+	}
+	t.Fatalf("%s (seed %d, skipCompute %v): %v", s.Label(), s.Seed, s.SkipAppCompute, err)
+	return nil
+}
+
+// TestPropertyWindowsAffine checks that a run's energy is affine in its
+// window count: a fixed start and finish cost, then the same marginal cost
+// per window, so E(6) − E(3) = 3·(E(3) − E(2)) to rounding. It does not hold
+// proportionally (E(6)/E(3) is not 2), and it holds only with app compute
+// skipped: each window's outputs then change the upstream payload (A9's
+// UpstreamBytes reads 2124, 3196 and 6294 at 2, 3 and 6 windows), which
+// moves the relation by up to 2.8e-4 relative (COM, A9). The runs skip
+// compute, which iotsim cannot, so a failure names each run's label and
+// seed for a Scenario replay rather than an iotsim command.
+func TestPropertyWindowsAffine(t *testing.T) {
+	for _, id := range catalog.LightIDs {
+		for _, scheme := range []Scheme{Baseline, Batching, COM} {
+			var e [7]float64
+			var labels []string
+			for _, n := range []int{2, 3, 6} {
+				s := Scenario{Apps: []apps.ID{id}, Scheme: scheme, Windows: n, Seed: 1, SkipAppCompute: true}
+				e[n] = runLabeled(t, s).TotalJoules()
+				labels = append(labels, s.Label())
+			}
+			marginal := e[6] - e[3]
+			if d := math.Abs(marginal - 3*(e[3]-e[2])); d > 1e-12*marginal {
+				t.Errorf("%v (seed 1, skipCompute): E6−E3 = %.15g J but 3·(E3−E2) = %.15g J, off by %.2g relative",
+					labels, marginal, 3*(e[3]-e[2]), d/marginal)
+			}
+		}
+	}
+}
+
+// TestPropertyAppOrderDisjointSensors checks that listing two apps the other
+// way round changes nothing when they read disjoint sensors: the whole
+// RunResult, per-component energies and app outputs included, is
+// byte-identical as JSON. Apps sharing a sensor on streams of their own are
+// left out until the order in which such streams are served is a named rule:
+// {A2, A4} differs under Baseline, Batching and COM and is equal under BEAM.
+func TestPropertyAppOrderDisjointSensors(t *testing.T) {
+	pairs := [][2]apps.ID{
+		{apps.CoAPServer, apps.Earthquake}, {apps.StepCounter, apps.ArduinoJSON},
+		{apps.StepCounter, apps.JPEGDecoder}, {apps.ArduinoJSON, apps.Heartbeat},
+		{apps.CoAPServer, apps.ArduinoJSON},
+	}
+	for _, p := range pairs {
+		for _, scheme := range []Scheme{Baseline, Batching, COM, BEAM} {
+			for _, skip := range []bool{false, true} {
+				var blobs [2][]byte
+				var labels [2]string
+				for i, ids := range [][]apps.ID{{p[0], p[1]}, {p[1], p[0]}} {
+					s := Scenario{Apps: ids, Scheme: scheme, Windows: 3, Seed: 1, SkipAppCompute: skip}
+					blob, err := json.Marshal(runLabeled(t, s))
+					if err != nil {
+						t.Fatal(err)
+					}
+					blobs[i], labels[i] = blob, s.Label()
+				}
+				if !bytes.Equal(blobs[0], blobs[1]) {
+					replay := ""
+					if !skip {
+						replay = fmt.Sprintf("; replay each with go run ./cmd/iotsim -apps %s,%s -scheme %s -windows 3 -seed 1 -json",
+							p[0], p[1], strings.ToLower(scheme.String()))
+					}
+					t.Errorf("%s and %s (seed 1, skipCompute %v) differ:\n%.300s\nvs\n%.300s%s",
+						labels[0], labels[1], skip, blobs[0], blobs[1], replay)
+				}
+			}
+		}
+	}
 }

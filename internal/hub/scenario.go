@@ -17,7 +17,8 @@ import (
 // value type fleet sweeps are made of. Unlike Config it holds no live App
 // instances — apps are named by Table II ID and instantiated from Seed at
 // run time, so the same Scenario value re-runs bit-for-bit anywhere (in a
-// fleet worker, from a journal, or standalone via RunScenario).
+// fleet worker, from a journal, or standalone via fleet.RunScenario, which
+// also plans a BCOM partition).
 type Scenario struct {
 	// Apps lists the concurrent workloads by Table II ID ("A2", "A11", ...).
 	Apps []apps.ID `json:"apps"`
@@ -127,12 +128,4 @@ func (s Scenario) Config() (Config, error) {
 		cfg.FaultSchedule = schedule
 	}
 	return cfg, nil
-}
-
-// RunScenario materializes and executes the scenario. Schemes that require
-// an explicit partition (BCOM, Hybrid) must carry one in Assign to run here.
-// A BCOM scenario without one needs the internal/core planner, which sits
-// above this package — use fleet.RunScenario for it.
-func RunScenario(s Scenario) (*RunResult, error) {
-	return NewArena().RunScenario(s)
 }

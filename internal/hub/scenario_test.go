@@ -8,6 +8,7 @@ import (
 
 	"iothub/internal/apps"
 	"iothub/internal/apps/catalog"
+	"iothub/internal/faults"
 )
 
 func TestScenarioLabel(t *testing.T) {
@@ -40,14 +41,6 @@ func TestScenarioConfigErrors(t *testing.T) {
 	}
 }
 
-func TestRunScenarioRejectsBCOM(t *testing.T) {
-	s := Scenario{Apps: []apps.ID{apps.SpeechToTxt, apps.DropboxMgr}, Scheme: BCOM, Windows: 1, Seed: 1}
-	_, err := RunScenario(s)
-	if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "assignment") {
-		t.Errorf("RunScenario(BCOM) err = %v, want ErrConfig asking for an assignment", err)
-	}
-}
-
 // A partitioned scenario carrying its own explicit Assign runs standalone —
 // the property optimizer plan replay rests on — and the partition survives a
 // JSON round trip with mode-name encoding.
@@ -71,7 +64,11 @@ func TestScenarioAssignRoundTrip(t *testing.T) {
 	if back.Assign[apps.SpeechToTxt] != Uploaded || back.Assign[apps.StepCounter] != Offloaded {
 		t.Fatalf("assign did not round-trip: %v", back.Assign)
 	}
-	got, err := RunScenario(back)
+	cfg, err := back.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +81,13 @@ func TestScenarioAssignRoundTrip(t *testing.T) {
 // A scenario run must be bit-for-bit the run of its hand-built config — the
 // property the fleet engine's standalone-replay guarantee rests on.
 func TestRunScenarioMatchesExplicitConfig(t *testing.T) {
-	s := Scenario{
-		Apps: []apps.ID{apps.StepCounter}, Scheme: Batching, Windows: 2, Seed: 42,
-		Faults: "seed=5; link-corrupt:every=60",
+	const text = "seed=5; link-corrupt:every=60"
+	cfg, err := Scenario{Apps: []apps.ID{apps.StepCounter}, Scheme: Batching, Windows: 2, Seed: 42,
+		Faults: text}.Config()
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := RunScenario(s)
+	got, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +95,11 @@ func TestRunScenarioMatchesExplicitConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := Scenario{Apps: []apps.ID{apps.StepCounter}, Scheme: Batching, Windows: 2, Seed: 42,
-		Faults: "seed=5; link-corrupt:every=60"}.Config()
+	schedule, err := faults.ParseSchedule(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.Apps) != 1 || cfg.Apps[0].Spec().ID != a.Spec().ID {
-		t.Fatalf("Config() apps = %v", cfg.Apps)
-	}
-	want, err := Run(cfg)
+	want, err := Run(Config{Apps: []apps.App{a}, Scheme: Batching, Windows: 2, FaultSchedule: schedule})
 	if err != nil {
 		t.Fatal(err)
 	}

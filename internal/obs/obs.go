@@ -17,8 +17,8 @@
 // Exporters: WriteChromeTrace emits spans as Chrome trace-event JSON
 // (loadable in Perfetto or chrome://tracing), WriteCounters dumps the
 // registry as aligned text, WriteFlight dumps the flight ring as JSON lines,
-// and Gauges/MetricsServer (prom.go, server.go) serve live fleet-sweep state
-// in Prometheus text format.
+// and Gauges with StartMetricsServer (prom.go, server.go) serve live
+// fleet-sweep state in Prometheus text format.
 package obs
 
 import (

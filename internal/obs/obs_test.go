@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
+	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"iothub/internal/sim"
 )
@@ -418,7 +422,87 @@ func TestMetricsServerNotFound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := scrapeRaw(srv.Addr(), "/nope"); err == nil {
-		t.Fatal("want error for unknown path")
+	for _, c := range []struct{ method, path string }{{"GET", "/nope"}, {"POST", "/metrics"}} {
+		status, body, err := Do(c.method, srv.Addr(), c.path, nil, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusNotFound || string(body) != "not found\n" {
+			t.Errorf("%s %s: %d %q, want 404 \"not found\\n\"", c.method, c.path, status, body)
+		}
+	}
+}
+
+// rawStatus sends raw bytes to addr on a connection of their own and returns
+// the status line of the reply.
+func rawStatus(t *testing.T, addr, raw string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte(raw)); err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("reading the reply to %.40q: %v", raw, err)
+	}
+	return strings.TrimSpace(line)
+}
+
+// A request net/http cannot parse, or one declaring two body lengths (the
+// request-smuggling vector), gets 400 rather than a hang or a dropped
+// connection.
+func TestMetricsServerRejectsMalformed(t *testing.T) {
+	srv, err := StartMetricsServer("127.0.0.1:0", NewGauges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, raw := range []string{
+		"total garbage\r\n\r\n",
+		"GET /metrics HTTP/1.1 extra\r\nHost: h\r\n\r\n",
+		"POST /metrics HTTP/1.1\r\nHost: h\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\nabcd",
+	} {
+		if got := rawStatus(t, srv.Addr(), raw); !strings.HasPrefix(got, "HTTP/1.1 400 ") {
+			t.Errorf("%q: reply %q, want a 400", raw, got)
+		}
+	}
+}
+
+// A header block far over the 16 KiB cap is refused with 431 instead of
+// being buffered without bound.
+func TestMetricsServerBoundsHeader(t *testing.T) {
+	srv, err := StartMetricsServer("127.0.0.1:0", NewGauges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw := "GET /metrics HTTP/1.1\r\nHost: h\r\nX-Pad: " + strings.Repeat("A", 64<<10) + "\r\n\r\n"
+	if got := rawStatus(t, srv.Addr(), raw); !strings.HasPrefix(got, "HTTP/1.1 431 ") {
+		t.Errorf("64 KiB header: reply %q, want a 431", got)
+	}
+}
+
+func TestMetricsServerCloseIsIdempotentAndStopsServing(t *testing.T) {
+	srv, err := StartMetricsServer("127.0.0.1:0", NewGauges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	if _, err := Scrape(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if _, _, err := Do("GET", addr, "/metrics", nil, 300*time.Millisecond); err == nil {
+		t.Error("closed server still answered")
 	}
 }

@@ -1,82 +1,139 @@
-// MetricsServer: a Prometheus scrape endpoint on httplite's server loop.
-// The fleet CLI and fleetd coordinator are the intended client surfaces —
-// one GET /metrics per connection, text exposition format out — so the
-// embedded wire layer is a better fit than net/http: no mux, no keep-alive
-// state, and the same hardened parser the simulated REST workloads and the
-// fleetd RPC already exercise.
+// HTTP serving for the Prometheus scrape endpoint and the fleetd
+// coordinator/worker RPC, on net/http. This file is the one place that
+// builds the server and the client, so every exchange with a peer keeps the
+// same bounds: at most 16 KiB of headers and 4 MiB of body, 5 s of I/O, one
+// request per client connection, and a Close that waits for in-flight
+// exchanges.
 
 package obs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
-	"strings"
+	"net"
+	"net/http"
 	"time"
-
-	"iothub/internal/httplite"
 )
 
-// serverIOTimeout bounds how long one scrape may hold a connection.
-const serverIOTimeout = 5 * time.Second
+// Bounds on what a peer can make a server or client read, and for how long.
+// The size caps are the ones the simulated REST workloads' wire codec
+// (internal/httplite) enforces.
+const (
+	maxHeaderBytes = 16 << 10
+	maxBodyBytes   = 4 << 20
+	ioTimeout      = 5 * time.Second
+)
 
-// MetricsServer serves a Gauges set at GET /metrics, one request per
-// connection.
-type MetricsServer struct {
-	srv *httplite.Server
+// Server serves one handler on a bound address until Close.
+type Server struct {
+	srv  *http.Server
+	addr string
+	done chan struct{} // closed once the serve loop has returned
 }
 
-// StartMetricsServer binds addr (e.g. ":9090" or "127.0.0.1:0") and serves
-// g until Close.
-func StartMetricsServer(addr string, g *Gauges) (*MetricsServer, error) {
-	srv, err := httplite.Serve(addr, MetricsHandler(g.WritePrometheus))
+// Serve binds addr (e.g. ":9090" or "127.0.0.1:0") and serves h until Close.
+// h reads the request body through a reader that fails with
+// *http.MaxBytesError past the cap; net/http answers a header block over its
+// cap with 431 and a malformed request with 400.
+func Serve(addr string, h http.Handler) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("obs: metrics listen %s: %w", addr, err)
+		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	return &MetricsServer{srv: srv}, nil
+	s := &Server{addr: ln.Addr().String(), done: make(chan struct{})}
+	s.srv = &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+			h.ServeHTTP(w, r)
+		}),
+		MaxHeaderBytes: maxHeaderBytes,
+		ReadTimeout:    ioTimeout,
+		WriteTimeout:   ioTimeout,
+	}
+	go func() {
+		defer close(s.done)
+		_ = s.srv.Serve(ln) // http.ErrServerClosed once Close has run
+	}()
+	return s, nil
 }
 
-// MetricsHandler is the GET /metrics endpoint as a composable httplite
-// handler serving the page render writes, so servers with richer routing
-// (the fleetd coordinator) can mount the same scrape surface the standalone
-// MetricsServer exposes.
-func MetricsHandler(render func(io.Writer) error) httplite.Handler {
-	return func(req *httplite.Request) httplite.Reply {
-		if req.Method != "GET" || strings.SplitN(req.Path, "?", 2)[0] != "/metrics" {
-			return httplite.Reply{Status: 404, Reason: "Not Found",
-				Headers: map[string]string{"Content-Type": "text/plain; charset=utf-8"},
-				Body:    []byte("not found\n")}
+// Addr is the bound address (useful with ":0").
+func (s *Server) Addr() string { return s.addr }
+
+// Close stops accepting, waits for in-flight exchanges, and returns once the
+// serve loop has exited. A second Close returns nil.
+func (s *Server) Close() error {
+	err := s.srv.Shutdown(context.Background())
+	<-s.done
+	return err
+}
+
+// StartMetricsServer serves g at GET /metrics on addr until Close.
+func StartMetricsServer(addr string, g *Gauges) (*Server, error) {
+	return Serve(addr, MetricsHandler(g.WritePrometheus))
+}
+
+// MetricsHandler serves the page render writes at GET /metrics and 404s
+// everything else, so a server with more routes (the fleetd coordinator)
+// mounts the same scrape surface StartMetricsServer exposes.
+func MetricsHandler(render func(io.Writer) error) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/metrics" {
+			http.Error(w, "not found", http.StatusNotFound)
+			return
 		}
 		// A page render fails only when its writer does, and a Buffer never
 		// does.
 		var page bytes.Buffer
 		_ = render(&page)
-		return httplite.Reply{Status: 200, Reason: "OK",
-			Headers: map[string]string{"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
-			Body:    page.Bytes()}
-	}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_, _ = w.Write(page.Bytes()) // a failed write has no one left to tell
+	})
 }
 
-// Addr is the bound address (useful with ":0").
-func (s *MetricsServer) Addr() string { return s.srv.Addr() }
+// client makes one request per connection: a fleetd worker then holds no
+// connection state that a coordinator restart could invalidate, and sees a
+// coordinator that has exited as a refused dial.
+var client = &http.Transport{DisableKeepAlives: true, MaxResponseHeaderBytes: maxHeaderBytes}
 
-// Close stops the listener and waits for in-flight scrapes.
-func (s *MetricsServer) Close() error { return s.srv.Close() }
+// Do makes one exchange with the server at addr, within timeout (5 s when
+// not positive), and returns the reply's status and body. A reply body over
+// the cap is an error.
+func Do(method, addr, path string, body []byte, timeout time.Duration) (int, []byte, error) {
+	if timeout <= 0 {
+		timeout = ioTimeout
+	}
+	req, err := http.NewRequest(method, "http://"+addr+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := (&http.Client{Transport: client, Timeout: timeout}).Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s %s: read reply: %w", method, path, err)
+	}
+	if len(reply) > maxBodyBytes {
+		return 0, nil, fmt.Errorf("%s %s: reply body over %d bytes", method, path, maxBodyBytes)
+	}
+	return resp.StatusCode, reply, nil
+}
 
 // Scrape fetches the metrics endpoint at addr once and returns the
 // exposition body — the self-check iotfleet runs after a sweep, and what CI
 // greps.
 func Scrape(addr string) (string, error) {
-	return scrapeRaw(addr, "/metrics")
-}
-
-func scrapeRaw(addr, path string) (string, error) {
-	resp, err := httplite.Do(addr, &httplite.Request{Method: "GET", Path: path}, serverIOTimeout)
+	status, body, err := Do(http.MethodGet, addr, "/metrics", nil, ioTimeout)
 	if err != nil {
 		return "", fmt.Errorf("obs: scrape %s: %w", addr, err)
 	}
-	if resp.Status != 200 {
-		return "", fmt.Errorf("obs: scrape status %d", resp.Status)
+	if status != http.StatusOK {
+		return "", fmt.Errorf("obs: scrape status %d", status)
 	}
-	return string(resp.Body), nil
+	return string(body), nil
 }
