@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"iothub/internal/experiments"
 )
@@ -47,88 +46,63 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
+	ext := map[string]string{"ascii": "txt", "csv": "csv", "md": "md"}[*format]
+	if ext == "" {
+		return fmt.Errorf("unknown format %q", *format)
+	}
 	var selected []experiments.Experiment
 	switch {
-	case *all && *id != "":
-		return fmt.Errorf("-all and -id are mutually exclusive")
-	case *all:
-		selected = experiments.All()
-		if *ablations {
-			selected = append(selected, experiments.Ablations()...)
-		}
-	case *ablations:
-		selected = experiments.Ablations()
+	case *id != "" && (*all || *ablations):
+		return fmt.Errorf("-id excludes -all and -ablations")
 	case *id != "":
 		e, err := experiments.ByID(*id)
 		if err != nil {
 			return err
 		}
 		selected = []experiments.Experiment{e}
-	default:
+	case !*all && !*ablations:
 		return fmt.Errorf("nothing to do: pass -all, -id <exp>, or -list")
 	}
-
-	// Experiments are independent simulations: run them concurrently and
-	// print in selection order so output stays deterministic.
-	results := make([]*experiments.Result, len(selected))
-	errs := make([]error, len(selected))
-	var wg sync.WaitGroup
-	for i, e := range selected {
-		wg.Add(1)
-		go func(i int, e experiments.Experiment) {
-			defer wg.Done()
-			results[i], errs[i] = e.Run()
-		}(i, e)
+	if *all {
+		selected = experiments.All()
 	}
-	wg.Wait()
-	for i, e := range selected {
-		if errs[i] != nil {
-			return fmt.Errorf("%s: %w", e.ID, errs[i])
-		}
-		res := results[i]
+	if *ablations {
+		selected = append(selected, experiments.Ablations()...)
+	}
+
+	results, err := experiments.Regenerate(selected)
+	if err != nil {
+		return err
+	}
+	for _, res := range results {
 		if *outDir != "" {
-			if err := writeArtifact(*outDir, res, *format); err != nil {
+			err := os.MkdirAll(*outDir, 0o755)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(*outDir, res.ID+"."+ext), []byte(text(res, *format, true)), 0o644)
+			}
+			if err != nil {
 				return err
 			}
 		}
-		switch *format {
-		case "ascii":
-			fmt.Fprintln(out, res.Table.ASCII())
-			if *chart && res.Chart != nil {
-				fmt.Fprintln(out, res.Chart.ASCII())
-			}
-		case "csv":
-			fmt.Fprint(out, res.Table.CSV())
-		case "md":
-			fmt.Fprintln(out, res.Table.Markdown())
-		default:
-			return fmt.Errorf("unknown format %q", *format)
+		if *format == "csv" {
+			fmt.Fprint(out, text(res, *format, *chart))
+		} else {
+			fmt.Fprintln(out, text(res, *format, *chart))
 		}
 	}
 	return nil
 }
 
-// writeArtifact persists one experiment's rendering under dir.
-func writeArtifact(dir string, res *experiments.Result, format string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// text renders one artifact in format; an ASCII table carries its bar chart
+// below it when chart is set.
+func text(res *experiments.Result, format string, chart bool) string {
+	switch {
+	case format == "csv":
+		return res.Table.CSV()
+	case format == "md":
+		return res.Table.Markdown()
+	case chart && res.Chart != nil:
+		return res.Table.ASCII() + "\n" + res.Chart.ASCII()
 	}
-	ext := map[string]string{"ascii": "txt", "csv": "csv", "md": "md"}[format]
-	if ext == "" {
-		return fmt.Errorf("unknown format %q", format)
-	}
-	var content string
-	switch format {
-	case "ascii":
-		content = res.Table.ASCII()
-		if res.Chart != nil {
-			content += "\n" + res.Chart.ASCII()
-		}
-	case "csv":
-		content = res.Table.CSV()
-	case "md":
-		content = res.Table.Markdown()
-	}
-	path := filepath.Join(dir, res.ID+"."+ext)
-	return os.WriteFile(path, []byte(content), 0o644)
+	return res.Table.ASCII()
 }

@@ -44,17 +44,18 @@ func goldenArtifacts() []Experiment {
 	return out
 }
 
-// TestArtifactsGolden compares every pinned artifact with its committed
-// golden, rewriting the golden under -update.
+// TestArtifactsGolden regenerates every pinned artifact in one pass and
+// compares each with its committed golden, rewriting the golden under
+// -update.
 func TestArtifactsGolden(t *testing.T) {
-	for _, e := range goldenArtifacts() {
+	exps := goldenArtifacts()
+	results, err := Regenerate(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			res, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := artifactText(res)
+			got := artifactText(results[i])
 			path := filepath.Join("testdata", "artifacts", e.ID+".txt")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
