@@ -9,14 +9,11 @@ import (
 	"iothub/internal/report"
 )
 
-// fig12Combos are Figure 12's heavy-weight app mixes.
-var fig12Combos = []struct {
-	Key string
-	IDs []apps.ID
-}{
-	{"A11", []apps.ID{apps.SpeechToTxt}},
-	{"A11+A6", []apps.ID{apps.SpeechToTxt, apps.DropboxMgr}},
-	{"A11+A6+A1", []apps.ID{apps.SpeechToTxt, apps.DropboxMgr, apps.CoAPServer}},
+// fig12Combos are Figure 12's heavy-weight app mixes, A11 alone first.
+var fig12Combos = [][]apps.ID{
+	{apps.SpeechToTxt},
+	{apps.SpeechToTxt, apps.DropboxMgr},
+	{apps.SpeechToTxt, apps.DropboxMgr, apps.CoAPServer},
 }
 
 // fig12Rates are the QoS sampling-rate multipliers the sweep explores: half,
@@ -30,17 +27,17 @@ var fig12Rates = []float64{0.5, 1, 2}
 // Multi-app combos add BEAM and BCOM exactly as Fig. 12 does.
 func FleetFig12Spec() fleet.Spec {
 	var scens []hub.Scenario
-	for _, c := range fig12Combos {
+	for _, ids := range fig12Combos {
 		schemes := []hub.Scheme{hub.Baseline, hub.Batching}
-		if len(c.IDs) > 1 {
+		if len(ids) > 1 {
 			schemes = append(schemes, hub.BEAM, hub.BCOM)
 		}
 		for _, s := range schemes {
 			for _, q := range fig12Rates {
 				scens = append(scens, hub.Scenario{
-					Apps: c.IDs, Scheme: s, Windows: Windows, QoSMult: q,
+					Apps: ids, Scheme: s, Windows: Windows, QoSMult: q,
 					SkipAppCompute: true,
-					Tag:            fmt.Sprintf("%s|%v|q%g", c.Key, s, q),
+					Tag:            fmt.Sprintf("%s|%v|q%g", comboLabel(ids), s, q),
 				})
 			}
 		}
@@ -78,28 +75,29 @@ func AblFleet12() (*Result, error) {
 		},
 	}
 	values := map[string]float64{}
-	for _, c := range fig12Combos {
+	for _, ids := range fig12Combos {
+		label := comboLabel(ids)
 		for _, q := range fig12Rates {
-			base, err := mean(c.Key, hub.Baseline, q)
+			base, err := mean(label, hub.Baseline, q)
 			if err != nil {
 				return nil, err
 			}
-			row := []string{c.Key, fmt.Sprintf("x%g", q), report.Cell(base * 1000)}
+			row := []string{label, fmt.Sprintf("x%g", q), report.Cell(base * 1000)}
 			schemes := []hub.Scheme{hub.Batching, hub.BEAM, hub.BCOM}
 			for _, s := range schemes {
-				if len(c.IDs) == 1 && s != hub.Batching {
+				if len(ids) == 1 && s != hub.Batching {
 					row = append(row, "-")
 					continue
 				}
-				tot, err := mean(c.Key, s, q)
+				tot, err := mean(label, s, q)
 				if err != nil {
 					return nil, err
 				}
 				saving := 1 - tot/base
-				values[fmt.Sprintf("%v:%s:q%g", s, c.Key, q)] = saving
+				values[fmt.Sprintf("%v:%s:q%g", s, label, q)] = saving
 				row = append(row, report.Percent(saving))
 			}
-			values[fmt.Sprintf("base:%s:q%g", c.Key, q)] = base
+			values[fmt.Sprintf("base:%s:q%g", label, q)] = base
 			t.AddRow(row...)
 		}
 	}

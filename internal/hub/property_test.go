@@ -171,8 +171,7 @@ func TestPropertyWindowsAffine(t *testing.T) {
 // way round changes nothing when they read disjoint sensors: the whole
 // RunResult, per-component energies and app outputs included, is
 // byte-identical as JSON. Apps sharing a sensor on streams of their own are
-// left out until the order in which such streams are served is a named rule:
-// {A2, A4} differs under Baseline, Batching and COM and is equal under BEAM.
+// TestPropertyAppOrderSharedSensor's.
 func TestPropertyAppOrderDisjointSensors(t *testing.T) {
 	pairs := [][2]apps.ID{
 		{apps.CoAPServer, apps.Earthquake}, {apps.StepCounter, apps.ArduinoJSON},
@@ -199,6 +198,55 @@ func TestPropertyAppOrderDisjointSensors(t *testing.T) {
 							p[0], p[1], strings.ToLower(scheme.String()))
 					}
 					t.Errorf("%s and %s (seed 1, skipCompute %v) differ:\n%.300s\nvs\n%.300s%s",
+						labels[0], labels[1], skip, blobs[0], blobs[1], replay)
+				}
+			}
+		}
+	}
+}
+
+// TestPropertyAppOrderSharedSensor pins what app order may change when two
+// apps read one sensor on streams of their own. Reads of that sensor due at
+// the same instant dispatch in Config.Apps order (DESIGN.md §7, "Tie rule"),
+// so swapping the apps may move only the run's timing and energy: Duration,
+// Energy, PerComponent, CPUWakes and the At of each window output. Every
+// other field must be equal, each output's Window and Result included.
+// BEAM serves both apps from one stream, so there the whole RunResult JSON
+// must be byte-identical.
+func TestPropertyAppOrderSharedSensor(t *testing.T) {
+	pairs := [][2]apps.ID{
+		{apps.StepCounter, apps.M2X}, {apps.StepCounter, apps.Earthquake},
+		{apps.M2X, apps.Earthquake}, {apps.StepCounter, apps.Blynk},
+	}
+	for _, p := range pairs {
+		for _, scheme := range []Scheme{Baseline, Batching, COM, BEAM} {
+			for _, skip := range []bool{false, true} {
+				var blobs [2][]byte
+				var labels [2]string
+				for i, ids := range [][]apps.ID{{p[0], p[1]}, {p[1], p[0]}} {
+					s := Scenario{Apps: ids, Scheme: scheme, Windows: 3, Seed: 1, SkipAppCompute: skip}
+					res := runLabeled(t, s)
+					if scheme != BEAM {
+						res.Duration, res.Energy, res.PerComponent, res.CPUWakes = 0, nil, nil, 0
+						for _, outs := range res.Outputs {
+							for j := range outs {
+								outs[j].At = 0
+							}
+						}
+					}
+					blob, err := json.Marshal(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					blobs[i], labels[i] = blob, s.Label()
+				}
+				if !bytes.Equal(blobs[0], blobs[1]) {
+					replay := ""
+					if !skip {
+						replay = fmt.Sprintf("; replay each with go run ./cmd/iotsim -apps %s,%s -scheme %s -windows 3 -seed 1 -json",
+							p[0], p[1], strings.ToLower(scheme.String()))
+					}
+					t.Errorf("%s and %s (seed 1, skipCompute %v) differ beyond timing and energy:\n%.300s\nvs\n%.300s%s",
 						labels[0], labels[1], skip, blobs[0], blobs[1], replay)
 				}
 			}
