@@ -18,6 +18,7 @@ import (
 	"iothub/internal/experiments"
 	"iothub/internal/fleet"
 	"iothub/internal/fleetd"
+	"iothub/internal/hub"
 )
 
 // benchExperiment runs one experiment per iteration and reports selected
@@ -161,6 +162,54 @@ func TestFleetSweepAllocBudget(t *testing.T) {
 		t.Errorf("fleet sweep = %.1f allocs/scenario, budget %d", per, sweepAllocBudget)
 	}
 	t.Logf("fleet sweep = %.1f allocs/scenario (budget %d)", per, sweepAllocBudget)
+}
+
+// denseScenario is the heaviest scenario of the repository benchmark's
+// dense-sweep grid: four apps under Baseline at twice their QoS rates for five
+// windows, which backs the MCU's work queue up to 45,637 items.
+func denseScenario() hub.Scenario {
+	return hub.Scenario{
+		Apps:           []apps.ID{apps.StepCounter, apps.M2X, apps.Blynk, apps.Earthquake},
+		Scheme:         hub.Baseline,
+		Windows:        5,
+		Seed:           1,
+		QoSMult:        2,
+		SkipAppCompute: true,
+	}
+}
+
+// arenaRetainBudget is the live heap, in bytes, an arena may keep after
+// running denseScenario: its device queues, pools and result, sized to that
+// run's peak backlog. Measured on go1.24: 4.04 MB, and the same under -race;
+// 56-byte work items that held their completion's callback made it 5.35 MB.
+// Raising it means a per-worker record grew.
+const arenaRetainBudget = 4.7e6
+
+// TestArenaRetainBudget gates what a fleet worker's arena holds between
+// scenarios, beside the sweep's allocation budget: the live heap after a
+// collection, with the arena alive, less the live heap before it was built.
+func TestArenaRetainBudget(t *testing.T) {
+	sc := denseScenario()
+	// A first run in a throwaway arena settles package-level state, so the
+	// measured growth is the arena's own.
+	if _, err := fleet.RunScenario(sc); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a := hub.NewArena()
+	if _, err := fleet.RunScenarioIn(a, sc); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if retained > arenaRetainBudget {
+		t.Errorf("%s retains %.2f MB in its arena, budget %.2f MB", sc.Label(), float64(retained)/1e6, arenaRetainBudget/1e6)
+	}
+	t.Logf("%s retains %.2f MB in its arena (budget %.2f MB)", sc.Label(), float64(retained)/1e6, arenaRetainBudget/1e6)
 }
 
 // BenchmarkFleetSweep runs a 64-scenario grid through the fleet engine at

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"iothub/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/all-chart.txt")
@@ -87,8 +90,13 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-ablations", "-id", "fig1"}, &out); err == nil {
 		t.Error("-ablations with -id accepted")
 	}
-	if err := run([]string{"-id", "fig99"}, &out); err == nil {
-		t.Error("unknown id accepted")
+	// main prints "experiments: " before the error, so the error itself must
+	// not start with that prefix again.
+	err := run([]string{"-id", "fig99"}, &out)
+	if !errors.Is(err, experiments.ErrUnknown) {
+		t.Errorf("unknown id: err = %v, want experiments.ErrUnknown", err)
+	} else if want := `unknown experiment: "fig99"`; err.Error() != want {
+		t.Errorf("unknown id: err = %q, want %q", err, want)
 	}
 	if err := run([]string{"-id", "table1", "-format", "xml"}, &out); err == nil {
 		t.Error("unknown format accepted")

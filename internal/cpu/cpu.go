@@ -99,13 +99,17 @@ func (p Params) SleepBreakEven() time.Duration {
 	return time.Duration(overhead / saved * float64(time.Second))
 }
 
-// workItem is one queued or running piece of work. It records no start
-// instant: an item that starts runs for d without interruption, so its
-// routine span starts d before it ends.
+// workItem is one queued or running piece of work: 40 bytes with no
+// pointer, so the slot pool is neither scanned by the collector nor
+// write-barriered. Its completion is the scheduler handle of the Done's
+// callback plus the Done's Arg. It records no start instant: an item that
+// starts runs for d without interruption, so its routine span starts d
+// before it ends.
 type workItem struct {
 	d    time.Duration
-	r    energy.Routine
-	done sim.Done
+	arg  sim.Arg
+	done sim.Handle
+	r    uint8 // energy.Routine, checked by ExecCall
 }
 
 // Ops for the CPU's own scheduled events (see OnEvent).
@@ -193,7 +197,6 @@ func (c *CPU) Reset(params Params) error {
 	if err := params.Validate(); err != nil {
 		return err
 	}
-	clear(c.items)
 	c.queueIO.Reset()
 	c.queueCompute.Reset()
 	*c = CPU{
@@ -273,13 +276,17 @@ func (c *CPU) ComputeTime(millionInstr float64) time.Duration {
 func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration { return c.busy.Map() }
 
 // ExecCall queues d of work attributed to routine r; done (the zero Done for
-// none) is delivered when the work completes. Interrupt and DataTransfer work
-// serializes on the IO lane; everything else parallelizes on the compute
-// lane. If the processor is sleeping, the wake transition is charged to r and
-// delays the work.
+// none, else with a comparable callback) is delivered when the work
+// completes. Interrupt and DataTransfer work serializes on the IO lane;
+// everything else parallelizes on the compute lane. If the processor is
+// sleeping, the wake transition is charged to r and delays the work. A
+// negative d or a routine outside DataCollection..Idle is an error.
 func (c *CPU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("cpu: negative work duration %v", d)
+	}
+	if r < energy.DataCollection || r > energy.Idle {
+		return fmt.Errorf("cpu: work attributed to unknown %v", r)
 	}
 	var slot int32
 	if n := len(c.itemsFree); n > 0 {
@@ -290,7 +297,7 @@ func (c *CPU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 		c.items = append(c.items, workItem{})
 	}
 	it := &c.items[slot]
-	it.d, it.r, it.done = d, r, done
+	it.d, it.arg, it.done, it.r = d, done.Arg, c.sched.Handle(done.CB), uint8(r)
 	if isIO(r) {
 		*c.queueIO.Push() = slot
 	} else {
@@ -314,7 +321,7 @@ func (c *CPU) maybeStart() error {
 		}
 		wakeFor := energy.AppCompute
 		if c.queueIO.Len() > 0 {
-			wakeFor = c.items[*c.queueIO.Front()].r
+			wakeFor = energy.Routine(c.items[*c.queueIO.Front()].r)
 		}
 		c.setState(Waking)
 		c.wakes++
@@ -328,7 +335,7 @@ func (c *CPU) maybeStart() error {
 			slot := *c.queueIO.Front()
 			c.queueIO.Pop()
 			c.ioBusy = true
-			c.ioRoutine = c.items[slot].r
+			c.ioRoutine = energy.Routine(c.items[slot].r)
 			if err := c.beginWork(slot); err != nil {
 				return err
 			}
@@ -384,19 +391,18 @@ func (c *CPU) setActivePower() {
 // endWork retires the item in slot, freeing the slot before its completion
 // runs so the completion can queue more work.
 func (c *CPU) endWork(slot int32) {
-	it := &c.items[slot]
-	c.busy.Add(it.r, it.d)
+	it := c.items[slot]
+	r := energy.Routine(it.r)
+	c.busy.Add(r, it.d)
 	if c.obs.Tracing() {
 		now := c.sched.Now()
-		c.obs.Span("cpu", it.r.String(), now-sim.Time(it.d), now)
+		c.obs.Span("cpu", r.String(), now-sim.Time(it.d), now)
 	}
-	if isIO(it.r) {
+	if isIO(r) {
 		c.ioBusy = false
 	} else {
 		c.computeBusy--
 	}
-	done := it.done
-	*it = workItem{}
 	c.itemsFree = append(c.itemsFree, slot)
 	if c.ioBusy || c.computeBusy > 0 {
 		c.setActivePower()
@@ -406,7 +412,7 @@ func (c *CPU) endWork(slot int32) {
 		c.setState(WFI)
 		c.track.Set(c.params.WFIW, energy.Idle)
 	}
-	done.Invoke()
+	c.sched.Call(it.done, it.arg)
 	if err := c.maybeStart(); err != nil {
 		c.sched.Stop()
 	}

@@ -9,6 +9,7 @@ import (
 
 	"iothub/internal/energy"
 	"iothub/internal/sim"
+	"iothub/internal/sim/simtest"
 )
 
 func newCPU(t *testing.T) (*CPU, *sim.Scheduler, *energy.Meter) {
@@ -23,22 +24,23 @@ func newCPU(t *testing.T) (*CPU, *sim.Scheduler, *energy.Meter) {
 }
 
 // thunk adapts a plain func to sim.Callback, so tests can hand closures to
-// the typed scheduling API.
-type thunk func()
+// the typed scheduling API. It is a pointer: the scheduler interns a
+// completion's callback by ==, and func values do not compare.
+type thunk struct{ fn func() }
 
-func (f thunk) OnEvent(sim.Arg) { f() }
+func (t *thunk) OnEvent(sim.Arg) { t.fn() }
 
 // exec queues work whose completion runs fn (nil for none).
 func exec(c *CPU, d time.Duration, r energy.Routine, fn func()) error {
 	if fn == nil {
 		return c.ExecCall(d, r, sim.Done{})
 	}
-	return c.ExecCall(d, r, sim.Done{CB: thunk(fn)})
+	return c.ExecCall(d, r, sim.Done{CB: &thunk{fn}})
 }
 
 // after schedules fn d from now.
 func after(s *sim.Scheduler, d time.Duration, fn func()) (sim.EventID, error) {
-	return s.AfterCall(d, thunk(fn), sim.Arg{})
+	return s.AfterCall(d, &thunk{fn}, sim.Arg{})
 }
 
 func run(t *testing.T, s *sim.Scheduler) {
@@ -102,6 +104,24 @@ func TestExecRejectsNegativeDuration(t *testing.T) {
 	c, _, _ := newCPU(t)
 	if err := exec(c, -1, energy.AppCompute, nil); err == nil {
 		t.Error("negative duration accepted")
+	}
+}
+
+// TestExecRejectsUnknownRoutine refuses work attributed to no routine up
+// front, instead of accepting it and failing when its busy time is accrued;
+// 265 would wrap to Interrupt in the work item's one-byte routine.
+func TestExecRejectsUnknownRoutine(t *testing.T) {
+	c, s, _ := newCPU(t)
+	for _, r := range []energy.Routine{0, energy.Idle + 1, 9, 265} {
+		if err := exec(c, time.Millisecond, r, nil); err == nil {
+			t.Errorf("ExecCall accepted %v", r)
+		}
+	}
+	if c.Busy() {
+		t.Error("a refused item was queued")
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -424,7 +444,16 @@ func TestResetMidRunMatchesFresh(t *testing.T) {
 // TestWorkItemSize pins the work item every ExecCall copies into its slot
 // (DESIGN.md §7): a field that makes it larger makes every device call dearer.
 func TestWorkItemSize(t *testing.T) {
-	if got, max := reflect.TypeOf(workItem{}).Size(), uintptr(56); got > max {
+	if got, max := reflect.TypeOf(workItem{}).Size(), uintptr(40); got > max {
 		t.Errorf("cpu workItem is %d bytes, want at most %d: see DESIGN.md §7 before growing a hot record", got, max)
+	}
+}
+
+// TestWorkItemHoldsNoPointer keeps the slot pool out of the collector's
+// sight: a queued completion is a scheduler handle and an Arg, not a
+// callback (DESIGN.md §7).
+func TestWorkItemHoldsNoPointer(t *testing.T) {
+	if simtest.MayHoldPointer(reflect.TypeOf(workItem{})) {
+		t.Error("cpu workItem can hold a pointer: see DESIGN.md §7")
 	}
 }

@@ -76,8 +76,9 @@ func All() []Experiment {
 	}
 }
 
-// ErrUnknown is returned by ByID for unknown experiment IDs.
-var ErrUnknown = errors.New("experiments: unknown experiment")
+// ErrUnknown is returned by ByID for unknown experiment IDs. Its text carries
+// no package prefix, like the pass's other errors: cmd/experiments adds one.
+var ErrUnknown = errors.New("unknown experiment")
 
 // ByID finds an experiment or ablation by its ID ("fig10", "table2",
 // "abl-dma", ...).

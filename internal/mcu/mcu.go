@@ -63,14 +63,24 @@ var (
 	ErrBusy = errors.New("mcu: busy")
 )
 
-// workItem is one queued or running piece of work. It records no start
-// instant: once an item starts it runs for d uninterrupted (a crash cancels
-// its end and restarts it from scratch), so its routine span starts d before
-// it ends.
+// workItem is one queued or running piece of work: 40 bytes with no
+// pointer, so the queue ring is neither scanned by the collector nor
+// write-barriered. Its completion is the scheduler handle of the Done's
+// callback plus the Done's Arg. It records no start instant: once an item
+// starts it runs for d uninterrupted (a crash cancels its end and restarts it
+// from scratch), so its routine span starts d before it ends.
 type workItem struct {
 	d    time.Duration
-	r    energy.Routine
-	done sim.Done
+	arg  sim.Arg
+	done sim.Handle
+	r    uint8 // energy.Routine, checked by ExecCall
+}
+
+// notice is a held alive notification, queued like a work item's completion:
+// the scheduler handle of a Done's callback plus the Done's Arg.
+type notice struct {
+	arg  sim.Arg
+	done sim.Handle
 }
 
 // The MCU's typed events: the running item finished (the L106 is a single
@@ -110,7 +120,7 @@ type MCU struct {
 	downAt    sim.Time // reboot/gate start, for the recovery spans
 	// pendAlive holds the alive notifications, in call order, for the next
 	// completed reboot; a restore cut short by a new gate keeps its own.
-	pendAlive []sim.Done
+	pendAlive []notice
 
 	obs       *obs.Recorder
 	highWater int // peak RAM allocation, for the buffer high-water counter
@@ -152,7 +162,6 @@ func (m *MCU) Reset(params Params) error {
 		return err
 	}
 	m.queue.Reset()
-	clear(m.pendAlive)
 	*m = MCU{
 		sched:     m.sched,
 		meter:     m.meter,
@@ -225,14 +234,18 @@ func (m *MCU) OffloadTime(cpuTime time.Duration, fpPenalty float64) time.Duratio
 func (m *MCU) BusyByRoutine() map[energy.Routine]time.Duration { return m.busy.Map() }
 
 // ExecCall queues d of work attributed to routine r; done (the zero Done for
-// none) is delivered on completion. Work is serialized FIFO — the L106 is a
-// single core.
+// none, else with a comparable callback) is delivered on completion. Work is
+// serialized FIFO — the L106 is a single core. A negative d or a routine
+// outside DataCollection..Idle is an error.
 func (m *MCU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("mcu: negative work duration %v", d)
 	}
+	if r < energy.DataCollection || r > energy.Idle {
+		return fmt.Errorf("mcu: work attributed to unknown %v", r)
+	}
 	it := m.queue.Push()
-	it.d, it.r, it.done = d, r, done
+	it.d, it.arg, it.done, it.r = d, done.Arg, m.sched.Handle(done.CB), uint8(r)
 	return m.maybeStart()
 }
 
@@ -242,7 +255,7 @@ func (m *MCU) maybeStart() error {
 	}
 	m.running = true
 	it := m.queue.Front()
-	m.track.Set(m.params.ActiveW, it.r)
+	m.track.Set(m.params.ActiveW, energy.Routine(it.r))
 	ev, err := m.sched.AfterCall(it.d, m, sim.Arg{Op: opEnd})
 	if err != nil {
 		return fmt.Errorf("mcu: schedule work end: %w", err)
@@ -268,18 +281,19 @@ func (m *MCU) OnEvent(a sim.Arg) {
 // the completion can queue more work.
 func (m *MCU) endWork() {
 	it := m.queue.Front()
-	m.busy.Add(it.r, it.d)
+	r := energy.Routine(it.r)
+	m.busy.Add(r, it.d)
 	if m.obs.Tracing() {
 		now := m.sched.Now()
-		m.obs.Span("mcu", it.r.String(), now-sim.Time(it.d), now)
+		m.obs.Span("mcu", r.String(), now-sim.Time(it.d), now)
 	}
-	done := it.done
+	h, arg := it.done, it.arg
 	m.queue.Pop()
 	m.running = false
 	if m.queue.Len() == 0 {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
-	done.Invoke()
+	m.sched.Call(h, arg)
 	if err := m.maybeStart(); err != nil {
 		m.sched.Stop()
 	}
@@ -303,7 +317,7 @@ func (m *MCU) Crash(d time.Duration, onAlive sim.Done) error {
 	m.crashes++
 	m.takeDown()
 	m.rebooting = true
-	m.pendAlive = append(m.pendAlive, onAlive)
+	m.pendAlive = append(m.pendAlive, notice{onAlive.Arg, m.sched.Handle(onAlive.CB)})
 	m.track.Set(m.params.RebootW, energy.Idle)
 	m.downAt = m.sched.Now()
 	ev, err := m.sched.AfterCall(d, m, sim.Arg{Op: opReboot})
@@ -335,8 +349,8 @@ func (m *MCU) endReboot() {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
 	n := len(m.pendAlive)
-	for _, d := range m.pendAlive[:n] {
-		d.Invoke()
+	for _, p := range m.pendAlive[:n] {
+		m.sched.Call(p.done, p.arg)
 	}
 	m.pendAlive = m.pendAlive[:copy(m.pendAlive, m.pendAlive[n:])]
 	if err := m.maybeStart(); err != nil {
@@ -380,7 +394,7 @@ func (m *MCU) PowerRestore(onAlive sim.Done) error {
 	}
 	m.gated = false
 	m.obs.Span("mcu", "browned-out", m.downAt, m.sched.Now())
-	m.pendAlive = append(m.pendAlive, onAlive)
+	m.pendAlive = append(m.pendAlive, notice{onAlive.Arg, m.sched.Handle(onAlive.CB)})
 	m.track.Set(m.params.RebootW, energy.Idle)
 	m.downAt = m.sched.Now()
 	ev, err := m.sched.AfterCall(m.params.RebootTime, m, sim.Arg{Op: opReboot})

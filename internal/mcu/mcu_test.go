@@ -11,6 +11,7 @@ import (
 
 	"iothub/internal/energy"
 	"iothub/internal/sim"
+	"iothub/internal/sim/simtest"
 )
 
 func newMCU(t *testing.T) (*MCU, *sim.Scheduler, *energy.Meter) {
@@ -129,6 +130,24 @@ func TestExecRejectsNegative(t *testing.T) {
 	mc, _, _ := newMCU(t)
 	if err := exec(mc, -1, energy.AppCompute, nil); err == nil {
 		t.Error("negative duration accepted")
+	}
+}
+
+// TestExecRejectsUnknownRoutine refuses work attributed to no routine up
+// front, instead of accepting it and failing when its busy time is accrued;
+// 265 would wrap to Interrupt in the work item's one-byte routine.
+func TestExecRejectsUnknownRoutine(t *testing.T) {
+	mc, s, _ := newMCU(t)
+	for _, r := range []energy.Routine{0, energy.Idle + 1, 9, 265} {
+		if err := exec(mc, time.Millisecond, r, nil); err == nil {
+			t.Errorf("ExecCall accepted %v", r)
+		}
+	}
+	if mc.Busy() {
+		t.Error("a refused item was queued")
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -544,17 +563,18 @@ func TestBusyByRoutineKeepsZeroTimeRoutines(t *testing.T) {
 }
 
 // thunk adapts a plain func to sim.Callback, so tests can hand closures to
-// the typed scheduling API.
-type thunk func()
+// the typed scheduling API. It is a pointer: the scheduler interns a
+// completion's callback by ==, and func values do not compare.
+type thunk struct{ fn func() }
 
-func (f thunk) OnEvent(sim.Arg) { f() }
+func (t *thunk) OnEvent(sim.Arg) { t.fn() }
 
 // call binds fn as a completion; nil is the zero Done.
 func call(fn func()) sim.Done {
 	if fn == nil {
 		return sim.Done{}
 	}
-	return sim.Done{CB: thunk(fn)}
+	return sim.Done{CB: &thunk{fn}}
 }
 
 // exec queues work whose completion runs fn (nil for none).
@@ -564,7 +584,7 @@ func exec(mc *MCU, d time.Duration, r energy.Routine, fn func()) error {
 
 // after schedules fn d from now.
 func after(s *sim.Scheduler, d time.Duration, fn func()) (sim.EventID, error) {
-	return s.AfterCall(d, thunk(fn), sim.Arg{})
+	return s.AfterCall(d, &thunk{fn}, sim.Arg{})
 }
 
 func mustAfter(t *testing.T, s *sim.Scheduler, d time.Duration, fn func()) {
@@ -659,7 +679,18 @@ func TestResetMidRunMatchesFresh(t *testing.T) {
 // ring (DESIGN.md §7): a field that makes it larger makes every device call
 // dearer.
 func TestWorkItemSize(t *testing.T) {
-	if got, max := reflect.TypeOf(workItem{}).Size(), uintptr(56); got > max {
+	if got, max := reflect.TypeOf(workItem{}).Size(), uintptr(40); got > max {
 		t.Errorf("mcu workItem is %d bytes, want at most %d: see DESIGN.md §7 before growing a hot record", got, max)
+	}
+}
+
+// TestWorkItemHoldsNoPointer keeps the queue ring and the held alive
+// notifications out of the collector's sight: a queued completion is a
+// scheduler handle and an Arg, not a callback (DESIGN.md §7).
+func TestWorkItemHoldsNoPointer(t *testing.T) {
+	for _, v := range []any{workItem{}, notice{}} {
+		if typ := reflect.TypeOf(v); simtest.MayHoldPointer(typ) {
+			t.Errorf("%v can hold a pointer: see DESIGN.md §7", typ)
+		}
 	}
 }

@@ -82,15 +82,33 @@ func TestAtCallCancel(t *testing.T) {
 	}
 }
 
-// TestDoneInvoke pins the zero-value contract: a zero Done is a no-op, and
-// a bound Done delivers its Arg to its Callback.
-func TestDoneInvoke(t *testing.T) {
-	Done{}.Invoke() // must not panic
-	rec := &recorderCB{s: NewScheduler()}
-	want := Arg{Op: 3, I0: 9}
-	Done{CB: rec, Arg: want}.Invoke()
-	if len(rec.args) != 1 || rec.args[0] != want {
-		t.Errorf("Invoke delivered %+v, want [%+v]", rec.args, want)
+// TestHandleTable pins the callback table device models queue completions
+// through: a callback interned twice is one handle, the zero Done's nil
+// callback is handle 0 and delivers nothing, a handle delivers its Arg
+// unchanged to its own callback, and Reset forgets the table.
+func TestHandleTable(t *testing.T) {
+	s := NewScheduler()
+	a, b := &recorderCB{s: s}, &recorderCB{s: s}
+	ha := s.Handle(a)
+	if ha == 0 || s.Handle(a) != ha {
+		t.Fatalf("interning one callback twice gave handles %d and %d, want one nonzero handle", ha, s.Handle(a))
+	}
+	hb := s.Handle(b)
+	if hb == 0 || hb == ha {
+		t.Fatalf("second callback got handle %d beside %d, want a new nonzero one", hb, ha)
+	}
+	if h := s.Handle(Done{}.CB); h != 0 {
+		t.Errorf("zero Done interned as handle %d, want 0", h)
+	}
+	s.Call(0, Arg{Op: 1}) // must not panic
+	want := Arg{Op: 3, I0: -9, I1: 1 << 40}
+	s.Call(hb, want)
+	if len(a.args) != 0 || len(b.args) != 1 || b.args[0] != want {
+		t.Errorf("Call(%d) delivered %+v to a and %+v to b, want only [%+v] to b", hb, a.args, b.args, want)
+	}
+	s.Reset()
+	if h := s.Handle(b); h != 1 {
+		t.Errorf("after Reset the first callback interned got handle %d, want 1", h)
 	}
 }
 

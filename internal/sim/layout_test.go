@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"iothub/internal/sim/simtest"
 )
 
 // TestHotRecordSizes pins the records every schedule, dispatch and device
@@ -25,35 +27,13 @@ func TestHotRecordSizes(t *testing.T) {
 }
 
 // TestArgHoldsNoPointer keeps the event payload pointer-free, so an event
-// slot's only pointer is its callback (DESIGN.md §7): models name their
-// objects by index instead.
+// slot's only pointer is its callback and a device's queued completion (a
+// Handle and an Arg) has none (DESIGN.md §7): models name their objects by
+// index instead.
 func TestArgHoldsNoPointer(t *testing.T) {
-	typ := reflect.TypeOf(Arg{})
-	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); mayHoldPointer(f.Type) {
-			t.Errorf("Arg.%s is a %v, which can hold a pointer: see DESIGN.md §7", f.Name, f.Type)
+	for _, v := range []any{Arg{}, Handle(0)} {
+		if typ := reflect.TypeOf(v); simtest.MayHoldPointer(typ) {
+			t.Errorf("%v can hold a pointer: see DESIGN.md §7", typ)
 		}
-	}
-}
-
-// mayHoldPointer reports whether a value of type typ can hold a pointer
-// (uintptr included, as a disguised one).
-func mayHoldPointer(typ reflect.Type) bool {
-	switch typ.Kind() {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return false
-	case reflect.Array:
-		return typ.Len() > 0 && mayHoldPointer(typ.Elem())
-	case reflect.Struct:
-		for i := 0; i < typ.NumField(); i++ {
-			if mayHoldPointer(typ.Field(i).Type) {
-				return true
-			}
-		}
-		return false
-	default:
-		return true
 	}
 }

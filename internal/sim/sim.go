@@ -18,6 +18,13 @@
 // Done value. Models implement Callback once and dispatch on Arg.Op, so no
 // event captures a closure.
 //
+// A device model does not queue a Done as it is: it interns the Callback in
+// its scheduler's table (Handle) and queues the small Handle beside the Arg,
+// so its work queue holds no pointer for the collector to scan or
+// write-barrier; Call delivers the pair on completion. A Callback handed to a
+// device must therefore be comparable (a pointer, as every model is), and it
+// stays in the table until Reset.
+//
 // Internally pending events live in a value-typed arena of 64-byte slots
 // with a free list; a slot's only pointer is its Callback, since an Arg is
 // three integers. The run queue is a sorted slice of arena indices with
@@ -77,25 +84,23 @@ type Arg struct {
 // Callback is the event handler: OnEvent receives the Arg the event was
 // scheduled with. Model objects implement it once and dispatch on
 // Arg.Op, so a long-lived object schedules unbounded events with zero
-// per-event allocations.
+// per-event allocations. A Callback handed to a device model (in a Done) must
+// be comparable, since the scheduler interns it by ==; it stays in the
+// scheduler's table until Reset.
 type Callback interface {
 	OnEvent(Arg)
 }
 
 // Done is a completion notification value: a Callback plus the Arg to
-// deliver. Being a value, it is copied into work queues without allocating.
-// The zero Done means "no notification".
+// deliver. The zero Done means "no notification". Device models queue it as
+// a Handle and its Arg (see Scheduler.Handle).
 type Done struct {
 	CB  Callback
 	Arg Arg
 }
 
-// Invoke delivers the notification; a zero Done is a no-op.
-func (d Done) Invoke() {
-	if d.CB != nil {
-		d.CB.OnEvent(d.Arg)
-	}
-}
+// Handle names a Callback interned in one Scheduler's table; 0 names none.
+type Handle uint32
 
 // event is one arena slot (64 bytes on 64-bit). A slot is pending — queued
 // in the run queue — while cb != nil: release clears cb before the event runs
@@ -138,6 +143,11 @@ type Scheduler struct {
 	// copies them out via Stats; sim cannot import obs (obs imports sim).
 	scheduled uint64
 	cancelled uint64
+
+	// cbs is the callback table: Handle h names cbs[h-1]. A run interns one
+	// callback per object that hands devices completions (the hub runner
+	// alone, in a hub run), so a linear scan finds it in a compare or two.
+	cbs []Callback
 }
 
 // Stats reports kernel traffic since construction: events scheduled and
@@ -245,6 +255,30 @@ func (s *Scheduler) alloc(t Time, seq uint64) (int32, *event) {
 	return idx, ev
 }
 
+// Handle interns cb in the scheduler's callback table and returns its
+// handle: the same callback always gets the same handle, and nil gets 0. A
+// device model queues the handle instead of the callback, so its queue holds
+// no pointer. cb must be comparable.
+func (s *Scheduler) Handle(cb Callback) Handle {
+	if cb == nil {
+		return 0
+	}
+	for i, c := range s.cbs {
+		if c == cb {
+			return Handle(i + 1)
+		}
+	}
+	s.cbs = append(s.cbs, cb)
+	return Handle(len(s.cbs))
+}
+
+// Call delivers arg to the callback h names, now; handle 0 delivers nothing.
+func (s *Scheduler) Call(h Handle, arg Arg) {
+	if h != 0 {
+		s.cbs[h-1].OnEvent(arg)
+	}
+}
+
 // Cancel removes a scheduled event. Cancelling an event that already ran or
 // was already cancelled is a no-op and reports false — including when its
 // arena slot has since been reused by a newer event, which the generation
@@ -286,15 +320,18 @@ func (s *Scheduler) release(idx int32) {
 }
 
 // Reset rewinds the scheduler to its post-NewScheduler state — clock at
-// zero, queue empty, counters zeroed — while keeping the arena, free-list,
-// and run-queue capacity, so a pooled scheduler re-runs a scenario without
-// re-growing its slabs. EventIDs minted before the Reset must not be used
-// afterwards: slots restart at generation zero, so a stale ID could collide
-// with a new occupancy (holders reset alongside the scheduler, so none
-// survive in practice). Must not be called from inside Run.
+// zero, queue empty, counters zeroed, callback table empty — while keeping
+// the arena, free-list, run-queue and table capacity, so a pooled scheduler
+// re-runs a scenario without re-growing its slabs. EventIDs and Handles
+// minted before the Reset must not be used afterwards: slots restart at
+// generation zero, so a stale ID could collide with a new occupancy, and a
+// stale Handle names nothing or another callback (holders reset alongside
+// the scheduler, so none survive in practice). Must not be called from
+// inside Run.
 func (s *Scheduler) Reset() {
 	mid := len(s.q) / 2
-	*s = Scheduler{arena: s.arena[:0], free: s.free[:0], q: s.q, lo: mid, hi: mid}
+	clear(s.cbs)
+	*s = Scheduler{arena: s.arena[:0], free: s.free[:0], q: s.q, lo: mid, hi: mid, cbs: s.cbs[:0]}
 }
 
 // Stop halts the simulation: the currently executing event finishes and Run
