@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-smoke experiments ablations examples clean
+.PHONY: all build test race vet fmt fmt-check check perfbench-check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-smoke experiments ablations examples clean
 
 all: build vet test check
 
@@ -44,8 +44,14 @@ lint-scheme:
 # checking the scheduler's run queue against a brute-force reference, one
 # feeding parsed fault schedules and probe scripts to the fault engine and a
 # brute-force reference, one feeding scenario JSON to Scenario.Config, and one
-# feeding sweep-spec JSON to ParseSpec and Expand.
-check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
+# feeding sweep-spec JSON to ParseSpec and Expand. It ends with the benchmark's
+# vet and self-test, as CI runs them, so a change to an internal API the
+# benchmark uses fails here and not only in CI.
+check: fmt-check vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz perfbench-check
+
+# perfbench is its own module, so `go vet ./...` and `go test ./...` skip it.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/coapmsg

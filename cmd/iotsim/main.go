@@ -22,10 +22,8 @@ import (
 	"time"
 
 	"iothub/internal/apps"
-	"iothub/internal/apps/catalog"
 	"iothub/internal/core"
 	"iothub/internal/energy"
-	"iothub/internal/faults"
 	"iothub/internal/hub"
 	"iothub/internal/obs"
 	"iothub/internal/power"
@@ -85,26 +83,9 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	var list []apps.App
+	sc := hub.Scenario{Scheme: sch, Windows: *windows, Seed: *seed, Faults: *chaos}
 	for _, raw := range strings.Split(*appsFlag, ",") {
-		id := apps.ID(strings.TrimSpace(strings.ToUpper(raw)))
-		a, err := catalog.New(id, *seed)
-		if err != nil {
-			return err
-		}
-		list = append(list, a)
-	}
-
-	cfg := hub.Config{Apps: list, Scheme: sch, Windows: *windows, TracePower: *timeline}
-	var rec *obs.Recorder
-	if *traceOut != "" || *counters || *flight {
-		rec = obs.NewRecorder()
-		if *traceOut != "" {
-			rec.EnableTracing()
-		}
-		p := hub.DefaultParams()
-		p.Obs = rec
-		cfg.Params = &p
+		sc.Apps = append(sc.Apps, apps.ID(strings.TrimSpace(strings.ToUpper(raw))))
 	}
 	// The preset name is validated even at rate 0 (when the meter stays
 	// disarmed), so a typo fails loudly instead of silently measuring nothing.
@@ -113,7 +94,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		return err
 	}
 	if *meterRate > 0 {
-		cfg.Meter = &model
+		sc.Meter = &model
 	}
 	// Same contract for -harvest: resolve the profile up front so an unknown
 	// preset errors (listing the valid names) even without -battery-mah.
@@ -125,20 +106,28 @@ func run(args []string, out io.Writer) (retErr error) {
 		if *battery <= 0 {
 			return fmt.Errorf("-harvest needs -battery-mah > 0 to power the run")
 		}
-		cfg.Power = &power.Supply{
+		sc.Power = &power.Supply{
 			Battery: power.Battery{CapacityMAh: *battery, Volts: 5},
 			Harvest: harvestTrace,
 		}
 	}
-	if *chaos != "" {
-		schedule, err := faults.ParseSchedule(*chaos)
-		if err != nil {
-			return err
+	cfg, err := sc.Config()
+	if err != nil {
+		return err
+	}
+	cfg.TracePower = *timeline
+	var rec *obs.Recorder
+	if *traceOut != "" || *counters || *flight {
+		rec = obs.NewRecorder()
+		if *traceOut != "" {
+			rec.EnableTracing()
 		}
-		cfg.FaultSchedule = schedule
+		p := hub.DefaultParams()
+		p.Obs = rec
+		cfg.Params = &p
 	}
 	if def.Planned() {
-		plan, err := core.PlanBCOM(list, hub.DefaultParams())
+		plan, err := core.PlanBCOM(cfg.Apps, hub.DefaultParams())
 		if err != nil {
 			return err
 		}
@@ -183,10 +172,10 @@ func run(args []string, out io.Writer) (retErr error) {
 		printCheck(out, res)
 	}
 	if *battery > 0 && cfg.Power == nil {
-		if len(list) != 1 {
+		if len(cfg.Apps) != 1 {
 			return fmt.Errorf("-battery-mah projects single-app workloads only")
 		}
-		life, err := core.Lifetime(list[0].Spec(), hub.DefaultParams(), power.Battery{CapacityMAh: *battery, Volts: 5})
+		life, err := core.Lifetime(cfg.Apps[0].Spec(), hub.DefaultParams(), power.Battery{CapacityMAh: *battery, Volts: 5})
 		if err != nil {
 			return err
 		}

@@ -68,8 +68,12 @@ func TestRunErrors(t *testing.T) {
 			}
 		}
 	}
-	if err := run([]string{"-apps", "A99"}, &out); err == nil {
-		t.Error("unknown app accepted")
+	// An unknown app or a bad fault schedule is refused as the scenario's
+	// config error, the same error a fleet scenario reports.
+	for _, args := range [][]string{{"-apps", "A99"}, {"-apps", "A2", "-chaos", "bogus"}} {
+		if err := run(args, &out); !errors.Is(err, hub.ErrConfig) {
+			t.Errorf("%q: err = %v, want ErrConfig", args, err)
+		}
 	}
 	if err := run([]string{"-apps", "A11", "-scheme", "com"}, &out); err == nil {
 		t.Error("offloading the heavy app accepted")

@@ -90,6 +90,21 @@ type Spec struct {
 // MemoryBytes is the workload's resident footprint (heap + stack).
 func (s Spec) MemoryBytes() int { return s.HeapBytes + s.StackBytes }
 
+// MCUFootprint is the RAM an offloaded workload needs on the MCU: its
+// resident footprint plus its widest sample as a streaming buffer. The
+// offload planner admits by it and the hub reserves it.
+func (s Spec) MCUFootprint() (int, error) {
+	widest := 0
+	for _, u := range s.Sensors {
+		b, err := u.SampleBytes()
+		if err != nil {
+			return 0, err
+		}
+		widest = max(widest, b)
+	}
+	return s.MemoryBytes() + widest, nil
+}
+
 // Validate checks internal consistency.
 func (s Spec) Validate() error {
 	if s.ID == "" || s.Name == "" {

@@ -48,7 +48,6 @@ func Classify(spec apps.Spec, params hub.Params) (Classification, error) {
 	}
 	c := Classification{ID: spec.ID}
 
-	widest := 0
 	var reads time.Duration
 	for _, u := range spec.Sensors {
 		sp, err := sensor.Lookup(u.Sensor)
@@ -59,17 +58,14 @@ func Classify(spec apps.Spec, params hub.Params) (Classification, error) {
 			c.Reasons = append(c.Reasons,
 				fmt.Sprintf("sensor %s is MCU-unfriendly", u.Sensor))
 		}
-		b, err := u.SampleBytes()
-		if err != nil {
-			return Classification{}, err
-		}
-		if b > widest {
-			widest = b
-		}
 		n := sp.SamplesPerWindow(spec.Window)
 		reads += time.Duration(n) * params.MCU.PerReadCPU
 	}
-	c.MemoryNeedBytes = spec.MemoryBytes() + widest
+	need, err := spec.MCUFootprint()
+	if err != nil {
+		return Classification{}, err
+	}
+	c.MemoryNeedBytes = need
 
 	bytes, err := spec.DataBytesPerWindow()
 	if err != nil {

@@ -21,25 +21,19 @@ var fig12Combos = [][]apps.ID{
 var fig12Rates = []float64{0.5, 1, 2}
 
 // FleetFig12Spec reproduces Figure 12 as a fleet sweep extended along the
-// sampling-rate axis: every heavy-weight combo under every applicable scheme
-// at half/default/double QoS rates. Each scenario is tagged
+// sampling-rate axis: each of Figure 12's runs (fig12Runs) at
+// half/default/double QoS rates. Each scenario is tagged
 // "<combo>|<scheme>|q<rate>" so the aggregates keep the cells separate.
-// Multi-app combos add BEAM and BCOM exactly as Fig. 12 does.
 func FleetFig12Spec() fleet.Spec {
 	var scens []hub.Scenario
-	for _, ids := range fig12Combos {
-		schemes := []hub.Scheme{hub.Baseline, hub.Batching}
-		if len(ids) > 1 {
-			schemes = append(schemes, hub.BEAM, hub.BCOM)
-		}
-		for _, s := range schemes {
-			for _, q := range fig12Rates {
-				scens = append(scens, hub.Scenario{
-					Apps: ids, Scheme: s, Windows: Windows, QoSMult: q,
-					SkipAppCompute: true,
-					Tag:            fmt.Sprintf("%s|%v|q%g", comboLabel(ids), s, q),
-				})
-			}
+	for _, k := range fig12Runs() {
+		for _, q := range fig12Rates {
+			s := k.scenario()
+			s.Seed = 0 // the fleet derives each cell's seed from its index
+			s.QoSMult = q
+			s.SkipAppCompute = true
+			s.Tag = fmt.Sprintf("%s|%v|q%g", k.mix, k.scheme, q)
+			scens = append(scens, s)
 		}
 	}
 	return fleet.Spec{Seed: Seed, Scenarios: scens}

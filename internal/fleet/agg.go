@@ -353,7 +353,7 @@ func (a *Aggregator) Fingerprint() string {
 const fingerprintBasis = 1469598103934665603
 
 // fnvMix folds s into h one byte at a time with the FNV-1a 64 step.
-func fnvMix(h uint64, s string) uint64 {
+func fnvMix[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211

@@ -51,6 +51,18 @@ type DoneRecord struct {
 	Err     string             `json:"err,omitempty"`
 }
 
+// RecordsFingerprint hashes a shard's records, each as its canonical JSON
+// and a newline, with the FNV-1a 64 step from fingerprintBasis: the payload
+// integrity token a fleetd submission carries.
+func RecordsFingerprint(records []DoneRecord) string {
+	h := uint64(fingerprintBasis)
+	for i := range records {
+		blob, _ := json.Marshal(records[i])
+		h = fnvMix(fnvMix(h, blob), "\n")
+	}
+	return fmt.Sprintf("%016x", h)
+}
+
 type journalSnap struct {
 	Applied int    `json:"applied"`
 	FP      string `json:"fp"`

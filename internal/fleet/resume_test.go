@@ -390,4 +390,11 @@ func TestFingerprintsPinned(t *testing.T) {
 	if got, want := SpecFingerprint(spec, scens), "1763aab7640506b7"; got != want {
 		t.Errorf("SpecFingerprint(testdata/smoke.json) = %s, want %s", got, want)
 	}
+	records := []DoneRecord{
+		{Index: 0, Label: "A2/Baseline/w1", Metrics: map[string]float64{"total": 1.25, "latency": 0.5}},
+		{Index: 1, Label: "A2/COM/w1", Err: "hub: invalid config: boom"},
+	}
+	if got, want := RecordsFingerprint(records), "e6b46c4d60040b1a"; got != want {
+		t.Errorf("two-record RecordsFingerprint() = %s, want %s", got, want)
+	}
 }

@@ -320,7 +320,7 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 			return SubmitResponse{Error: fmt.Sprintf("shard %d: record %d has index %d, want %d", s.id, k, rec.Index, s.start+k)}
 		}
 	}
-	if fp := RecordsFingerprint(req.Records); fp != req.FP {
+	if fp := fleet.RecordsFingerprint(req.Records); fp != req.FP {
 		return SubmitResponse{Error: fmt.Sprintf("shard %d: payload fingerprint %s != declared %s", s.id, fp, req.FP)}
 	}
 	delete(c.leases, req.Shard)

@@ -126,7 +126,7 @@ func TestSubmitIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := SubmitRequest{Worker: "w", Shard: grant.Shard.ID, Attempt: grant.Shard.Attempt,
-		Records: records, FP: RecordsFingerprint(records)}
+		Records: records, FP: fleet.RecordsFingerprint(records)}
 	first := c.submit(req)
 	if !first.OK || first.Stale {
 		t.Fatalf("first submit: %+v", first)
@@ -151,7 +151,7 @@ func TestSubmitRejectsCorruptPayload(t *testing.T) {
 	grant := c.lease(LeaseRequest{Worker: "w"})
 	scens, _ := testSpec().Expand()
 	records, _ := fleet.RunRange(scens, grant.Shard.Start, grant.Shard.End, 1)
-	fp := RecordsFingerprint(records)
+	fp := fleet.RecordsFingerprint(records)
 	records[1].Metrics["total"] *= 2 // corrupt after fingerprinting
 	ack := c.submit(SubmitRequest{Worker: "w", Shard: grant.Shard.ID, Records: records, FP: fp})
 	if ack.OK || !strings.Contains(ack.Error, "fingerprint") {
@@ -159,7 +159,7 @@ func TestSubmitRejectsCorruptPayload(t *testing.T) {
 	}
 	// The shard is still leased; an honest resubmission succeeds.
 	records2, _ := fleet.RunRange(scens, grant.Shard.Start, grant.Shard.End, 1)
-	ack = c.submit(SubmitRequest{Worker: "w", Shard: grant.Shard.ID, Records: records2, FP: RecordsFingerprint(records2)})
+	ack = c.submit(SubmitRequest{Worker: "w", Shard: grant.Shard.ID, Records: records2, FP: fleet.RecordsFingerprint(records2)})
 	if !ack.OK || ack.Stale {
 		t.Errorf("honest resubmission refused: %+v", ack)
 	}

@@ -1,11 +1,6 @@
 package fleetd
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"iothub/internal/fleet"
-)
+import "iothub/internal/fleet"
 
 // The coordinator/worker protocol: five POSTed JSON RPCs. Every RPC is
 // idempotent or safely re-deliverable — the transport is allowed to drop,
@@ -105,23 +100,4 @@ type StatusResponse struct {
 	DegradeLevel     int    `json:"degradeLevel"`
 	ShardSize        int    `json:"shardSize"`
 	WorkersLive      int    `json:"workersLive"`
-}
-
-// RecordsFingerprint hashes a shard's records (the FNV-1a 64 step over their
-// canonical JSON) — the payload integrity token carried by SubmitRequest. It
-// starts from the sweep fingerprints' basis, which is not FNV's offset
-// basis 14695981039346656037 but that number with its last digit dropped;
-// the constant stays so the token never changes.
-func RecordsFingerprint(records []fleet.DoneRecord) string {
-	h := uint64(1469598103934665603)
-	for i := range records {
-		blob, _ := json.Marshal(records[i])
-		for _, b := range blob {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-		h ^= '\n'
-		h *= 1099511628211
-	}
-	return fmt.Sprintf("%016x", h)
 }

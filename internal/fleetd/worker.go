@@ -158,7 +158,7 @@ func (w *Worker) runShard(s ShardInfo, ttl time.Duration) error {
 		Shard:   s.ID,
 		Attempt: s.Attempt,
 		Records: records,
-		FP:      RecordsFingerprint(records),
+		FP:      fleet.RecordsFingerprint(records),
 	}
 	blob, err := w.callRetry("/submit", req)
 	if err != nil {

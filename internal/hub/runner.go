@@ -179,18 +179,10 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 		if st.policy().Place != scheme.OnMCU {
 			continue
 		}
-		need := st.spec.MemoryBytes()
-		widest := 0
-		for _, u := range st.spec.Sensors {
-			b, err := u.SampleBytes()
-			if err != nil {
-				return err
-			}
-			if b > widest {
-				widest = b
-			}
+		need, err := st.spec.MCUFootprint()
+		if err != nil {
+			return err
 		}
-		need += widest
 		if need > offloadNeed {
 			offloadNeed, offloadID = need, st.spec.ID
 		}
@@ -227,7 +219,8 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 	}
 
 	// Materialize the scheme's stream topology (dedicated per-(app, sensor)
-	// streams, or BEAM's shared ones) and bind it to the event kernel.
+	// streams, or BEAM's shared ones) and bind it to the event kernel. A
+	// consumer names its app by position in Config.Apps, as r.states does.
 	def, err := scheme.Lookup(r.cfg.Scheme)
 	if err != nil {
 		return err
@@ -235,10 +228,6 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 	plan, err := def.PlanStreams(r.cfg.schemeView())
 	if err != nil {
 		return err
-	}
-	byID := make(map[apps.ID]*appState, len(r.states))
-	for _, st := range r.states {
-		byID[st.spec.ID] = st
 	}
 	for _, ss := range plan {
 		s := r.getStream()
@@ -250,7 +239,7 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 		s.period = ss.Period
 		s.track = r.meter.Track(ss.Track)
 		for _, c := range ss.Consumers {
-			s.consumers = append(s.consumers, consumerLink{st: byID[c.App], stride: c.Stride})
+			s.consumers = append(s.consumers, consumerLink{st: r.states[c.App], stride: c.Stride})
 		}
 		r.streams = append(r.streams, s)
 	}

@@ -35,8 +35,8 @@ type Def struct {
 	// heavy is the mode every heavy-weight app runs. Zero refuses heavy apps
 	// as ErrUnoffloadable.
 	heavy Mode
-	// shared groups each sensor's users into one stream (PlanShared);
-	// otherwise every (app, sensor) pair is its own stream (PlanDedicated).
+	// shared groups each sensor's users into one stream; otherwise every
+	// (app, sensor) pair is its own stream (planStreams).
 	shared bool
 	// assignedBy names where a partitioned scheme's Assign comes from; the
 	// refusal of a missing Assign quotes it.
@@ -156,8 +156,5 @@ func (d Def) Modes(v ConfigView) (map[apps.ID]Mode, error) {
 // PlanStreams lays out the physical sampling schedules: which sensor streams
 // exist, at what rates, feeding which apps at which strides.
 func (d Def) PlanStreams(v ConfigView) ([]StreamSpec, error) {
-	if d.shared {
-		return PlanShared(v)
-	}
-	return PlanDedicated(v)
+	return planStreams(v, d.shared)
 }

@@ -2,10 +2,14 @@ package scheme
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"iothub/internal/apps"
+	"iothub/internal/apps/catalog"
+	"iothub/internal/sensor"
 )
 
 // TestSchemeTextRoundTrip drives every scheme of the table through the full
@@ -309,5 +313,92 @@ func TestPolicyTable(t *testing.T) {
 			}()
 			bad.Policy()
 		}()
+	}
+}
+
+// TestStreamPlans pins the stream planner on both sides of a row's shared
+// flag, over catalog apps: an unshared row gives each (app, sensor) use its
+// own stream in app order; BEAM joins a sensor's users into one stream at
+// the fastest rate and the widest sample, strides slower users, and refuses
+// rates that do not divide.
+func TestStreamPlans(t *testing.T) {
+	spec := func(id apps.ID) apps.Spec {
+		a, err := catalog.New(id, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Spec()
+	}
+	// at is sp reading its first sensor at hz.
+	at := func(sp apps.Spec, hz float64) apps.Spec {
+		sp.Sensors = append([]apps.SensorUse(nil), sp.Sensors...)
+		sp.Sensors[0].RateHz = hz
+		return sp
+	}
+	a1, a2, a7, a11 := spec(apps.CoAPServer), spec(apps.StepCounter), spec(apps.Earthquake), spec(apps.SpeechToTxt)
+	baseline, _ := Lookup(Baseline)
+	beam, _ := Lookup(BEAM)
+	type stream struct {
+		sensor           sensor.ID
+		track            string
+		bytes, perWindow int
+		consumers        []Consumer
+	}
+	for _, tc := range []struct {
+		name  string
+		def   Def
+		specs []apps.Spec
+		want  []stream
+	}{
+		{"dedicated A2+A7", baseline, []apps.Spec{a2, a7}, []stream{
+			{"S4", "sensor:S4:A2", 12, 1000, []Consumer{{0, 1}}},
+			{"S4", "sensor:S4:A7", 12, 1000, []Consumer{{1, 1}}},
+		}},
+		{"dedicated A1+A11", baseline, []apps.Spec{a1, a11}, []stream{
+			{"S7", "sensor:S7:A1", 8, 1000, []Consumer{{0, 1}}},
+			{"S8", "sensor:S8:A1", 4, 1000, []Consumer{{0, 1}}},
+			{"S8", "sensor:S8:A11", 6, 1000, []Consumer{{1, 1}}},
+		}},
+		{"BEAM A2+A7", beam, []apps.Spec{a2, a7}, []stream{
+			{"S4", "sensor:S4", 12, 1000, []Consumer{{0, 1}, {1, 1}}},
+		}},
+		// A1 reads S8 at 4 B, A11 at 6 B: the shared read is the wider, in
+		// either app order, and streams follow first use.
+		{"BEAM A1+A11", beam, []apps.Spec{a1, a11}, []stream{
+			{"S7", "sensor:S7", 8, 1000, []Consumer{{0, 1}}},
+			{"S8", "sensor:S8", 6, 1000, []Consumer{{0, 1}, {1, 1}}},
+		}},
+		{"BEAM A11+A1", beam, []apps.Spec{a11, a1}, []stream{
+			{"S8", "sensor:S8", 6, 1000, []Consumer{{0, 1}, {1, 1}}},
+			{"S7", "sensor:S7", 8, 1000, []Consumer{{1, 1}}},
+		}},
+		// The stream runs at the faster user's rate, and the half-rate user
+		// takes every other sample, whichever comes first.
+		{"BEAM A2+half-rate A7", beam, []apps.Spec{a2, at(a7, 500)}, []stream{
+			{"S4", "sensor:S4", 12, 1000, []Consumer{{0, 1}, {1, 2}}},
+		}},
+		{"BEAM half-rate A7+A2", beam, []apps.Spec{at(a7, 500), a2}, []stream{
+			{"S4", "sensor:S4", 12, 1000, []Consumer{{0, 2}, {1, 1}}},
+		}},
+	} {
+		plan, err := tc.def.PlanStreams(ConfigView{Specs: tc.specs, Window: time.Second})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []stream
+		for _, s := range plan {
+			got = append(got, stream{s.Sensor, s.Track, s.Bytes, s.PerWindow, s.Consumers})
+			if s.Spec.ID != s.Sensor || s.Period != time.Second/time.Duration(s.PerWindow) {
+				t.Errorf("%s: %s stream has spec %s, period %v", tc.name, s.Track, s.Spec.ID, s.Period)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: plan = %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+	// 3 and 2 samples per window: no integer stride serves both.
+	_, err := beam.PlanStreams(ConfigView{Specs: []apps.Spec{at(a2, 3), at(a7, 2)}, Window: time.Second})
+	if !errors.Is(err, ErrConfig) {
+		t.Errorf("BEAM at 3 vs 2 samples per window: err = %v, want ErrConfig", err)
 	}
 }

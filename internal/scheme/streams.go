@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"iothub/internal/apps"
 	"iothub/internal/sensor"
 )
 
@@ -32,56 +31,21 @@ type StreamSpec struct {
 // Consumer binds one app to a stream: the app takes every Stride-th sample
 // (BEAM's integer downsampling for rate-mismatched sharers; 1 elsewhere).
 type Consumer struct {
-	App    apps.ID
+	// App is the app's position in ConfigView.Specs.
+	App    int
 	Stride int
 }
 
-// PlanDedicated lays out the default topology: one stream per (app, sensor)
-// pair at the app's own rate, energy tracked per pair.
-func PlanDedicated(v ConfigView) ([]StreamSpec, error) {
+// planStreams lays out every scheme's topology. Each (app, sensor) use joins
+// a stream in first-use order. Unshared, every use is its own stream at the
+// app's rate, energy tracked per pair. Shared (BEAM), a sensor's users join
+// one stream at the fastest requested rate and the widest sample, energy
+// tracked per sensor (the read is physically shared), and slower consumers
+// take strided samples; rates must divide evenly, as BEAM downsamples by
+// integer factors.
+func planStreams(v ConfigView, shared bool) ([]StreamSpec, error) {
 	var out []StreamSpec
-	for _, sp := range v.Specs {
-		for _, u := range sp.Sensors {
-			sspec, err := sensor.Lookup(u.Sensor)
-			if err != nil {
-				return nil, err
-			}
-			bytes, err := u.SampleBytes()
-			if err != nil {
-				return nil, err
-			}
-			perWindow, err := sp.SamplesPerWindow(u.Sensor)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, StreamSpec{
-				Sensor:    u.Sensor,
-				Spec:      sspec,
-				Bytes:     bytes,
-				PerWindow: perWindow,
-				Period:    v.Window / time.Duration(perWindow),
-				Track:     fmt.Sprintf("sensor:%s:%s", u.Sensor, sp.ID),
-				Consumers: []Consumer{{App: sp.ID, Stride: 1}},
-			})
-		}
-	}
-	return out, nil
-}
-
-// PlanShared lays out BEAM's topology: every sensor's users are grouped into
-// one stream running at the fastest requested rate, and slower consumers
-// take strided samples. Rates must divide evenly (BEAM downsamples by
-// integer factors). Streams appear in first-use order, energy tracked per
-// sensor (the read is physically shared).
-func PlanShared(v ConfigView) ([]StreamSpec, error) {
-	type user struct {
-		app       apps.ID
-		perWindow int
-		bytes     int
-	}
-	order := make([]sensor.ID, 0, 8)
-	bySensor := make(map[sensor.ID][]user)
-	for _, sp := range v.Specs {
+	for i, sp := range v.Specs {
 		for _, u := range sp.Sensors {
 			perWindow, err := sp.SamplesPerWindow(u.Sensor)
 			if err != nil {
@@ -91,41 +55,43 @@ func PlanShared(v ConfigView) ([]StreamSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, ok := bySensor[u.Sensor]; !ok {
-				order = append(order, u.Sensor)
+			k := len(out)
+			for j := range out {
+				if shared && out[j].Sensor == u.Sensor {
+					k = j
+				}
 			}
-			bySensor[u.Sensor] = append(bySensor[u.Sensor], user{app: sp.ID, perWindow: perWindow, bytes: bytes})
+			if k == len(out) {
+				sspec, err := sensor.Lookup(u.Sensor)
+				if err != nil {
+					return nil, err
+				}
+				var track string
+				if shared {
+					track = fmt.Sprintf("sensor:%s", u.Sensor)
+				} else {
+					track = fmt.Sprintf("sensor:%s:%s", u.Sensor, sp.ID)
+				}
+				out = append(out, StreamSpec{Sensor: u.Sensor, Spec: sspec, Track: track})
+			}
+			// Stride holds the consumer's own rate until every user has
+			// folded its rate and width into the stream.
+			s := &out[k]
+			s.PerWindow = max(s.PerWindow, perWindow)
+			s.Bytes = max(s.Bytes, bytes)
+			s.Consumers = append(s.Consumers, Consumer{App: i, Stride: perWindow})
 		}
 	}
-	var out []StreamSpec
-	for _, id := range order {
-		users := bySensor[id]
-		sspec, err := sensor.Lookup(id)
-		if err != nil {
-			return nil, err
-		}
-		s := StreamSpec{
-			Sensor: id,
-			Spec:   sspec,
-			Track:  fmt.Sprintf("sensor:%s", id),
-		}
-		for _, u := range users {
-			if u.perWindow > s.PerWindow {
-				s.PerWindow = u.perWindow
-			}
-			if u.bytes > s.Bytes {
-				s.Bytes = u.bytes
-			}
-		}
-		for _, u := range users {
-			if s.PerWindow%u.perWindow != 0 {
+	for k := range out {
+		s := &out[k]
+		for j, c := range s.Consumers {
+			if s.PerWindow%c.Stride != 0 {
 				return nil, fmt.Errorf("%w: BEAM cannot share %s between rates %d and %d per window",
-					ErrConfig, id, s.PerWindow, u.perWindow)
+					ErrConfig, s.Sensor, s.PerWindow, c.Stride)
 			}
-			s.Consumers = append(s.Consumers, Consumer{App: u.app, Stride: s.PerWindow / u.perWindow})
+			s.Consumers[j].Stride = s.PerWindow / c.Stride
 		}
 		s.Period = v.Window / time.Duration(s.PerWindow)
-		out = append(out, s)
 	}
 	return out, nil
 }
