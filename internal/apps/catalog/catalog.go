@@ -27,9 +27,6 @@ var LightIDs = []apps.ID{
 	apps.JPEGDecoder, apps.Fingerprint,
 }
 
-// AllIDs lists all eleven workloads in Table II order.
-var AllIDs = append(append([]apps.ID(nil), LightIDs...), apps.SpeechToTxt)
-
 // New instantiates a workload by Table II ID with its deterministic default
 // configuration, derived from seed.
 func New(id apps.ID, seed int64) (apps.App, error) {

@@ -76,7 +76,8 @@ type model struct {
 // referenceModel renders the templates from a fixed reference speaker
 // (seed 0), so the model never depends on an app's seed. It is built once
 // per process and shared read-only by every App: the Frontend holds only
-// parameters, and no template's feature matrix is written after this.
+// parameters, and neither the template list nor a feature matrix is written
+// after this.
 var referenceModel = sync.OnceValues(func() (model, error) {
 	frontend, err := speech.NewFrontend(audioRate)
 	if err != nil {

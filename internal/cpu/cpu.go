@@ -266,12 +266,6 @@ func (c *CPU) computeCapacity() int {
 // Wakes reports how many sleep→active transitions have occurred.
 func (c *CPU) Wakes() int { return c.wakes }
 
-// ComputeTime converts a demand in million instructions to execution time at
-// this processor's throughput.
-func (c *CPU) ComputeTime(millionInstr float64) time.Duration {
-	return time.Duration(millionInstr / c.params.MIPS * float64(time.Second))
-}
-
 // BusyByRoutine returns cumulative execution (not stall) time per routine.
 func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration { return c.busy.Map() }
 

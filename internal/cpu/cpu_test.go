@@ -227,16 +227,6 @@ func TestSleepBreakEvenDegenerate(t *testing.T) {
 	}
 }
 
-func TestComputeTime(t *testing.T) {
-	c, _, _ := newCPU(t)
-	if got := c.ComputeTime(24_000); got != time.Second {
-		t.Errorf("ComputeTime(24000 MI) = %v, want 1s", got)
-	}
-	if got := c.ComputeTime(24); got != time.Millisecond {
-		t.Errorf("ComputeTime(24 MI) = %v, want 1ms", got)
-	}
-}
-
 func TestBusyByRoutine(t *testing.T) {
 	c, s, _ := newCPU(t)
 	if err := exec(c, 5*time.Millisecond, energy.Interrupt, nil); err != nil {

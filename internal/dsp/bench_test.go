@@ -37,19 +37,6 @@ func BenchmarkSTALTA(b *testing.B) {
 	}
 }
 
-func BenchmarkBandpassApply(b *testing.B) {
-	sig := benchSignal(1000)
-	f, err := NewBandpass(1000, 50, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Reset()
-		f.Apply(sig)
-	}
-}
-
 func BenchmarkFindPeaks(b *testing.B) {
 	sig := benchSignal(1000)
 	b.ResetTimer()

@@ -2,109 +2,8 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
-
-// Biquad is a second-order IIR filter section (direct form I).
-type Biquad struct {
-	b0, b1, b2 float64
-	a1, a2     float64
-	x1, x2     float64
-	y1, y2     float64
-}
-
-// NewBandpass designs a constant-skirt bandpass biquad (RBJ audio-EQ
-// cookbook) centered at centerHz with the given quality factor.
-func NewBandpass(sampleRateHz, centerHz, q float64) (*Biquad, error) {
-	if sampleRateHz <= 0 {
-		return nil, fmt.Errorf("dsp: sample rate %v", sampleRateHz)
-	}
-	if centerHz <= 0 || centerHz >= sampleRateHz/2 {
-		return nil, fmt.Errorf("dsp: center %v Hz outside (0, %v)", centerHz, sampleRateHz/2)
-	}
-	if q <= 0 {
-		return nil, fmt.Errorf("dsp: q %v", q)
-	}
-	w0 := 2 * math.Pi * centerHz / sampleRateHz
-	alpha := math.Sin(w0) / (2 * q)
-	a0 := 1 + alpha
-	return &Biquad{
-		b0: alpha / a0,
-		b1: 0,
-		b2: -alpha / a0,
-		a1: -2 * math.Cos(w0) / a0,
-		a2: (1 - alpha) / a0,
-	}, nil
-}
-
-// NewLowpassBiquad designs a second-order Butterworth-style low-pass biquad
-// with the given cutoff.
-func NewLowpassBiquad(sampleRateHz, cutoffHz float64) (*Biquad, error) {
-	if sampleRateHz <= 0 {
-		return nil, fmt.Errorf("dsp: sample rate %v", sampleRateHz)
-	}
-	if cutoffHz <= 0 || cutoffHz >= sampleRateHz/2 {
-		return nil, fmt.Errorf("dsp: cutoff %v Hz outside (0, %v)", cutoffHz, sampleRateHz/2)
-	}
-	w0 := 2 * math.Pi * cutoffHz / sampleRateHz
-	q := 1 / math.Sqrt2
-	alpha := math.Sin(w0) / (2 * q)
-	cosw := math.Cos(w0)
-	a0 := 1 + alpha
-	return &Biquad{
-		b0: (1 - cosw) / 2 / a0,
-		b1: (1 - cosw) / a0,
-		b2: (1 - cosw) / 2 / a0,
-		a1: -2 * cosw / a0,
-		a2: (1 - alpha) / a0,
-	}, nil
-}
-
-// Step feeds one sample through the filter.
-func (f *Biquad) Step(x float64) float64 {
-	y := f.b0*x + f.b1*f.x1 + f.b2*f.x2 - f.a1*f.y1 - f.a2*f.y2
-	f.x2, f.x1 = f.x1, x
-	f.y2, f.y1 = f.y1, y
-	return y
-}
-
-// Apply filters a whole signal, returning a new slice. The filter's state
-// advances; use Reset between independent signals.
-func (f *Biquad) Apply(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = f.Step(x)
-	}
-	return out
-}
-
-// Reset clears the filter's delay line.
-func (f *Biquad) Reset() {
-	f.x1, f.x2, f.y1, f.y2 = 0, 0, 0, 0
-}
-
-// Goertzel computes the signal power at one target frequency — the classic
-// single-bin DFT used by tone detectors, far cheaper than a full FFT.
-func Goertzel(xs []float64, sampleRateHz, targetHz float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("dsp: goertzel over empty signal")
-	}
-	if sampleRateHz <= 0 || targetHz < 0 || targetHz > sampleRateHz/2 {
-		return 0, fmt.Errorf("dsp: goertzel target %v Hz at rate %v", targetHz, sampleRateHz)
-	}
-	k := 0.5 + float64(len(xs))*targetHz/sampleRateHz
-	w := 2 * math.Pi * math.Floor(k) / float64(len(xs))
-	coeff := 2 * math.Cos(w)
-	var s0, s1, s2 float64
-	for _, x := range xs {
-		s0 = x + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	power := s1*s1 + s2*s2 - coeff*s1*s2
-	return power / float64(len(xs)), nil
-}
 
 // Autocorrelation returns the biased autocorrelation of xs for lags
 // [0, maxLag], normalized so lag 0 equals 1 (or all zeros for a flat

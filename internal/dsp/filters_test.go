@@ -15,114 +15,6 @@ func tone(n int, rate, freq, amplitude float64) []float64 {
 	return out
 }
 
-func add(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-func TestBandpassDesignValidation(t *testing.T) {
-	if _, err := NewBandpass(0, 10, 1); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewBandpass(100, 60, 1); err == nil {
-		t.Error("center above Nyquist accepted")
-	}
-	if _, err := NewBandpass(100, 10, 0); err == nil {
-		t.Error("zero q accepted")
-	}
-}
-
-func TestBandpassSelectsBand(t *testing.T) {
-	const rate = 1000.0
-	f, err := NewBandpass(rate, 50, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := add(tone(2000, rate, 50, 1), add(tone(2000, rate, 5, 1), tone(2000, rate, 400, 1)))
-	out := f.Apply(in)
-	// Steady-state: the 50 Hz component passes, 5 Hz and 400 Hz attenuate.
-	steady := out[500:]
-	passed := RMS(steady)
-	if passed < 0.4 || passed > 1.0 {
-		t.Errorf("band RMS = %.3f, want ~0.7 (unit 50 Hz tone)", passed)
-	}
-	// Compare against each interferer alone.
-	f.Reset()
-	lowOnly := f.Apply(tone(2000, rate, 5, 1))
-	if r := RMS(lowOnly[500:]); r > 0.15 {
-		t.Errorf("5 Hz leakage RMS = %.3f", r)
-	}
-	f.Reset()
-	highOnly := f.Apply(tone(2000, rate, 400, 1))
-	if r := RMS(highOnly[500:]); r > 0.15 {
-		t.Errorf("400 Hz leakage RMS = %.3f", r)
-	}
-}
-
-func TestLowpassBiquad(t *testing.T) {
-	const rate = 1000.0
-	f, err := NewLowpassBiquad(rate, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := f.Apply(add(tone(2000, rate, 2, 1), tone(2000, rate, 200, 1)))
-	low, err := Goertzel(out[500:], rate, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := Goertzel(out[500:], rate, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low < 100*high {
-		t.Errorf("low-pass: 2 Hz power %.3g not ≫ 200 Hz power %.3g", low, high)
-	}
-	if _, err := NewLowpassBiquad(0, 10); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewLowpassBiquad(100, 60); err == nil {
-		t.Error("cutoff above Nyquist accepted")
-	}
-}
-
-func TestBiquadReset(t *testing.T) {
-	f, err := NewBandpass(1000, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := f.Step(1)
-	f.Reset()
-	b := f.Step(1)
-	if a != b {
-		t.Errorf("Reset did not clear state: %v vs %v", a, b)
-	}
-}
-
-func TestGoertzelDetectsTone(t *testing.T) {
-	const rate = 1000.0
-	sig := tone(500, rate, 100, 1)
-	at100, err := Goertzel(sig, rate, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at250, err := Goertzel(sig, rate, 250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at100 < 50*at250 {
-		t.Errorf("target power %.3g not ≫ off-target %.3g", at100, at250)
-	}
-	if _, err := Goertzel(nil, rate, 100); err == nil {
-		t.Error("empty signal accepted")
-	}
-	if _, err := Goertzel(sig, rate, 600); err == nil {
-		t.Error("target above Nyquist accepted")
-	}
-}
-
 func TestAutocorrelationPeriodic(t *testing.T) {
 	const rate = 1000.0
 	sig := tone(1000, rate, 50, 1) // period 20 samples

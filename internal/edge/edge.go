@@ -110,10 +110,11 @@ func (p Params) ComputeTime(mi float64) time.Duration {
 }
 
 // Objective is the weighted latency/energy score: omega*(T/TRef) +
-// (1-omega)*(E/ERef). Lower is better; the optimizer ranks plan candidates
-// with it when neither latency nor energy alone decides.
-func (p Params) Objective(latency time.Duration, joules float64) float64 {
-	return p.Omega*(latency.Seconds()/p.TRefSec) + (1-p.Omega)*(joules/p.ERefJoules)
+// (1-omega)*(E/ERef), with the latency T in seconds. Lower is better; the
+// optimizer ranks plan candidates with it when neither latency nor energy
+// alone decides.
+func (p Params) Objective(latencySec, joules float64) float64 {
+	return p.Omega*(latencySec/p.TRefSec) + (1-p.Omega)*(joules/p.ERefJoules)
 }
 
 // The executor's typed events, scheduled by Submit.

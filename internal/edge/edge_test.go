@@ -65,7 +65,7 @@ func TestDerivedTimes(t *testing.T) {
 		t.Errorf("ComputeTime(500 MI) = %v, want 500ms", got)
 	}
 	// omega=0.5: objective is the mean of the normalized terms.
-	if got := p.Objective(5*time.Second, 5); math.Abs(got-1) > 1e-12 {
+	if got := p.Objective(5, 5); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Objective(TRef, ERef) = %v, want 1", got)
 	}
 }

@@ -343,33 +343,6 @@ func (b Breakdown) Fraction(r Routine) float64 {
 	return b.Get(r) / att
 }
 
-// Add returns the element-wise sum of b and other. Routines whose sum is
-// zero are absent from the result.
-func (b Breakdown) Add(other Breakdown) Breakdown {
-	out := NewBreakdown()
-	for _, r := range Routines {
-		if v := b.Get(r) + other.Get(r); v != 0 {
-			out[r] = v
-		}
-	}
-	return out
-}
-
-// Scale returns b with every entry multiplied by k. Presence is preserved:
-// entries of b remain entries of the result.
-func (b Breakdown) Scale(k float64) Breakdown {
-	out := NewBreakdown()
-	var mask uint64
-	for _, r := range Routines {
-		if b.Has(r) {
-			out[r] = b.Get(r) * k
-			mask |= 1 << uint(r)
-		}
-	}
-	out[0] = float64(mask)
-	return out
-}
-
 // String formats the breakdown in millijoules for logs and CLI output.
 func (b Breakdown) String() string {
 	s := ""

@@ -141,19 +141,6 @@ func TestBreakdownFractionAndAttributed(t *testing.T) {
 	}
 }
 
-func TestBreakdownAddScale(t *testing.T) {
-	a := Breakdown{DataTransfer: 1, Interrupt: 2}
-	b := Breakdown{DataTransfer: 3, AppCompute: 4}
-	sum := a.Add(b)
-	if sum[DataTransfer] != 4 || sum[Interrupt] != 2 || sum[AppCompute] != 4 {
-		t.Errorf("Add = %v", sum)
-	}
-	sc := sum.Scale(0.5)
-	if sc[DataTransfer] != 2 || sc[Interrupt] != 1 || sc[AppCompute] != 2 {
-		t.Errorf("Scale = %v", sc)
-	}
-}
-
 func TestBreakdownString(t *testing.T) {
 	b := Breakdown{DataTransfer: 0.001}
 	if got := b.String(); got != "DataTransfer=1.00mJ" {

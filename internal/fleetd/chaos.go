@@ -74,9 +74,11 @@ func (c *Chaos) Stats() ChaosStats {
 		Dups: c.dups, Delays: c.delays, Killed: c.killed}
 }
 
-func (c *Chaos) next() float64 {
-	c.rng += 0x9e3779b97f4a7c15
-	z := c.rng
+// splitmix advances the splitmix64 state and returns a uniform draw in
+// [0, 1) from the top 53 bits of the step's output.
+func splitmix(state *uint64) float64 {
+	*state += 0x9e3779b97f4a7c15
+	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
@@ -97,13 +99,13 @@ func (c *Chaos) Call(path string, body []byte) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, ErrWorkerKilled
 	}
-	drop := c.next() < c.cfg.DropProb
+	drop := splitmix(&c.rng) < c.cfg.DropProb
 	var delay time.Duration
-	if c.next() < c.cfg.DelayProb && c.cfg.MaxDelay > 0 {
-		delay = time.Duration(c.next() * float64(c.cfg.MaxDelay))
+	if splitmix(&c.rng) < c.cfg.DelayProb && c.cfg.MaxDelay > 0 {
+		delay = time.Duration(splitmix(&c.rng) * float64(c.cfg.MaxDelay))
 	}
-	dup := c.next() < c.cfg.DupProb
-	dropReply := c.next() < c.cfg.DropReplyProb
+	dup := splitmix(&c.rng) < c.cfg.DupProb
+	dropReply := splitmix(&c.rng) < c.cfg.DropReplyProb
 	if drop {
 		c.drops++
 	}

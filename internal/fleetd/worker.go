@@ -274,13 +274,7 @@ func (w *Worker) sleepJitter(d time.Duration) {
 	if d <= 0 {
 		d = time.Millisecond
 	}
-	w.rng += 0x9e3779b97f4a7c15
-	z := w.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	factor := 0.5 + float64(z>>11)/float64(1<<53)
-	time.Sleep(time.Duration(float64(d) * factor))
+	time.Sleep(time.Duration(float64(d) * (0.5 + splitmix(&w.rng))))
 }
 
 func (w *Worker) warnf(format string, args ...any) {

@@ -71,7 +71,7 @@ func (a *Arena) Run(cfg Config) (*RunResult, error) {
 
 // prepare readies the arena's runner for cfg up to its first sensor read:
 // device stack renewed, stream topology built, fault/meter/power subsystems
-// armed, and the CPU's idle policy primed.
+// armed, and the CPU's idle policy applied.
 func (a *Arena) prepare(cfg Config) (*runner, error) {
 	params, modes, err := cfg.validate()
 	if err != nil {
@@ -94,7 +94,7 @@ func (a *Arena) prepare(cfg Config) (*runner, error) {
 	if err := r.armPower(); err != nil {
 		return nil, err
 	}
-	r.prime()
+	r.governCPU()
 	return r, nil
 }
 

@@ -116,15 +116,7 @@ func (r *runner) onMCUCrash(d time.Duration) {
 	n := len(r.crashRedo)
 	r.crashRedo = r.wipeBatches(r.crashRedo)
 	r.recollect(r.crashRedo[n:], now)
-	for _, st := range r.states {
-		// Offloaded windows whose computation was in flight restart from
-		// scratch after the reboot — re-enter the MCU time-budget check.
-		for w, on := range st.offloadInFlight {
-			if on {
-				r.checkOffloadBudget(st, w, now.Add(d))
-			}
-		}
-	}
+	r.recheckOffloads(now.Add(d))
 	// The in-situ meter's sample buffer lives in the same RAM: the crash
 	// drops it in one burst and resets the instrument's duty-cycle phase.
 	r.meterOnCrash()
@@ -138,17 +130,34 @@ func (r *runner) onMCUCrash(d time.Duration) {
 	}
 }
 
-// afterReboot re-reserves the offload footprint (the binary reloads from
-// flash) and re-issues the reads the crash destroyed.
-func (r *runner) afterReboot() {
-	if r.offloadNeed > 0 && r.anyOffloadedAhead() {
+// resume puts a board that is alive again after a crash or brownout back to
+// work: the offload footprint is re-reserved (the binary reloads from flash)
+// unless it is already resident, and the wiped samples in redo are re-read.
+// It returns redo emptied for reuse. An outage wipes the RAM and nothing
+// allocates while the board is down, so only a reboot's first alive
+// notification (a held crash's comes before a recharge's) reloads the binary.
+func (r *runner) resume(redo []redoRef) []redoRef {
+	if r.offloadNeed > 0 && r.mcu.RAMUsed() < r.offloadNeed && r.anyOffloadedAhead() {
 		if err := r.mcu.Alloc(r.offloadNeed); err != nil {
 			r.fail(err)
-			return
+			return redo[:0]
 		}
 	}
-	r.redoReads(r.crashRedo)
-	r.crashRedo = r.crashRedo[:0]
+	r.redoReads(redo)
+	return redo[:0]
+}
+
+// recheckOffloads re-enters the MCU time-budget check for every offloaded
+// window whose computation was in flight when the board went down: it
+// restarts from scratch, no earlier than earliest.
+func (r *runner) recheckOffloads(earliest sim.Time) {
+	for _, st := range r.states {
+		for w, on := range st.offloadInFlight {
+			if on {
+				r.checkOffloadBudget(st, w, earliest)
+			}
+		}
+	}
 }
 
 // wipeBatches empties every app's batch buffer, as a crash or brownout that
@@ -213,8 +222,7 @@ func (r *runner) anyOffloadedAhead() bool {
 // offloaded window: will the (re)computation still meet the QoS deadline?
 func (r *runner) checkOffloadBudget(st *appState, w int, earliestStart sim.Time) {
 	r.res.OffloadBudgetChecks++
-	deadline := sim.Time(int64(w+3) * int64(r.window))
-	if earliestStart.Add(st.mcuComputeTime) > deadline {
+	if earliestStart.Add(st.mcuComputeTime) > r.deadline(w) {
 		r.res.OffloadBudgetMisses++
 	}
 }
@@ -260,27 +268,6 @@ func (r *runner) degradeAll(reason string) {
 	if changed {
 		r.retuneGovernor(wNext)
 	}
-}
-
-// retuneGovernor recomputes the CPU idle policy after a degradation: a
-// formerly all-offloaded hub now fields interrupts again.
-func (r *runner) retuneGovernor(w int) {
-	allOffloaded := true
-	minGap := r.window
-	for _, st := range r.states {
-		if st.policyFor(w).Place != scheme.OnMCU {
-			allOffloaded = false
-		}
-	}
-	for _, s := range r.streams {
-		for _, l := range s.consumers {
-			if l.st.policyFor(w).Sample == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
-				minGap = s.period
-			}
-		}
-	}
-	r.gapHint = minGap
-	r.allowDeep = allOffloaded
 }
 
 // noteRetry feeds the per-window fault record and the rate-downshift budget.

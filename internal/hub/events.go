@@ -112,7 +112,7 @@ func (r *runner) OnEvent(a sim.Arg) {
 	case opWatchdog:
 		r.watchdogProbe()
 	case opRebooted:
-		r.afterReboot()
+		r.crashRedo = r.resume(r.crashRedo)
 	case opRecharged:
 		r.afterRecharge()
 	case opEdgeResult:

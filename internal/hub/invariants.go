@@ -113,17 +113,22 @@ func (r *RunResult) CheckInvariants() error {
 		return fmt.Errorf("QoS violations %d outside [0, %d outputs]", r.QoSViolations, outputs)
 	}
 
-	// Sample ledger: planned + re-collected reads all end up somewhere.
-	for name, n := range map[string]int{
-		"ScheduledSamples": r.ScheduledSamples, "DeliveredSamples": r.DeliveredSamples,
-		"DroppedSamples": r.DroppedSamples, "RecollectedSamples": r.RecollectedSamples,
-		"DownshiftSkipped": r.DownshiftSkipped, "ReadRetries": r.ReadRetries,
-		"Interrupts": r.Interrupts, "BytesTransferred": r.BytesTransferred,
-		"LinkRetransmits": r.LinkRetransmits, "LinkAbortedTransfers": r.LinkAbortedTransfers,
-		"MCUCrashes": r.MCUCrashes, "RadioDroppedBytes": r.RadioDroppedBytes,
+	// Sample ledger: planned + re-collected reads all end up somewhere. The
+	// counters are checked in a fixed order, so the first negative one in
+	// this list is the one reported.
+	for _, c := range [...]struct {
+		name string
+		n    int
+	}{
+		{"ScheduledSamples", r.ScheduledSamples}, {"DeliveredSamples", r.DeliveredSamples},
+		{"DroppedSamples", r.DroppedSamples}, {"RecollectedSamples", r.RecollectedSamples},
+		{"DownshiftSkipped", r.DownshiftSkipped}, {"ReadRetries", r.ReadRetries},
+		{"Interrupts", r.Interrupts}, {"BytesTransferred", r.BytesTransferred},
+		{"LinkRetransmits", r.LinkRetransmits}, {"LinkAbortedTransfers", r.LinkAbortedTransfers},
+		{"MCUCrashes", r.MCUCrashes}, {"RadioDroppedBytes", r.RadioDroppedBytes},
 	} {
-		if n < 0 {
-			return fmt.Errorf("negative counter %s = %d", name, n)
+		if c.n < 0 {
+			return fmt.Errorf("negative counter %s = %d", c.name, c.n)
 		}
 	}
 	if in, out := r.ScheduledSamples+r.RecollectedSamples,

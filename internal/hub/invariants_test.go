@@ -131,3 +131,17 @@ func TestCheckInvariantsToleratesFaultyReordering(t *testing.T) {
 		t.Fatalf("faulty run's reordered outputs rejected: %v", err)
 	}
 }
+
+// TestCheckInvariantsNamesFirstNegativeCounter: with two counters negative,
+// every call reports the same one, the first in the checked list.
+func TestCheckInvariantsNamesFirstNegativeCounter(t *testing.T) {
+	res := checkableResult()
+	res.Interrupts = -1
+	res.MCUCrashes = -1
+	for i := 0; i < 100; i++ {
+		err := res.CheckInvariants()
+		if err == nil || err.Error() != "negative counter Interrupts = -1" {
+			t.Fatalf("call %d: err = %v, want negative counter Interrupts = -1", i, err)
+		}
+	}
+}

@@ -242,31 +242,13 @@ func (r *runner) onRecharge(now sim.Time) {
 // rewind their windows' progress and count as re-collected, mirroring the
 // crash path — because only now is the redo actually going to happen: a
 // brownout that re-opens mid-reboot holds this notification with the gate,
-// so nothing is ever rewound twice. The offload footprint is re-reserved (the
-// binary reloads from flash) unless an absorbed crash's own alive
-// notification already did, and in-flight offloaded windows re-enter the planner's
-// time-budget check.
+// so nothing is ever rewound twice. In-flight offloaded windows re-enter the
+// planner's time-budget check, and the board resumes as after a crash.
 func (r *runner) afterRecharge() {
 	now := r.sched.Now()
 	r.recollect(r.supply.redo, now)
-	// RAMUsed < offloadNeed means the footprint is not resident: the held
-	// crash notification (if any) ran a moment ago in this same instant, so
-	// no other allocation can have landed in between.
-	if r.offloadNeed > 0 && r.mcu.RAMUsed() < r.offloadNeed && r.anyOffloadedAhead() {
-		if err := r.mcu.Alloc(r.offloadNeed); err != nil {
-			r.fail(err)
-			return
-		}
-	}
-	for _, st := range r.states {
-		for w, on := range st.offloadInFlight {
-			if on {
-				r.checkOffloadBudget(st, w, now)
-			}
-		}
-	}
-	r.redoReads(r.supply.redo)
-	r.supply.redo = r.supply.redo[:0]
+	r.recheckOffloads(now)
+	r.supply.redo = r.resume(r.supply.redo)
 }
 
 // collectPower finalizes the ledger into the result: one last settle at the

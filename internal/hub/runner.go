@@ -10,6 +10,7 @@ package hub
 // chaos.go; the decision seams themselves in internal/scheme.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -120,9 +121,6 @@ func (r *runner) windowAt(t sim.Time) int { return int(t / sim.Time(r.window)) }
 
 // build constructs app states and materializes the scheme's stream topology.
 func (r *runner) build(modes map[apps.ID]Mode) error {
-	allOffloaded := true
-	minGap := r.window
-
 	for _, a := range r.cfg.Apps {
 		sp := a.Spec()
 		st := r.getState()
@@ -145,9 +143,6 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 		}
 		st.samplesPerWindow = n
 		st.sizeWindows(r.cfg.Windows)
-		if st.policy().Place != scheme.OnMCU {
-			allOffloaded = false
-		}
 		if st.policy().Place == scheme.OnEdge {
 			st.uploadBytes = r.getUploadMap()
 			// The edge container is server-class: no EffectiveMIPS cap, the
@@ -243,29 +238,31 @@ func (r *runner) build(modes map[apps.ID]Mode) error {
 		}
 		r.streams = append(r.streams, s)
 	}
+	r.retuneGovernor(0)
+	return nil
+}
+
+// retuneGovernor derives the CPU idle policy's inputs from the policies in
+// force at window w: build sets them for window 0, and a degradation resets
+// them from its first window, since a formerly all-offloaded hub then fields
+// interrupts again.
+func (r *runner) retuneGovernor(w int) {
+	allOffloaded := true
+	minGap := r.window
+	for _, st := range r.states {
+		if st.policyFor(w).Place != scheme.OnMCU {
+			allOffloaded = false
+		}
+	}
 	for _, s := range r.streams {
 		for _, l := range s.consumers {
-			if l.st.policy().Sample == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
+			if l.st.policyFor(w).Sample == scheme.Interrupt && s.period*time.Duration(l.stride) < minGap {
 				minGap = s.period
 			}
 		}
 	}
 	r.gapHint = minGap
 	r.allowDeep = allOffloaded
-	return nil
-}
-
-// prime sets the CPU's initial idle policy so window 0 is steady-state.
-func (r *runner) prime() {
-	routine := energy.DataTransfer
-	gap := r.gapHint
-	if r.allowDeep {
-		routine = energy.AppCompute
-		gap = r.window
-	}
-	if err := r.cpu.Idle(gap, routine, r.allowDeep); err != nil {
-		r.fail(err)
-	}
 }
 
 // scheduleAll reserves the sequence numbers of every sensor read of the run,
@@ -314,16 +311,9 @@ func (r *runner) startRead(s *stream, k int) {
 		r.dropSample(s, k)
 		return
 	}
-	w := k / s.perWindow
-	if s.downshifted[w] && (k%s.perWindow)%2 == 1 {
+	if s.downshifted[k/s.perWindow] && (k%s.perWindow)%2 == 1 {
 		r.res.DownshiftSkipped++
-		for _, l := range s.consumers {
-			if !l.wants(k) {
-				continue
-			}
-			l.st.expected[w]--
-			r.maybeComplete(l.st, w)
-		}
+		r.loseSample(s, k)
 		return
 	}
 	r.attemptRead(s, k, 0)
@@ -366,8 +356,7 @@ func (r *runner) attemptRead(s *stream, k, retriesUsed int) {
 	}
 }
 
-// dropSample abandons a sample: every consumer's window expectation shrinks
-// and completion is re-checked (the drop may have been the last straw).
+// dropSample abandons a sample and accounts the drop.
 // Functional note: the apps' Compute inputs are regenerated from their
 // synthetic sources, so drops affect energy/timing accounting, not the
 // computed outputs (real apps tolerate missing samples; see DESIGN.md).
@@ -378,6 +367,14 @@ func (r *runner) dropSample(s *stream, k int) {
 	if r.obs.Enabled() {
 		r.obs.Note("sample-drop", fmt.Sprintf("%s sample %d (window %d)", s.id, k, w))
 	}
+	r.loseSample(s, k)
+}
+
+// loseSample tells every consumer of stream s's sample k that it will never
+// arrive: the consumer's window expectation shrinks and completion is
+// re-checked (the loss may have been the last straw).
+func (r *runner) loseSample(s *stream, k int) {
+	w := k / s.perWindow
 	for _, l := range s.consumers {
 		if !l.wants(k) {
 			continue
@@ -490,6 +487,10 @@ func (r *runner) offloadCompute(st *appState, w int) {
 	}
 }
 
+// deadline is the QoS deadline of window w's output: three windows after
+// the window opens.
+func (r *runner) deadline(w int) sim.Time { return sim.Time(int64(w+3) * int64(r.window)) }
+
 // finishWindow records the app's window result and checks QoS.
 func (r *runner) finishWindow(st *appState, w int) {
 	wr := WindowResult{Window: w, At: r.sched.Now()}
@@ -506,8 +507,7 @@ func (r *runner) finishWindow(st *appState, w int) {
 		}
 		wr.Result = res
 	}
-	deadline := sim.Time(int64(w+3) * int64(r.window))
-	if wr.At > deadline {
+	if deadline := r.deadline(w); wr.At > deadline {
 		r.res.QoSViolations++
 		if r.obs.Enabled() {
 			r.obs.Note("qos-violation", fmt.Sprintf("%s window %d finished %v past deadline", st.spec.ID, w, (wr.At-deadline)))
@@ -558,7 +558,9 @@ func (r *runner) uplink(st *appState, w int, payload []byte) {
 	}
 }
 
-// governCPU applies the idle policy after CPU work drains.
+// governCPU applies the idle policy: once before the first read, so window
+// 0 is steady-state, and again whenever CPU work drains. A CPU that is still
+// busy stays active; cpu.ErrBusy is no fault.
 func (r *runner) governCPU() {
 	routine := energy.DataTransfer
 	gap := r.gapHint
@@ -566,11 +568,7 @@ func (r *runner) governCPU() {
 		routine = energy.AppCompute
 		gap = r.window
 	}
-	if err := r.cpu.Idle(gap, routine, r.allowDeep); err != nil && !errorsIsBusy(err) {
+	if err := r.cpu.Idle(gap, routine, r.allowDeep); err != nil && !errors.Is(err, cpu.ErrBusy) {
 		r.fail(err)
 	}
-}
-
-func errorsIsBusy(err error) bool {
-	return err == cpu.ErrBusy || err == mcu.ErrBusy
 }

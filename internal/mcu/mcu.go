@@ -55,13 +55,8 @@ func DefaultParams() Params {
 // UsableRAM is the RAM available to batch buffers and offloaded apps.
 func (p Params) UsableRAM() int { return p.RAMBytes - p.ReservedBytes }
 
-// Errors callers match on.
-var (
-	// ErrNoRAM is returned when an allocation exceeds the usable RAM.
-	ErrNoRAM = errors.New("mcu: out of RAM")
-	// ErrBusy is returned by Idle when work is executing or queued.
-	ErrBusy = errors.New("mcu: busy")
-)
+// ErrNoRAM is returned when an allocation exceeds the usable RAM.
+var ErrNoRAM = errors.New("mcu: out of RAM")
 
 // workItem is one queued or running piece of work: 40 bytes with no
 // pointer, so the queue ring is neither scanned by the collector nor
@@ -414,16 +409,6 @@ func (m *MCU) Alive() bool { return !m.rebooting }
 
 // Crashes counts completed Crash calls.
 func (m *MCU) Crashes() int { return m.crashes }
-
-// Idle re-attributes the MCU's idle draw to routine r (e.g. keeping batch
-// RAM retained counts toward DataTransfer while waiting to flush).
-func (m *MCU) Idle(r energy.Routine) error {
-	if m.Busy() || m.rebooting {
-		return ErrBusy
-	}
-	m.track.Set(m.params.IdleW, r)
-	return nil
-}
 
 // Track exposes the MCU's energy track (for trace capture).
 func (m *MCU) Track() *energy.Track { return m.track }

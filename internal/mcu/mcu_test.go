@@ -167,33 +167,6 @@ func TestOffloadTimeSlowdown(t *testing.T) {
 	}
 }
 
-func TestIdleReattributesDraw(t *testing.T) {
-	mc, s, m := newMCU(t)
-	if err := mc.Idle(energy.DataTransfer); err != nil {
-		t.Fatalf("Idle: %v", err)
-	}
-	if err := s.RunUntil(sim.Time(time.Second)); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	got := m.Total()[energy.DataTransfer]
-	if math.Abs(got-mc.Params().IdleW) > 1e-9 {
-		t.Errorf("idle energy = %v, want %v", got, mc.Params().IdleW)
-	}
-}
-
-func TestIdleWhileBusyFails(t *testing.T) {
-	mc, s, _ := newMCU(t)
-	if err := exec(mc, time.Millisecond, energy.AppCompute, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Idle(energy.Idle); !errors.Is(err, ErrBusy) {
-		t.Errorf("Idle while busy = %v, want ErrBusy", err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestCrashLosesRAMAndRestartsWork(t *testing.T) {
 	mc, s, _ := newMCU(t)
 	if err := mc.Alloc(12_000); err != nil {
@@ -285,9 +258,6 @@ func TestExecDuringRebootQueuesUntilAlive(t *testing.T) {
 	var doneAt sim.Time
 	if err := exec(mc, time.Millisecond, energy.DataCollection, func() { doneAt = s.Now() }); err != nil {
 		t.Fatalf("ExecCall during reboot: %v", err)
-	}
-	if err := mc.Idle(energy.Idle); !errors.Is(err, ErrBusy) {
-		t.Errorf("Idle during reboot = %v, want ErrBusy", err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -291,7 +291,7 @@ func Run(spec Spec) (*Plan, error) {
 		e.EnergyPerWindow = energy.Mean()
 		e.MeanLatencySec = latency.Mean()
 		e.MaxQoSViolations = qos.Max()
-		e.Objective = ep.Omega*(e.MeanLatencySec/ep.TRefSec) + (1-ep.Omega)*(e.EnergyPerWindow/ep.ERefJoules)
+		e.Objective = ep.Objective(e.MeanLatencySec, e.EnergyPerWindow)
 		e.Feasible = e.MaxQoSViolations <= spec.MaxQoSViolations &&
 			(spec.MaxMeanLatencySec <= 0 || e.MeanLatencySec <= spec.MaxMeanLatencySec)
 		return e

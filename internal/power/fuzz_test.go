@@ -40,9 +40,6 @@ func FuzzParseTrace(f *testing.F) {
 					t.Fatalf("uncoalesced steps %v in %q", steps, spec)
 				}
 			}
-			if tr.MeanWatts(horizon) < 0 {
-				t.Fatalf("negative mean for %q", spec)
-			}
 		}
 	})
 }

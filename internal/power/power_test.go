@@ -110,24 +110,6 @@ func TestTraceDeterministicAndCoalesced(t *testing.T) {
 	}
 }
 
-func TestTraceMeanWatts(t *testing.T) {
-	tr, err := ParseTrace("const:w=0.25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := tr.MeanWatts(3 * time.Second); m < 0.2499 || m > 0.2501 {
-		t.Errorf("mean = %v, want 0.25", m)
-	}
-	// A full RF period averages w × duty.
-	tr, err = ParseTrace("rf:w=1,period=1s,burst=250ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := tr.MeanWatts(4 * time.Second); m < 0.2499 || m > 0.2501 {
-		t.Errorf("rf mean = %v, want 0.25", m)
-	}
-}
-
 func TestSupplyValidate(t *testing.T) {
 	var nilSupply *Supply
 	if err := nilSupply.Validate(); err != nil {

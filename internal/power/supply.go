@@ -63,14 +63,6 @@ func (s *Supply) Validate() error {
 	return nil
 }
 
-// Trace parses the supply's harvest schedule (nil trace when none is set).
-func (s *Supply) Trace() (*Trace, error) {
-	if s == nil || s.Harvest == "" {
-		return &Trace{}, nil
-	}
-	return ParseTrace(s.Harvest)
-}
-
 // PresetNames lists the harvest presets Preset accepts, in the order the
 // CLI documents them.
 func PresetNames() []string { return []string{"solar", "rf", "office"} }

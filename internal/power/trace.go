@@ -316,23 +316,3 @@ func (t *Trace) AppendSteps(dst []Step, horizon time.Duration) []Step {
 	}
 	return dst
 }
-
-// MeanWatts is the trace's average income over [0, horizon] — the analytic
-// handle experiments use to reason about power-neutral operation.
-func (t *Trace) MeanWatts(horizon time.Duration) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	steps := t.AppendSteps(nil, horizon)
-	var joules float64
-	for i, s := range steps {
-		end := horizon
-		if i+1 < len(steps) {
-			end = steps[i+1].At
-		}
-		if end > s.At {
-			joules += s.Watts * (end - s.At).Seconds()
-		}
-	}
-	return joules / horizon.Seconds()
-}

@@ -376,13 +376,6 @@ func (a *AudioSpeech) AppendSample(dst []byte, i int) []byte {
 	return binary.LittleEndian.AppendUint16(dst, uint16(main/4))
 }
 
-// Transcript returns the spoken words in order (ground truth).
-func (a *AudioSpeech) Transcript() []AudioWord {
-	out := make([]AudioWord, len(a.Words))
-	copy(out, a.Words)
-	return out
-}
-
 var _ Source = (*AudioSpeech)(nil)
 
 // DecodePCM extracts the primary channel from a 6-byte audio sample.

@@ -207,16 +207,10 @@ type Recognizer struct {
 	// it are treated as silence. Zero disables the floor (relative
 	// thresholding only).
 	MinRMS float64
-
-	// enhance applies CMN + delta features to inputs (templates were
-	// already enhanced by WithEnhancedFeatures).
-	enhance bool
 }
 
-// NewRecognizer builds a recognizer over the given templates. It keeps its
-// own copy of the template list, so WithEnhancedFeatures on one recognizer
-// never rewrites another's templates; the feature matrices themselves are
-// shared and never written.
+// NewRecognizer builds a recognizer over the given templates. It never
+// writes them, so recognizers may share one list.
 func NewRecognizer(frontend *Frontend, templates []Template) (*Recognizer, error) {
 	if frontend == nil {
 		return nil, errors.New("speech: nil frontend")
@@ -231,7 +225,7 @@ func NewRecognizer(frontend *Frontend, templates []Template) (*Recognizer, error
 	}
 	return &Recognizer{
 		frontend:   frontend,
-		templates:  append([]Template(nil), templates...),
+		templates:  templates,
 		energyFrac: 0.25,
 		minSegment: frontend.FrameLen,
 	}, nil
@@ -290,11 +284,6 @@ func (r *Recognizer) Decode(pcm []float64) ([]string, error) {
 		}
 		if len(feats) == 0 {
 			continue
-		}
-		if r.enhance {
-			if feats, err = Enhance(feats); err != nil {
-				return nil, err
-			}
 		}
 		bestWord, bestDist := "", math.Inf(1)
 		for _, t := range r.templates {

@@ -2,7 +2,6 @@ package speech
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"iothub/internal/sensor"
@@ -194,127 +193,5 @@ func TestDecodeSilenceYieldsNothing(t *testing.T) {
 	}
 	if len(words) != 0 {
 		t.Errorf("decoded %v from silence", words)
-	}
-}
-
-func TestCMNZeroesCoefficientMeans(t *testing.T) {
-	feats := [][]float64{{1, 10}, {3, 20}, {5, 30}}
-	out := CMN(feats)
-	for c := 0; c < 2; c++ {
-		var sum float64
-		for _, f := range out {
-			sum += f[c]
-		}
-		if math.Abs(sum) > 1e-9 {
-			t.Errorf("coefficient %d mean = %v, want 0", c, sum/3)
-		}
-	}
-	if CMN(nil) != nil {
-		t.Error("empty input not nil")
-	}
-	// Originals untouched.
-	if feats[0][0] != 1 {
-		t.Error("CMN mutated its input")
-	}
-}
-
-func TestWithDeltasShape(t *testing.T) {
-	feats := [][]float64{{0}, {1}, {2}, {3}}
-	out, err := WithDeltas(feats, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 || len(out[0]) != 2 {
-		t.Fatalf("shape = %dx%d, want 4x2", len(out), len(out[0]))
-	}
-	// A linear ramp has constant positive deltas in the interior.
-	if out[1][1] <= 0 || out[2][1] <= 0 {
-		t.Errorf("ramp deltas = %v, %v, want positive", out[1][1], out[2][1])
-	}
-	if _, err := WithDeltas(feats, 0); err == nil {
-		t.Error("zero width accepted")
-	}
-	empty, err := WithDeltas(nil, 2)
-	if err != nil || empty != nil {
-		t.Errorf("empty input: %v, %v", empty, err)
-	}
-}
-
-func TestEnhancedRecognizerStillDecodes(t *testing.T) {
-	f, err := NewFrontend(rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := NewRecognizer(f, templates(t, f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WithEnhancedFeatures(); err != nil {
-		t.Fatal(err)
-	}
-	utterance := []sensor.AudioWord{sensor.WordYes, sensor.WordNo}
-	gen := sensor.NewAudioSpeech(3, rate, rate/4, rate/4, utterance...)
-	pcm := make([]float64, len(utterance)*rate/2)
-	for i := range pcm {
-		pcm[i] = gen.PCMAt(i)
-	}
-	words, err := rec.Decode(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(words) != 2 || words[0] != "yes" || words[1] != "no" {
-		t.Errorf("enhanced decode = %v", words)
-	}
-}
-
-// TestRecognizersDoNotShareTemplates builds two recognizers from one
-// template list and enhances the first: neither the second recognizer's
-// templates, nor the caller's list, nor the second's transcript of a fixed
-// utterance may change.
-func TestRecognizersDoNotShareTemplates(t *testing.T) {
-	f, err := NewFrontend(rate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list := templates(t, f)
-	first, err := NewRecognizer(f, list)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := NewRecognizer(f, list)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := sensor.NewAudioSpeech(3, rate, rate/4, rate/4, sensor.WordStop, sensor.WordGo)
-	pcm := make([]float64, rate)
-	for i := range pcm {
-		pcm[i] = gen.PCMAt(i)
-	}
-	before, err := second.Decode(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][][]float64, len(list))
-	for i, tp := range list {
-		want[i] = tp.Features
-	}
-
-	if err := first.WithEnhancedFeatures(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !reflect.DeepEqual(second.templates[i].Features, want[i]) {
-			t.Errorf("second recognizer's template %q rewritten", second.templates[i].Word)
-		}
-		if !reflect.DeepEqual(list[i].Features, want[i]) {
-			t.Errorf("caller's template %q rewritten", list[i].Word)
-		}
-	}
-	after, err := second.Decode(pcm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(after, before) {
-		t.Errorf("second recognizer decodes %v after the first was enhanced, %v before", after, before)
 	}
 }

@@ -3,40 +3,11 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"iothub/internal/energy"
 )
 
-// Degenerate renderer inputs: the ASCII chart and level extraction must stay
-// well-formed on empty traces, single samples, one-row charts, and the
-// (nonsensical but possible) negative-watts sample.
-
-func TestLevelsEmpty(t *testing.T) {
-	if got := Levels(nil); len(got) != 0 {
-		t.Errorf("Levels(nil) = %v, want empty", got)
-	}
-	if got := Levels([]energy.Sample{}); len(got) != 0 {
-		t.Errorf("Levels([]) = %v, want empty", got)
-	}
-}
-
-func TestLevelsSingleSample(t *testing.T) {
-	got := Levels([]energy.Sample{{At: 0, Watts: 1.25, R: energy.Idle}})
-	if len(got) != 1 || got[0] != 1.25 {
-		t.Errorf("Levels = %v, want [1.25]", got)
-	}
-}
-
-func TestLevelsNegativeWattsSortFirst(t *testing.T) {
-	got := Levels([]energy.Sample{
-		{At: 0, Watts: 2, R: energy.Idle},
-		{At: ms(1), Watts: -0.5, R: energy.Idle},
-		{At: ms(2), Watts: 2, R: energy.Idle},
-	})
-	if len(got) != 2 || got[0] != -0.5 || got[1] != 2 {
-		t.Errorf("Levels = %v, want [-0.5 2]", got)
-	}
-}
+// Degenerate renderer inputs: the ASCII chart must stay well-formed on
+// one-row charts, non-positive heights, single bins, and the (nonsensical
+// but possible) negative-watts sample.
 
 func TestRenderASCIIHeightOne(t *testing.T) {
 	out := RenderASCII([]float64{0, 3, 0.001}, 1)

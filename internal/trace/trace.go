@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -124,19 +123,4 @@ func RenderASCII(waveform []float64, height int) string {
 	b.WriteString(strings.Repeat("-", len(waveform)))
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// Levels lists the distinct power levels of a trace in ascending order —
-// handy for mapping levels back to named power states in reports.
-func Levels(samples []energy.Sample) []float64 {
-	seen := make(map[float64]bool)
-	for _, s := range samples {
-		seen[s.Watts] = true
-	}
-	out := make([]float64, 0, len(seen))
-	for w := range seen {
-		out = append(out, w)
-	}
-	sort.Float64s(out)
-	return out
 }

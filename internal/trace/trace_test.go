@@ -125,14 +125,6 @@ func TestRenderASCII(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	got := Levels(sampleTrace())
-	want := []float64{0.35, 5}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Levels = %v, want %v", got, want)
-	}
-}
-
 func TestProfileCompute(t *testing.T) {
 	a, err := stepcounter.New(3)
 	if err != nil {
